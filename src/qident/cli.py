@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .families import FamilySpec, InvalidSpec, family_series
 from .identities import (
@@ -86,30 +87,21 @@ def _collect_params(args: argparse.Namespace) -> Dict[str, Union[int, float]]:
     return params
 
 
+def _shown(name: str, value: Union[int, float]) -> Union[int, str]:
+    """A parameter value as the command line spells it: plus/minus, inf, or
+    the integer."""
+    if name == "sign":
+        return "plus" if value == 1 else "minus"
+    return "inf" if value == INFINITE else int(value)
+
+
 def _params_text(params: Mapping[str, Union[int, float]], sep: str = " ") -> str:
     """Render a parameter binding as flag-style tokens, CSV-safe with sep=';'."""
-    parts = []
-    for name, value in params.items():
-        if name == "sign":
-            shown: Union[int, float, str] = "plus" if value == 1 else "minus"
-        elif value == INFINITE:
-            shown = "inf"
-        else:
-            shown = value
-        parts.append(f"{name}={shown}")
-    return sep.join(parts)
+    return sep.join(f"{name}={_shown(name, value)}" for name, value in params.items())
 
 
 def _params_json(params: Mapping[str, Union[int, float]]) -> Dict[str, Union[int, str]]:
-    out: Dict[str, Union[int, str]] = {}
-    for name, value in params.items():
-        if name == "sign":
-            out[name] = "plus" if value == 1 else "minus"
-        elif value == INFINITE:
-            out[name] = "inf"
-        else:
-            out[name] = int(value)
-    return out
+    return {name: _shown(name, value) for name, value in params.items()}
 
 
 def _report_json(report: VerifyReport, deterministic: bool) -> Dict[str, object]:
@@ -161,8 +153,24 @@ def _report_row(report: VerifyReport, deterministic: bool) -> List[str]:
     return row
 
 
-_REPORT_HEADER = ["id", "params", "order", "holds",
-                  "disc_exponent", "disc_lhs", "disc_rhs"]
+def _report_header(deterministic: bool) -> List[str]:
+    header = ["id", "params", "order", "holds", "disc_exponent", "disc_lhs", "disc_rhs"]
+    return header if deterministic else header + ["elapsed_ms"]
+
+
+def _emit(fmt: str, doc: Mapping[str, object], header: Sequence[str],
+          rows: Iterable[Iterable[object]], lines: Iterable[str]) -> None:
+    """Print one result in the chosen format: the JSON document, the CSV
+    header and rows, or the plain lines."""
+    if fmt == "json":
+        print(json.dumps(doc, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +180,17 @@ _REPORT_HEADER = ["id", "params", "order", "holds",
 def cmd_coeffs(args: argparse.Namespace) -> int:
     spec = FamilySpec(family=args.family, sign=_sign_number(args.sign),
                       k=args.k, m=args.m)
-    series = family_series(spec, args.order)
-    if args.format == "json":
-        doc = {
-            "family": args.family,
-            "sign": args.sign,
-            "k": args.k,
-            "m": "inf" if args.m == INFINITE else args.m,
-            "order": args.order,
-            "coefficients": [str(c) for c in series.coeffs],
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "coefficient"])
-        for n, c in enumerate(series.coeffs):
-            writer.writerow([n, c])
-    else:
-        for n, c in enumerate(series.coeffs):
-            print(f"{n} {c}")
+    coeffs = family_series(spec, args.order).coeffs
+    doc = {
+        "family": args.family,
+        "sign": args.sign,
+        "k": args.k,
+        "m": _shown("m", args.m),
+        "order": args.order,
+        "coefficients": [str(c) for c in coeffs],
+    }
+    _emit(args.format, doc, ["n", "coefficient"], enumerate(coeffs),
+          (f"{n} {c}" for n, c in enumerate(coeffs)))
     return 0
 
 
@@ -198,19 +198,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = _collect_params(args)
     if "sign" in REGISTRY[args.id].required and "sign" not in params:
         params["sign"] = 1
-    case = IdentityCase(id=args.id, params=params, order=args.order)
-    report = verify(case)
-    if args.format == "json":
-        print(json.dumps(_report_json(report, args.deterministic), indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        header = list(_REPORT_HEADER)
-        if not args.deterministic:
-            header.append("elapsed_ms")
-        writer.writerow(header)
-        writer.writerow(_report_row(report, args.deterministic))
-    else:
-        print(_report_plain(report, args.deterministic))
+    report = verify(IdentityCase(id=args.id, params=params, order=args.order))
+    det = args.deterministic
+    _emit(args.format, _report_json(report, det), _report_header(det),
+          [_report_row(report, det)], [_report_plain(report, det)])
     return 0 if report.holds else 1
 
 
@@ -218,33 +209,22 @@ def cmd_suite(args: argparse.Namespace) -> int:
     reports = verify_suite(order=args.order)
     passed = sum(1 for r in reports if r.holds)
     failed = len(reports) - passed
-    if args.format == "json":
-        doc = {
-            "order": args.order,
-            "passed": passed,
-            "failed": failed,
-            "total": len(reports),
-            "cases": [_report_json(r, args.deterministic) for r in reports],
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        header = list(_REPORT_HEADER)
-        if not args.deterministic:
-            header.append("elapsed_ms")
-        writer.writerow(header)
-        for r in reports:
-            writer.writerow(_report_row(r, args.deterministic))
-    else:
-        for r in reports:
-            print(_report_plain(r, args.deterministic))
-        print(f"{passed} passed / {failed} failed / {len(reports)} total")
+    det = args.deterministic
+    doc = {
+        "order": args.order,
+        "passed": passed,
+        "failed": failed,
+        "total": len(reports),
+        "cases": [_report_json(r, det) for r in reports],
+    }
+    summary = f"{passed} passed / {failed} failed / {len(reports)} total"
+    _emit(args.format, doc, _report_header(det),
+          (_report_row(r, det) for r in reports),
+          itertools.chain((_report_plain(r, det) for r in reports), [summary]))
     return 0 if failed == 0 else 1
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.n is None:
-        raise ValueError("oracle needs --n")
     n = args.n
     if args.which in ("v", "w"):
         if args.sign is None or args.k is None:
@@ -266,24 +246,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         series_value = divisor_sum_series(n).coeffs[n]
 
     match = oracle_value == series_value
-    if args.format == "json":
-        doc = {
-            "which": args.which,
-            "params": _params_json(_collect_params(args)),
-            "oracle": str(oracle_value),
-            "series": str(series_value),
-            "match": match,
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["which", "params", "n", "oracle", "series", "match"])
-        writer.writerow([args.which, _params_text(_collect_params(args), sep=";"),
-                         n, oracle_value, series_value,
-                         "true" if match else "false"])
-    else:
-        verdict = "match" if match else "MISMATCH"
-        print(f"{args.which} n={n}: oracle={oracle_value} series={series_value} {verdict}")
+    params = _collect_params(args)
+    doc = {
+        "which": args.which,
+        "params": _params_json(params),
+        "oracle": str(oracle_value),
+        "series": str(series_value),
+        "match": match,
+    }
+    row = [args.which, _params_text(params, sep=";"), n, oracle_value,
+           series_value, "true" if match else "false"]
+    verdict = "match" if match else "MISMATCH"
+    _emit(args.format, doc, ["which", "params", "n", "oracle", "series", "match"], [row],
+          [f"{args.which} n={n}: oracle={oracle_value} series={series_value} {verdict}"])
     return 0 if match else 1
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Tuple, Union
 
-from .qtools import INFINITE, PochSpec, kernel_H, pochhammer
+from .qtools import INFINITE, kernel_H, squared_pochhammer
 from .series import ExactSeries, add, mul, one, scale, shift, zero
 
 FAMILIES = ("A", "C", "V", "W")
@@ -208,17 +208,6 @@ def b_coefficient(k: int, j: int) -> int:
 # Index transforms
 # ---------------------------------------------------------------------------
 
-def _squared_pochhammer(family: str, sign: int, m: Union[int, float], order: int) -> ExactSeries:
-    """(sign*q; q)_m^2 for V-type or (sign*q; q^2)_m^2 for W-type.
-
-    sign +1 means factors (1 - q^x); sign -1 means (1 + q^x).
-    """
-    step = 2 if family in _ODD else 1
-    length = INFINITE if m == INFINITE else int(m)
-    p = pochhammer(PochSpec(sign=sign, offset=1, step=step, length=length), order)
-    return mul(p, p)
-
-
 def binomial_combination(
     family: str, sign: int, k: int, m: Union[int, float], order: int
 ) -> ExactSeries:
@@ -262,7 +251,7 @@ def reconstruct_family(
         raise InvalidSpec("reconstruction requires a finite bound m")
     FamilySpec(family, sign, j, m)  # validate
     d = 2 if family in _ODD else 1
-    prefactor = _squared_pochhammer(family, sign, m, order)
+    prefactor = squared_pochhammer(sign, 1, d, m, order)
     acc = zero(order)
     for k in range(j, order + 1):
         b = b_coefficient(k, j)

@@ -5,7 +5,14 @@ that share as little code as the mathematics allows (the per-entry
 ``independence`` note documents the two paths) and compares exact integer
 coefficients up to a requested order.  A report either holds outright or
 carries the first discrepancy — exponent plus both coefficients, exact,
-never a tolerance.
+never a tolerance.  Every check reports through ``_first_discrepancy``,
+which compares up to the shorter of its two series.
+
+The oracle- and predicate-backed checks compare fewer exponents than the
+requested order N: ORACLE_V/ORACLE_W compare q^0..q^15 (``_ORACLE_CAP``),
+GF_PP/GF_POD q^0..q^24 (``_GF_CAP``), and POS_V/POS_W compare the
+difference predicate on q^0..q^30 (``_EQUIV_CAP``) and nonnegativity on
+q^0..q^N.  Every other check compares q^0..q^N.
 
 Formally infinite sums on right-hand sides truncate by valuation: a term
 whose minimal exponent exceeds the order is dropped, and each check states
@@ -43,6 +50,7 @@ from .qtools import (
     gaussian_binomial,
     kernel_H,
     pochhammer,
+    squared_pochhammer,
     theta_phi_neg,
     theta_psi,
 )
@@ -120,21 +128,12 @@ def _first_discrepancy(lhs: ExactSeries, rhs: ExactSeries) -> Optional[Discrepan
 # Shared right-hand-side building blocks
 # ---------------------------------------------------------------------------
 
-def _squared_poch(sign: int, offset: int, step: int,
-                  length: Union[int, float], order: int) -> ExactSeries:
-    p = pochhammer(PochSpec(sign=sign, offset=offset, step=step, length=length), order)
-    return mul(p, p)
-
-
 def _eta_quotient(sign: int, odd: bool, order: int) -> ExactSeries:
     """(sign q; q^step)_inf^2 / (q^step; q^step)_inf^2 with step 2 for the
     odd-part families and 1 otherwise."""
-    if odd:
-        num = _squared_poch(sign, 1, 2, INFINITE, order)
-        den = _squared_poch(1, 2, 2, INFINITE, order)
-    else:
-        num = _squared_poch(sign, 1, 1, INFINITE, order)
-        den = _squared_poch(1, 1, 1, INFINITE, order)
+    step = 2 if odd else 1
+    num = squared_pochhammer(sign, 1, step, INFINITE, order)
+    den = squared_pochhammer(1, step, step, INFINITE, order)
     return mul(num, invert(den))
 
 
@@ -142,6 +141,12 @@ def _bracket_half(k: int, order: int) -> ExactSeries:
     """-1 + (1 + q^k) * sum_{j>=k} (-1)^(j-k) q^(T_j - T_k); valuation k."""
     half = alt_triangular_sum(k, HALF, order)
     return add(monomial(-1, 0, order), add(half, shift(half, k)))
+
+
+def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
+    """The one-sided theta sum of index k: the whole-exponent sum for the
+    odd-part families, the bracketed half-exponent sum otherwise."""
+    return alt_triangular_sum(k, WHOLE, order) if odd else _bracket_half(k, order)
 
 
 def _inv_poch_table(step: int, count: int, order: int) -> List[ExactSeries]:
@@ -175,6 +180,20 @@ def _quotient_sum(step: int, k: int, order: int) -> ExactSeries:
     return acc
 
 
+def _weighted_theta_sum(sign: int, j: int, odd: bool, order: int) -> ExactSeries:
+    """sum_{k>=j} sign^(k-j) B_{k,j} * _one_sided(k, odd).
+
+    The one-sided sum of index k has valuation k, so k runs to the order.
+    """
+    acc = zero(order)
+    for k in range(j, order + 1):
+        b = b_coefficient(k, j)
+        if b == 0:
+            continue
+        acc = add(acc, scale(sign ** (k - j) * b, _one_sided(k, odd, order)))
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Checks: kernel product forms for bounded families
 # ---------------------------------------------------------------------------
@@ -187,7 +206,7 @@ def _kernel_product_check(family: str) -> Callable[..., Optional[Discrepancy]]:
         if k > order:
             rhs = zero(order)
         else:
-            sq = _squared_poch(sign, 1, d, m, order)
+            sq = squared_pochhammer(sign, 1, d, m, order)
             rhs = mul(sq, shift(kernel_H(k, m, d, 2, order - k), k))
         return _first_discrepancy(lhs, rhs)
 
@@ -207,76 +226,52 @@ def _reconstruction_check(family: str) -> Callable[..., Optional[Discrepancy]]:
 # Checks: unbounded families against one-sided theta sums
 # ---------------------------------------------------------------------------
 
-def _check_collapse_linear(order: int, *, sign: int, k: int) -> Optional[Discrepancy]:
-    lhs = binomial_combination("V", sign, k, INFINITE, order)
-    rhs = mul(_eta_quotient(sign, False, order), _bracket_half(k, order))
-    return _first_discrepancy(lhs, rhs)
+def _collapse_check(family: str) -> Callable[..., Optional[Discrepancy]]:
+    odd = family == "W"
+
+    def check(order: int, *, sign: int, k: int) -> Optional[Discrepancy]:
+        lhs = binomial_combination(family, sign, k, INFINITE, order)
+        rhs = mul(_eta_quotient(sign, odd, order), _one_sided(k, odd, order))
+        return _first_discrepancy(lhs, rhs)
+
+    return check
 
 
-def _check_collapse_odd(order: int, *, sign: int, k: int) -> Optional[Discrepancy]:
-    lhs = binomial_combination("W", sign, k, INFINITE, order)
-    rhs = mul(_eta_quotient(sign, True, order), alt_triangular_sum(k, WHOLE, order))
-    return _first_discrepancy(lhs, rhs)
+def _quotient_sum_check(odd: bool) -> Callable[..., Optional[Discrepancy]]:
+    step = 2 if odd else 1
+
+    def check(order: int, *, k: int) -> Optional[Discrepancy]:
+        lhs = mul(squared_pochhammer(1, step, step, INFINITE, order),
+                  _quotient_sum(step, k, order))
+        return _first_discrepancy(lhs, _one_sided(k, odd, order))
+
+    return check
 
 
-def _check_quotient_sum_linear(order: int, *, k: int) -> Optional[Discrepancy]:
-    lhs = mul(_squared_poch(1, 1, 1, INFINITE, order), _quotient_sum(1, k, order))
-    rhs = _bracket_half(k, order)
-    return _first_discrepancy(lhs, rhs)
+def _unbounded_expansion_check(family: str) -> Callable[..., Optional[Discrepancy]]:
+    odd = family == "W"
 
+    def check(order: int, *, sign: int, j: int) -> Optional[Discrepancy]:
+        lhs = family_series(FamilySpec(family=family, sign=sign, k=j, m=INFINITE), order)
+        rhs = mul(_eta_quotient(sign, odd, order), _weighted_theta_sum(sign, j, odd, order))
+        return _first_discrepancy(lhs, rhs)
 
-def _check_quotient_sum_odd(order: int, *, k: int) -> Optional[Discrepancy]:
-    lhs = mul(_squared_poch(1, 2, 2, INFINITE, order), _quotient_sum(2, k, order))
-    rhs = alt_triangular_sum(k, WHOLE, order)
-    return _first_discrepancy(lhs, rhs)
-
-
-def _weighted_theta_sum(sign: int, j: int, variant: str, order: int) -> ExactSeries:
-    """sum_{k>=j} sign^(k-j) B_{k,j} * (one-sided theta sum for k).
-
-    Both variants have valuation k at index k, so k runs to the order.
-    """
-    acc = zero(order)
-    for k in range(j, order + 1):
-        b = b_coefficient(k, j)
-        if b == 0:
-            continue
-        base = _bracket_half(k, order) if variant == HALF \
-            else alt_triangular_sum(k, WHOLE, order)
-        acc = add(acc, scale(sign ** (k - j) * b, base))
-    return acc
-
-
-def _check_unbounded_expansion_linear(order: int, *, sign: int, j: int) -> Optional[Discrepancy]:
-    lhs = family_series(FamilySpec(family="V", sign=sign, k=j, m=INFINITE), order)
-    rhs = mul(_eta_quotient(sign, False, order), _weighted_theta_sum(sign, j, HALF, order))
-    return _first_discrepancy(lhs, rhs)
-
-
-def _check_unbounded_expansion_odd(order: int, *, sign: int, j: int) -> Optional[Discrepancy]:
-    lhs = family_series(FamilySpec(family="W", sign=sign, k=j, m=INFINITE), order)
-    rhs = mul(_eta_quotient(sign, True, order), _weighted_theta_sum(sign, j, WHOLE, order))
-    return _first_discrepancy(lhs, rhs)
+    return check
 
 
 # ---------------------------------------------------------------------------
 # Checks: theta squares, divisor sums, classical expansions
 # ---------------------------------------------------------------------------
 
-def _check_theta_phi_square(order: int) -> Optional[Discrepancy]:
-    lhs = mul(theta_phi_neg(order), theta_phi_neg(order))
-    acc = zero(order)
-    for k in range(order + 1):
-        acc = add(acc, scale((-1) ** k * b_coefficient(k, 0), _bracket_half(k, order)))
-    return _first_discrepancy(lhs, acc)
+def _theta_square_check(odd: bool) -> Callable[..., Optional[Discrepancy]]:
+    """The square-exponent theta sum (sign -1 weights) or, for odd, the
+    triangular one (sign +1) squared against B_{k,0}-weighted sums."""
+    def check(order: int) -> Optional[Discrepancy]:
+        theta = theta_psi(order) if odd else theta_phi_neg(order)
+        rhs = _weighted_theta_sum(1 if odd else -1, 0, odd, order)
+        return _first_discrepancy(mul(theta, theta), rhs)
 
-
-def _check_theta_psi_square(order: int) -> Optional[Discrepancy]:
-    lhs = mul(theta_psi(order), theta_psi(order))
-    acc = zero(order)
-    for k in range(order + 1):
-        acc = add(acc, scale(b_coefficient(k, 0), alt_triangular_sum(k, WHOLE, order)))
-    return _first_discrepancy(lhs, acc)
+    return check
 
 
 def overpartition_pair_series(order: int) -> ExactSeries:
@@ -301,7 +296,7 @@ def divisor_sum_series(order: int) -> ExactSeries:
     for k in range(1, order + 1):
         for i in range((order - k) // 2 + 1):
             acc = add(acc, scale(k * k, shift(mul(inv[i], inv[i + k]), 2 * i + k)))
-    return mul(_squared_poch(1, 1, 1, INFINITE, order), acc)
+    return mul(squared_pochhammer(1, 1, 1, INFINITE, order), acc)
 
 
 def _check_divisor_sum(order: int) -> Optional[Discrepancy]:
@@ -352,88 +347,71 @@ def _check_euler_direct(order: int, *, e: int) -> Optional[Discrepancy]:
 # ---------------------------------------------------------------------------
 
 def _check_gf_overpartition_pairs(order: int) -> Optional[Discrepancy]:
-    series = overpartition_pair_series(order)
-    for n in range(min(order, _GF_CAP) + 1):
-        expected = overpartition_pairs(n)
-        if series.coeffs[n] != expected:
-            return Discrepancy(exponent=n, lhs=series.coeffs[n], rhs=expected)
-    return None
+    counts = [overpartition_pairs(n) for n in range(min(order, _GF_CAP) + 1)]
+    return _first_discrepancy(overpartition_pair_series(order), from_coeffs(counts))
 
 
 def _check_gf_pod_bipartitions(order: int) -> Optional[Discrepancy]:
-    series = pod_bipartition_series(order)
-    for n in range(min(order, _GF_CAP) + 1):
-        expected = pod_bipartitions(n)
-        if series.coeffs[n] != expected:
-            return Discrepancy(exponent=n, lhs=series.coeffs[n], rhs=expected)
-    return None
+    counts = [pod_bipartitions(n) for n in range(min(order, _GF_CAP) + 1)]
+    return _first_discrepancy(pod_bipartition_series(order), from_coeffs(counts))
 
 
 def _check_parity_flip(order: int, *, k: int) -> Optional[Discrepancy]:
     plus = family_series(FamilySpec(family="W", sign=1, k=k, m=INFINITE), order)
     minus = family_series(FamilySpec(family="W", sign=-1, k=k, m=INFINITE), order)
-    for n in range(order + 1):
-        expected = (-1) ** (n + k) * plus.coeffs[n]
-        if minus.coeffs[n] != expected:
-            return Discrepancy(exponent=n, lhs=minus.coeffs[n], rhs=expected)
-    return None
+    flipped = [(-1) ** (n + k) * c for n, c in enumerate(plus.coeffs)]
+    return _first_discrepancy(minus, from_coeffs(flipped))
 
 
-def _check_positivity_linear(order: int, *, k: int) -> Optional[Discrepancy]:
-    """Nonnegativity of the signed-product expansion, plus agreement with
-    the overpartition-pair difference predicate on low exponents.
-
-    The predicate: coefficient of q^n equals
-    -pp(n) + sum_{j>=k} (-1)^(j-k) (pp(n - T_j + T_k) + pp(n - T_j + T_{k-1}))
-    with pp vanishing on negative arguments and T_{-1} = 0.
-    """
-    prod = mul(_eta_quotient(-1, False, order), _bracket_half(k, order))
-    cap = min(order, _EQUIV_CAP)
-    for n in range(order + 1):
-        c = prod.coeffs[n]
-        if c < 0:
-            return Discrepancy(exponent=n, lhs=c, rhs=0)
-        if n <= cap:
-            predicted = -overpartition_pairs(n)
-            j = k
-            while triangular(j) - triangular(k) <= n:
-                term_sign = -1 if (j - k) % 2 else 1
-                x1 = n - triangular(j) + triangular(k)
-                x2 = n - triangular(j) + triangular(k - 1)
-                predicted += term_sign * overpartition_pairs(x1)
-                if x2 >= 0:
-                    predicted += term_sign * overpartition_pairs(x2)
-                j += 1
-            if c != predicted:
-                return Discrepancy(exponent=n, lhs=c, rhs=predicted)
-    return None
+def _overpartition_predicate(k: int, n: int) -> int:
+    """-pp(n) + sum_{j>=k} (-1)^(j-k) (pp(n - T_j + T_k) + pp(n - T_j + T_{k-1}))
+    with pp vanishing on negative arguments and T_{-1} = 0."""
+    predicted = -overpartition_pairs(n)
+    j = k
+    while triangular(j) - triangular(k) <= n:
+        term_sign = -1 if (j - k) % 2 else 1
+        x1 = n - triangular(j) + triangular(k)
+        x2 = n - triangular(j) + triangular(k - 1)
+        predicted += term_sign * overpartition_pairs(x1)
+        if x2 >= 0:
+            predicted += term_sign * overpartition_pairs(x2)
+        j += 1
+    return predicted
 
 
-def _check_positivity_odd(order: int, *, k: int) -> Optional[Discrepancy]:
-    """Nonnegativity of the odd-part signed-product expansion, plus the
-    bipartition difference predicate.
-
-    The predicate: coefficient of q^n equals
-    sum_{j>=k} (-1)^(j-k) pod2(n - j(j+1) + k^2), negative arguments
+def _bipartition_predicate(k: int, n: int) -> int:
+    """sum_{j>=k} (-1)^(j-k) pod2(n - j(j+1) + k^2), negative arguments
     contributing 0.  (The exponent j(j+1) is twice a triangular number;
-    the halved variant fails already at k=0, n=1.)
+    the halved variant fails already at k=0, n=1.)"""
+    predicted = 0
+    j = k
+    while j * (j + 1) - k * k <= n:
+        term_sign = -1 if (j - k) % 2 else 1
+        predicted += term_sign * pod_bipartitions(n - j * (j + 1) + k * k)
+        j += 1
+    return predicted
+
+
+def _positivity_check(family: str) -> Callable[..., Optional[Discrepancy]]:
+    """Nonnegativity of the signed-product expansion to the full order, plus
+    agreement with the family's difference predicate up to q^_EQUIV_CAP.
+
+    The earlier of the two discrepancies is reported; at a tie the
+    nonnegativity one (rhs 0) wins.
     """
-    prod = mul(_eta_quotient(-1, True, order), alt_triangular_sum(k, WHOLE, order))
-    cap = min(order, _EQUIV_CAP)
-    for n in range(order + 1):
-        c = prod.coeffs[n]
-        if c < 0:
-            return Discrepancy(exponent=n, lhs=c, rhs=0)
-        if n <= cap:
-            predicted = 0
-            j = k
-            while j * (j + 1) - k * k <= n:
-                term_sign = -1 if (j - k) % 2 else 1
-                predicted += term_sign * pod_bipartitions(n - j * (j + 1) + k * k)
-                j += 1
-            if c != predicted:
-                return Discrepancy(exponent=n, lhs=c, rhs=predicted)
-    return None
+    odd = family == "W"
+
+    def check(order: int, *, k: int) -> Optional[Discrepancy]:
+        prod = mul(_eta_quotient(-1, odd, order), _one_sided(k, odd, order))
+        predicate = _bipartition_predicate if odd else _overpartition_predicate
+        predicted = [predicate(k, n) for n in range(min(order, _EQUIV_CAP) + 1)]
+        found = [d for d in (
+            _first_discrepancy(prod, from_coeffs(max(c, 0) for c in prod.coeffs)),
+            _first_discrepancy(prod, from_coeffs(predicted)),
+        ) if d is not None]
+        return min(found, key=lambda d: d.exponent, default=None)
+
+    return check
 
 
 def _oracle_check(family: str) -> Callable[..., Optional[Discrepancy]]:
@@ -442,11 +420,8 @@ def _oracle_check(family: str) -> Callable[..., Optional[Discrepancy]]:
     def check(order: int, *, sign: int, k: int,
               m: Union[int, float]) -> Optional[Discrepancy]:
         series = family_series(FamilySpec(family=family, sign=sign, k=k, m=m), order)
-        for n in range(min(order, _ORACLE_CAP) + 1):
-            expected = enumerate_fn(sign, k, m, n)
-            if series.coeffs[n] != expected:
-                return Discrepancy(exponent=n, lhs=series.coeffs[n], rhs=expected)
-        return None
+        counts = [enumerate_fn(sign, k, m, n) for n in range(min(order, _ORACLE_CAP) + 1)]
+        return _first_discrepancy(series, from_coeffs(counts))
 
     return check
 
@@ -506,53 +481,53 @@ REGISTRY: Dict[str, RegistryEntry] = {
     ),
     "T4_V": RegistryEntry(
         required=("sign", "k"),
-        check=_check_collapse_linear,
+        check=_collapse_check("V"),
         default_grid=_grid(sign=_SIGNS, k=(0, 1, 2)),
         independence="LHS: weighted family sums at unbounded m; "
                      "RHS: infinite-product quotient times one-sided theta sum.",
     ),
     "T4_W": RegistryEntry(
         required=("sign", "k"),
-        check=_check_collapse_odd,
+        check=_collapse_check("W"),
         default_grid=_grid(sign=_SIGNS, k=(0, 1, 2)),
         independence="As T4_V with odd parts and the whole-exponent theta sum.",
     ),
     "L1": RegistryEntry(
         required=("k",),
-        check=_check_quotient_sum_linear,
+        check=_quotient_sum_check(odd=False),
         default_grid=_grid(k=(0, 1, 2, 3)),
         independence="LHS: Pochhammer-quotient double product summed by "
                      "series inversion; RHS: one-sided theta sum, no products.",
     ),
     "L2": RegistryEntry(
         required=("k",),
-        check=_check_quotient_sum_odd,
+        check=_quotient_sum_check(odd=True),
         default_grid=_grid(k=(0, 1, 2, 3)),
         independence="As L1 in base q^2.",
     ),
     "TT4_V": RegistryEntry(
         required=("sign", "j"),
-        check=_check_unbounded_expansion_linear,
+        check=_unbounded_expansion_check("V"),
         default_grid=_grid(sign=_SIGNS, j=(0, 1, 2)),
         independence="LHS: single family series from the chain DP; "
                      "RHS: B-weighted one-sided theta sums under the product quotient.",
     ),
     "TT4_W": RegistryEntry(
         required=("sign", "j"),
-        check=_check_unbounded_expansion_odd,
+        check=_unbounded_expansion_check("W"),
         default_grid=_grid(sign=_SIGNS, j=(0, 1, 2)),
         independence="As TT4_V with odd parts.",
     ),
     "THETA_PHI_SQ": RegistryEntry(
         required=(),
-        check=_check_theta_phi_square,
+        check=_theta_square_check(odd=False),
         default_grid=(dict(),),
         independence="LHS: product of two lacunary theta expansions; "
                      "RHS: B_{k,0}-weighted one-sided sums.",
     ),
     "THETA_PSI_SQ": RegistryEntry(
         required=(),
-        check=_check_theta_psi_square,
+        check=_theta_square_check(odd=True),
         default_grid=(dict(),),
         independence="LHS: product of two triangular-exponent expansions; "
                      "RHS: B_{k,0}-weighted whole-exponent sums.",
@@ -608,14 +583,14 @@ REGISTRY: Dict[str, RegistryEntry] = {
     ),
     "POS_V": RegistryEntry(
         required=("k",),
-        check=_check_positivity_linear,
+        check=_positivity_check("V"),
         default_grid=_grid(k=(0, 1, 2, 3)),
         independence="Series side: product quotient times one-sided theta "
                      "sum; predicate side: signed overpartition-pair counts.",
     ),
     "POS_W": RegistryEntry(
         required=("k",),
-        check=_check_positivity_odd,
+        check=_positivity_check("W"),
         default_grid=_grid(k=(0, 1, 2, 3)),
         independence="Series side: odd-part product quotient times "
                      "whole-exponent sum; predicate side: signed bipartition counts.",

@@ -95,6 +95,13 @@ def pochhammer(spec: PochSpec, order: int) -> ExactSeries:
     return ExactSeries(tuple(coeffs))
 
 
+def squared_pochhammer(sign: int, offset: int, step: int,
+                       length: Union[int, float], order: int) -> ExactSeries:
+    """The square of the PochSpec(sign, offset, step, length) product."""
+    p = pochhammer(PochSpec(sign=sign, offset=offset, step=step, length=length), order)
+    return mul(p, p)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian binomials
 # ---------------------------------------------------------------------------

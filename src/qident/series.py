@@ -37,11 +37,13 @@ class ExponentOutOfOrder(IndexError):
     """Raised by coeff() when the requested exponent exceeds the order."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactSeries:
     """A truncated power series: coeffs[n] is the coefficient of q^n.
 
     The series is known exactly modulo q^(order+1); len(coeffs) == order+1.
+    Equality truncates to the shorter order, so no hash can agree with it:
+    the type is unhashable.
     """
 
     coeffs: Tuple[int, ...]

@@ -93,6 +93,12 @@ def test_equality_compares_common_prefix():
     assert from_coeffs([1]) != 1
 
 
+def test_series_are_unhashable():
+    # truncating == makes (1,) equal to (1, 0); no hash could agree with it
+    with pytest.raises(TypeError):
+        hash(ExactSeries((1,)))
+
+
 # ---------------------------------------------------------------------------
 # Ring laws
 # ---------------------------------------------------------------------------

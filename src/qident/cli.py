@@ -246,7 +246,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         series_value = divisor_sum_series(n).coeffs[n]
 
     match = oracle_value == series_value
-    params = _collect_params(args)
+    # Only the chain oracles take --sign/--k/--m; the others depend on n alone.
+    params = _collect_params(args) if args.which in ("v", "w") else {"n": n}
     doc = {
         "which": args.which,
         "params": _params_json(params),

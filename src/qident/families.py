@@ -148,6 +148,14 @@ def _family_prefix(
     where S_i(n) sums over chains confined to magnitudes <= n; the family
     value is S_i(m_eff).  Once the minimal chain exponent exceeds the
     order, all remaining rows are zero and are filled without DP work.
+
+    The predecessor is an (i-1)-chain sum, of valuation at least
+    v = _min_valuation(family, i-1), so the cell term atom(n) * S_{i-1}
+    vanishes modulo q^(order+1) once the atom exponent of n exceeds
+    order - v.  Row i therefore stops at the last magnitude visible at
+    order - v, and its last cell already equals S_i(m_eff).  The cap
+    shrinks as i grows, so the (shorter) last row kept in the table still
+    holds every predecessor the next row reads.
     """
     key = (family, sign, m_eff, order)
     with _tables_lock:
@@ -166,11 +174,12 @@ def _family_prefix(
                 continue
             if atoms is None:
                 atoms = [atom(family, sign, n, order) for n in range(1, m_eff + 1)]
+            cap = _m_eff(family, m_eff, order - _min_valuation(family, i - 1))
             row: List[ExactSeries] = [zero(order)]
-            for n in range(1, m_eff + 1):
+            for n in range(1, cap + 1):
                 predecessor = last_row[n - 1] if strict else last_row[n]
                 row.append(add(row[n - 1], mul(atoms[n - 1], predecessor)))
-            series_by_k.append(row[m_eff])
+            series_by_k.append(row[-1])
             last_row = row
             _tables[key] = (series_by_k, last_row)
         return list(series_by_k[: k_max + 1])

@@ -153,6 +153,25 @@ def w_oracle(sign: int, k: int, m: Union[int, float], n: int) -> int:
 # Overpartition pairs and distinct-odd-part bipartitions
 # ---------------------------------------------------------------------------
 
+#: Largest n the pair counts accept.  Both enumerate every partition of
+#: every size up to n, and their cost grows about 3x every 5 steps: at
+#: n = 40 / 50 overpartition_pairs takes about 0.3 / 0.8 s and
+#: pod_bipartitions 0.3 / 1.7 s (Python 3.11, Xeon), so n = 70 would take
+#: minutes.  Larger n raise DomainError instead of hanging.
+PAIR_COUNT_CAP = 50
+
+
+def _check_pair_target(n: int) -> None:
+    """Reject a pair-count target outside 0..PAIR_COUNT_CAP."""
+    if n < 0:
+        raise DomainError(f"target must be non-negative, got {n}")
+    if n > PAIR_COUNT_CAP:
+        raise DomainError(
+            f"target {n} is above {PAIR_COUNT_CAP}, the largest n the "
+            "brute-force pair counts enumerate"
+        )
+
+
 @lru_cache(maxsize=None)
 def _overpartition_single(n: int) -> int:
     """Number of overpartitions of n: each plain partition counts with
@@ -165,9 +184,9 @@ def _overpartition_single(n: int) -> int:
 
 
 def overpartition_pairs(n: int) -> int:
-    """Number of ordered pairs of overpartitions with sizes summing to n."""
-    if n < 0:
-        raise DomainError(f"target must be non-negative, got {n}")
+    """Number of ordered pairs of overpartitions with sizes summing to n,
+    for 0 <= n <= PAIR_COUNT_CAP."""
+    _check_pair_target(n)
     return sum(_overpartition_single(j) * _overpartition_single(n - j) for j in range(n + 1))
 
 
@@ -184,9 +203,8 @@ def _pod_single(n: int) -> int:
 
 def pod_bipartitions(n: int) -> int:
     """Number of ordered bipartitions of n, each component with distinct
-    odd parts and unrestricted even parts."""
-    if n < 0:
-        raise DomainError(f"target must be non-negative, got {n}")
+    odd parts and unrestricted even parts, for 0 <= n <= PAIR_COUNT_CAP."""
+    _check_pair_target(n)
     return sum(_pod_single(j) * _pod_single(n - j) for j in range(n + 1))
 
 

@@ -20,12 +20,16 @@ Conventions
 Multiplication is schoolbook convolution, O(N^2) coefficient operations;
 at the working orders of this package (N <= a few hundred) that is faster
 and simpler than any asymptotic trick, and exactness is free because
-Python integers never overflow.
+Python integers never overflow.  It does no work on products that cannot
+reach q^N: the leading zeros of the inner operand are skipped, so a
+product costs about (nonzeros of the sparser operand) x (N + 1 - v), v
+being the valuation of the other one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Tuple
 
 
@@ -61,10 +65,7 @@ class ExactSeries:
 
     def valuation(self) -> int | None:
         """Smallest exponent with a nonzero coefficient, or None if zero."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return None
+        return _valuation(self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -95,6 +96,11 @@ class ExactSeries:
         if len(terms) > 6:
             body += " + ..."
         return f"ExactSeries({body} + O(q^{self.order + 1}))"
+
+
+def _valuation(coeffs: Tuple[int, ...]) -> int | None:
+    """Index of the first nonzero entry of coeffs, or None if all are zero."""
+    return next(compress(count(), coeffs), None)
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +168,28 @@ def mul(a: ExactSeries, b: ExactSeries) -> ExactSeries:
     """Truncated Cauchy product at the common (minimum) order.
 
     Schoolbook convolution that skips zero rows; the operand with fewer
-    nonzero coefficients drives the outer loop, which makes products with
-    sparse factors (monomials, binomials, theta sums) effectively linear.
+    nonzero coefficients drives the outer loop (a on a tie), which makes
+    products with sparse factors (monomials, binomials, theta sums)
+    effectively linear.  The inner operand's leading zeros are skipped:
+    with valuation v it contributes only from q^v on, so each row starts
+    there and the outer loop stops at exponent order - v.
     """
     order = min(len(a.coeffs), len(b.coeffs)) - 1
     ac = a.coeffs[: order + 1]
     bc = b.coeffs[: order + 1]
-    # Let the sparser operand drive the outer loop.
-    if sum(1 for x in ac if x) > sum(1 for x in bc if x):
+    # Let the sparser operand drive the outer loop (a on a tie).  Both
+    # tuples hold order + 1 entries, so fewer zeros means more nonzeros.
+    if ac.count(0) < bc.count(0):
         ac, bc = bc, ac
     out = [0] * (order + 1)
-    for i, ai in enumerate(ac):
+    vb = _valuation(bc)
+    if vb is None:
+        return ExactSeries(tuple(out))
+    for i, ai in enumerate(ac[: order + 1 - vb]):
         if not ai:
             continue
-        seg = bc[: order + 1 - i]
-        out[i : i + len(seg)] = [x + ai * y for x, y in zip(out[i : i + len(seg)], seg)]
+        lo = i + vb
+        out[lo:] = [x + ai * y for x, y in zip(out[lo:], bc[vb : order + 1 - i])]
     return ExactSeries(tuple(out))
 
 

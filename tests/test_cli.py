@@ -199,6 +199,15 @@ def test_oracle_domain_error_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ("pp", "pod"))
+def test_oracle_pair_count_cap_is_usage_error(capsys, which):
+    assert main(["oracle", "--which", which, "--n", "51"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: target 51 is above 50, the largest n the "
+                            "brute-force pair counts enumerate\n")
+
+
 def test_oracle_missing_chain_flags(capsys):
     assert main(["oracle", "--which", "v", "--n", "5"]) == 2
     assert "error:" in capsys.readouterr().err

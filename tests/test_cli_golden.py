@@ -78,7 +78,7 @@ GOLDEN = [
                    {"exponent": 3, "lhs": str(BIG), "rhs": "7"}))),
     ("verify --id ALWAYS_OFF --order 9", "csv", 1,
      _csv(REPORT_HEADER, f"ALWAYS_OFF,,9,false,3,{BIG},7")),
-    # oracle (m defaults to inf and is listed even where it plays no part)
+    # oracle (pp, pod and sigma list only n; the chain oracles list every flag given)
     ("oracle --which w --sign minus --k 2 --m 3 --n 8", "plain", 0,
      _plain("w n=8: oracle=97 series=97 match")),
     ("oracle --which w --sign minus --k 2 --m 3 --n 8", "json", 0,
@@ -89,17 +89,17 @@ GOLDEN = [
     ("oracle --which pp --n 10", "plain", 0,
      _plain("pp n=10: oracle=4600 series=4600 match")),
     ("oracle --which pp --n 10", "json", 0,
-     _json({"which": "pp", "params": {"m": "inf", "n": 10},
+     _json({"which": "pp", "params": {"n": 10},
             "oracle": "4600", "series": "4600", "match": True})),
     ("oracle --which pp --n 10", "csv", 0,
-     _csv(ORACLE_HEADER, "pp,m=inf;n=10,10,4600,4600,true")),
+     _csv(ORACLE_HEADER, "pp,n=10,10,4600,4600,true")),
     ("oracle --which sigma --n 12", "plain", 0,
      _plain("sigma n=12: oracle=28 series=28 match")),
     ("oracle --which sigma --n 12", "json", 0,
-     _json({"which": "sigma", "params": {"m": "inf", "n": 12},
+     _json({"which": "sigma", "params": {"n": 12},
             "oracle": "28", "series": "28", "match": True})),
     ("oracle --which sigma --n 12", "csv", 0,
-     _csv(ORACLE_HEADER, "sigma,m=inf;n=12,12,28,28,true")),
+     _csv(ORACLE_HEADER, "sigma,n=12,12,28,28,true")),
 ]
 
 SUITE_ORDER_4 = {

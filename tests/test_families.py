@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qident import families
 from qident.families import (
     FamilySpec,
     InvalidSpec,
@@ -17,7 +18,7 @@ from qident.families import (
     family_series,
     reconstruct_family,
 )
-from qident.oracles import b_extraction, triangular
+from qident.oracles import b_extraction, triangular, v_oracle, w_oracle
 from qident.qtools import INFINITE
 from qident.series import add, invert, monomial, mul, one, scale, zero
 
@@ -162,6 +163,85 @@ def test_bounded_magnitudes_reduce_counts():
         for t2 in range(1, order - t1 + 1):
             expected[t1 + t2] += t1 * t2
     assert bounded.coeffs == tuple(expected)
+
+
+# ---------------------------------------------------------------------------
+# Chain DP tables
+# ---------------------------------------------------------------------------
+
+ALL_FAMILIES = pytest.mark.parametrize("family", ("V", "W", "A", "C"))
+BOTH_SIGNS = pytest.mark.parametrize("sign", (1, -1))
+
+
+def _table_coeffs(family, sign, order):
+    """The cached (series_by_k, last_row) entry at m = INFINITE as coefficient
+    tuples."""
+    key = (family, sign, families._m_eff(family, INFINITE, order), order)
+    series_by_k, last_row = families._tables[key]
+    return [s.coeffs for s in series_by_k], [s.coeffs for s in last_row]
+
+
+@ALL_FAMILIES
+@BOTH_SIGNS
+def test_extended_table_matches_fresh_build(monkeypatch, family, sign):
+    order = 24
+    monkeypatch.setattr(families, "_tables", {})
+    for k in (2, 7, order):
+        family_series(FamilySpec(family=family, sign=sign, k=k), order)
+    extended = _table_coeffs(family, sign, order)
+    families._tables.clear()
+    family_series(FamilySpec(family=family, sign=sign, k=order), order)
+    assert extended == _table_coeffs(family, sign, order)
+
+
+def _strict_chain_sum(sign, k, n, odd_parts):
+    """Coefficient of q^n in the A (or, with odd_parts, C) family: chains
+    l_1 < ... < l_k with multiplicities t_i >= 1, weighted
+    sign^(t_1+...+t_k+k) * t_1*...*t_k."""
+    def walk(k, lo, rem):
+        if k == 0:
+            return 1 if rem == 0 else 0
+        total = 0
+        for lam in range(lo, rem + 1):
+            part = 2 * lam - 1 if odd_parts else lam
+            for t in range(1, rem // part + 1):
+                total += sign ** (t + 1) * t * walk(k - 1, lam + 1, rem - part * t)
+        return total
+    return walk(k, 1, n)
+
+
+@pytest.mark.parametrize("family,m", [("V", INFINITE), ("V", 3), ("W", INFINITE),
+                                      ("W", 3), ("A", INFINITE), ("C", INFINITE)])
+@BOTH_SIGNS
+def test_dp_rows_match_chain_enumeration(family, m, sign):
+    order = 12
+    for k in range(4):
+        series = family_series(FamilySpec(family=family, sign=sign, k=k, m=m), order)
+        if family == "V":
+            expected = [v_oracle(sign, k, m, n) for n in range(order + 1)]
+        elif family == "W":
+            expected = [w_oracle(sign, k, m, n) for n in range(order + 1)]
+        else:
+            expected = [_strict_chain_sum(sign, k, n, family == "C")
+                        for n in range(order + 1)]
+        assert series.coeffs == tuple(expected), (family, m, sign, k)
+
+
+@pytest.mark.parametrize("family,products", [("V", 820), ("W", 420), ("A", 236), ("C", 94)])
+@BOTH_SIGNS
+def test_cold_dp_skips_cells_beyond_the_order(monkeypatch, family, products, sign):
+    # A cell atom(n) * S_{i-1} with e(n) + _min_valuation(i-1) > order is
+    # zero at the truncation and must not be multiplied out.
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(families, "_tables", {})
+    monkeypatch.setattr(families, "mul", counting_mul)
+    family_series(FamilySpec(family=family, sign=sign, k=40), 40)
+    assert len(calls) == products
 
 
 # ---------------------------------------------------------------------------

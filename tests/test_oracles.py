@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qident.oracles import (
+    PAIR_COUNT_CAP,
     DomainError,
     b_extraction,
     divisor_sigma,
@@ -111,6 +112,14 @@ def test_pair_counts_reject_negative():
         overpartition_pairs(-1)
     with pytest.raises(DomainError):
         pod_bipartitions(-1)
+
+
+def test_pair_counts_reject_targets_above_the_cap():
+    assert PAIR_COUNT_CAP == 50
+    with pytest.raises(DomainError):
+        overpartition_pairs(PAIR_COUNT_CAP + 1)
+    with pytest.raises(DomainError):
+        pod_bipartitions(PAIR_COUNT_CAP + 1)
 
 
 @given(st.integers(0, 14))

@@ -151,6 +151,34 @@ def test_mul_truncates_to_min_order():
     assert add(one(9), one(3)).order == 3
 
 
+big_st = st.integers(-10 ** 30, 10 ** 30)
+mul_operand_st = st.one_of(
+    # dense big-int tails behind a run of 0..12 leading zeros
+    st.builds(lambda lead, tail: from_coeffs([0] * lead + tail),
+              st.integers(0, 12), st.lists(big_st, min_size=1, max_size=14)),
+    st.integers(0, 20).map(zero),
+    st.builds(monomial, big_st, st.integers(0, 20), st.integers(0, 20)),
+)
+
+
+def _naive_product(a, b):
+    """The truncated Cauchy product by the plain double loop."""
+    n = min(len(a.coeffs), len(b.coeffs))
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return tuple(out)
+
+
+@settings(max_examples=300)
+@given(mul_operand_st, mul_operand_st)
+def test_mul_matches_naive_convolution(a, b):
+    expected = _naive_product(a, b)
+    assert mul(a, b).coeffs == expected
+    assert mul(b, a).coeffs == expected
+
+
 # ---------------------------------------------------------------------------
 # Shift / scale / substitution
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ from .series import (
     add,
     coeff,
     from_coeffs,
+    from_terms,
     invert,
     monomial,
     mul,
@@ -76,7 +77,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactSeries", "ExponentOutOfOrder", "NonUnitConstantTerm",
-    "add", "coeff", "from_coeffs", "invert", "monomial", "mul", "one",
+    "add", "coeff", "from_coeffs", "from_terms", "invert", "monomial", "mul", "one",
     "scale", "shift", "substitute_power", "zero",
     "INFINITE", "HALF", "WHOLE", "PochSpec",
     "pochhammer", "gaussian_binomial", "kernel_H", "phi2_1",

@@ -28,7 +28,7 @@ from math import comb
 from typing import Dict, List, Tuple, Union
 
 from .qtools import INFINITE, kernel_H, squared_pochhammer
-from .series import ExactSeries, add, mul, one, scale, shift, zero
+from .series import ExactSeries, add, from_terms, mul, one, scale, shift, zero
 
 FAMILIES = ("A", "C", "V", "W")
 _WEAK = ("V", "W")  # chains may repeat magnitudes
@@ -91,12 +91,8 @@ def atom(family: str, sign: int, n: int, order: int) -> ExactSeries:
     if n < 1:
         raise InvalidSpec(f"magnitude must be >= 1, got {n}")
     e = 2 * n - 1 if family in _ODD else n
-    coeffs = [0] * (order + 1)
-    t = 1
-    while e * t <= order:
-        coeffs[e * t] = t * sign ** (t + 1)
-        t += 1
-    return ExactSeries(tuple(coeffs))
+    terms = ((e * t, t * sign ** (t + 1)) for t in range(1, order // e + 1))
+    return from_terms(terms, order)
 
 
 # ---------------------------------------------------------------------------

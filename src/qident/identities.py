@@ -58,6 +58,7 @@ from .series import (
     ExactSeries,
     add,
     from_coeffs,
+    from_terms,
     invert,
     monomial,
     mul,
@@ -150,19 +151,17 @@ def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
 
 
 def _inv_poch_table(step: int, count: int, order: int) -> List[ExactSeries]:
-    """[1/(q^step; q^step)_i for i = 0..count], built incrementally.
-
-    Once step*i exceeds the order the remaining factors are 1 at this
-    truncation, so the partial products stabilize.
+    """[1/(q^step; q^step)_i for i = 0..count], built incrementally: entry i
+    is entry i-1 times the geometric series 1/(1 - q^x) = sum_t q^(x*t),
+    x = step*i.  Once x exceeds the order that series is 1 at this
+    truncation, so the entries stabilize.
     """
-    partials = [one(order)]
+    table = [one(order)]
     for i in range(1, count + 1):
-        if step * i <= order:
-            factor = add(one(order), monomial(-1, step * i, order))
-            partials.append(mul(partials[i - 1], factor))
-        else:
-            partials.append(partials[i - 1])
-    return [invert(p) for p in partials]
+        x = step * i
+        geometric = from_terms(((x * t, 1) for t in range(order // x + 1)), order)
+        table.append(mul(table[-1], geometric))
+    return table
 
 
 def _quotient_sum(step: int, k: int, order: int) -> ExactSeries:
@@ -496,8 +495,8 @@ REGISTRY: Dict[str, RegistryEntry] = {
         required=("k",),
         check=_quotient_sum_check(odd=False),
         default_grid=_grid(k=(0, 1, 2, 3)),
-        independence="LHS: Pochhammer-quotient double product summed by "
-                     "series inversion; RHS: one-sided theta sum, no products.",
+        independence="LHS: Pochhammer-quotient double product built from "
+                     "geometric-series products; RHS: one-sided theta sum, no products.",
     ),
     "L2": RegistryEntry(
         required=("k",),

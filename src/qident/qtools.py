@@ -7,6 +7,11 @@ arguments, lacunary theta sums, and one-sided alternating triangular sums.
 Truncation rule for formally infinite objects: a factor or term whose
 minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
 modulo q^(N+1) and is simply skipped, so every result is exact at order N.
+
+Every series here is built with :mod:`qident.series`: sparse sums and
+binomial factors through ``from_terms``, products through ``mul``.  The one
+other arithmetic is ``_gauss_poly``, which builds exact q-Pascal
+polynomials (plain integer tuples, not series) for the Gaussian binomials.
 """
 
 from __future__ import annotations
@@ -14,12 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import cycle
 from math import isqrt
 from typing import Tuple, Union
 
 from .series import (
     ExactSeries,
     add,
+    from_terms,
     invert,
     monomial,
     mul,
@@ -79,20 +86,12 @@ def pochhammer(spec: PochSpec, order: int) -> ExactSeries:
     the order contribute nothing modulo q^(order+1) and are skipped, which
     realizes INFINITE length with finitely many factors.
     """
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    s = spec.sign
-    r = 0
-    while spec.length == INFINITE or r < spec.length:
+    visible = (order - spec.offset) // spec.step + 1  # factors with x <= order
+    p = one(order)
+    for r in range(min(spec.length, visible)):
         x = spec.offset + r * spec.step
-        if x > order:
-            break
-        # multiply in place by (1 - s*q^x)
-        for n in range(order, x - 1, -1):
-            if coeffs[n - x]:
-                coeffs[n] -= s * coeffs[n - x]
-        r += 1
-    return ExactSeries(tuple(coeffs))
+        p = mul(p, from_terms([(0, 1), (x, -spec.sign)], order))
+    return p
 
 
 def squared_pochhammer(sign: int, offset: int, step: int,
@@ -133,7 +132,7 @@ def _gauss_poly(m: int, k: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def gaussian_binomial(m: int, k: int, d: int = 1, order: int = 0) -> ExactSeries:
+def gaussian_binomial(m: int, k: int, d: int, order: int) -> ExactSeries:
     """The Gaussian binomial [m, k] in base q^d, truncated at the order.
 
     Returns the zero series whenever the two-case definition says 0
@@ -142,14 +141,7 @@ def gaussian_binomial(m: int, k: int, d: int = 1, order: int = 0) -> ExactSeries
     """
     if d < 1:
         raise ValueError(f"base power must be >= 1, got {d}")
-    poly = _gauss_poly(m, k)
-    coeffs = [0] * (order + 1)
-    for i, c in enumerate(poly):
-        e = d * i
-        if e > order:
-            break
-        coeffs[e] = c
-    return ExactSeries(tuple(coeffs))
+    return from_terms(zip(range(0, order + 1, d), _gauss_poly(m, k)), order)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +197,7 @@ def phi2_1(
 
     def binom_factor(exp_q: int) -> ExactSeries:
         # (1 - q^exp_q) at the working order
-        out = [0] * (order + 1)
-        out[0] = 1
-        if exp_q <= order:
-            out[exp_q] = -1
-        return ExactSeries(tuple(out))
+        return from_terms([(0, 1), (exp_q, -1)], order)
 
     acc = one(order)
     term = one(order)
@@ -240,11 +228,8 @@ def theta_phi_neg(order: int) -> ExactSeries:
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for k in range(1, isqrt(order) + 1):
-        coeffs[k * k] = 2 * (-1) ** k
-    return ExactSeries(tuple(coeffs))
+    squares = [(k * k, 2 * (-1) ** k) for k in range(1, isqrt(order) + 1)]
+    return from_terms([(0, 1)] + squares, order)
 
 
 def theta_psi(order: int) -> ExactSeries:
@@ -254,12 +239,9 @@ def theta_psi(order: int) -> ExactSeries:
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    coeffs = [0] * (order + 1)
-    k = 0
-    while k * (k + 1) // 2 <= order:
-        coeffs[k * (k + 1) // 2] += 1
-        k += 1
-    return ExactSeries(tuple(coeffs))
+    # k(k+1)/2 <= order forces k <= sqrt(2*order); from_terms drops the rest.
+    triangles = ((k * (k + 1) // 2, 1) for k in range(isqrt(2 * order) + 1))
+    return from_terms(triangles, order)
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +262,12 @@ def alt_triangular_sum(k: int, variant: str, order: int) -> ExactSeries:
         raise ValueError(f"index must be non-negative, got {k}")
     if variant not in (HALF, WHOLE):
         raise ValueError(f"variant must be {HALF!r} or {WHOLE!r}, got {variant!r}")
-    coeffs = [0] * (order + 1)
-    j = k
-    sign = 1
-    while True:
-        if variant == HALF:
-            e = j * (j + 1) // 2 - k * (k + 1) // 2
-        else:
-            e = j * (j + 1) - k * k
-        if e > order:
-            break
-        coeffs[e] += sign
-        sign = -sign
-        j += 1
-    return ExactSeries(tuple(coeffs))
+    # Term j needs j^2 <= j(j+1) <= 2*order + k(k+1) (HALF) or
+    # order + k^2 (WHOLE); from_terms drops the few beyond the order.
+    if variant == HALF:
+        top = isqrt(2 * order + k * (k + 1))
+        exps = ((j * (j + 1) - k * (k + 1)) // 2 for j in range(k, top + 1))
+    else:
+        top = isqrt(order + k * k)
+        exps = (j * (j + 1) - k * k for j in range(k, top + 1))
+    return from_terms(zip(exps, cycle((1, -1))), order)

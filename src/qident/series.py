@@ -17,6 +17,11 @@ Conventions
 * All values are immutable; every operation is a pure function, so series
   may be freely shared between threads.
 
+This is the package's one arithmetic core: no other module constructs an
+ExactSeries.  The others state a series as its (exponent, coefficient)
+terms for :func:`from_terms` (atoms, binomial factors, geometric and
+theta sums) or combine series with the operations below.
+
 Multiplication is schoolbook convolution, O(N^2) coefficient operations;
 at the working orders of this package (N <= a few hundred) that is faster
 and simpler than any asymptotic trick, and exactness is free because
@@ -68,7 +73,7 @@ class ExactSeries:
         return _valuation(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return _valuation(self.coeffs) is None
 
     # -- operators ----------------------------------------------------------
 
@@ -77,18 +82,6 @@ class ExactSeries:
             return NotImplemented
         n = min(len(self.coeffs), len(other.coeffs))
         return self.coeffs[:n] == other.coeffs[:n]
-
-    def __add__(self, other: "ExactSeries") -> "ExactSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "ExactSeries") -> "ExactSeries":
-        return add(self, scale(-1, other))
-
-    def __mul__(self, other: "ExactSeries") -> "ExactSeries":
-        return mul(self, other)
-
-    def __neg__(self) -> "ExactSeries":
-        return scale(-1, self)
 
     def __repr__(self) -> str:
         terms = [f"{c}*q^{n}" for n, c in enumerate(self.coeffs) if c]
@@ -109,14 +102,7 @@ def _valuation(coeffs: Tuple[int, ...]) -> int | None:
 
 def monomial(c: int, e: int, order: int) -> ExactSeries:
     """The series c*q^e at the given order (zero if e > order)."""
-    if e < 0:
-        raise ValueError(f"exponent must be non-negative, got {e}")
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    coeffs = [0] * (order + 1)
-    if e <= order:
-        coeffs[e] = c
-    return ExactSeries(tuple(coeffs))
+    return from_terms([(e, c)], order)
 
 
 def one(order: int) -> ExactSeries:
@@ -132,6 +118,23 @@ def zero(order: int) -> ExactSeries:
 def from_coeffs(values: Iterable[int]) -> ExactSeries:
     """Build a series directly from a coefficient sequence (index = exponent)."""
     return ExactSeries(tuple(values))
+
+
+def from_terms(terms: Iterable[Tuple[int, int]], order: int) -> ExactSeries:
+    """The sum of c*q^e over the (e, c) pairs in terms, at the given order.
+
+    Repeated exponents add; exponents above the order are dropped, so a
+    caller may bound its terms loosely.
+    """
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+    coeffs = [0] * (order + 1)
+    for e, c in terms:
+        if e < 0:
+            raise ValueError(f"exponent must be non-negative, got {e}")
+        if e <= order:
+            coeffs[e] += c
+    return ExactSeries(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +233,7 @@ def substitute_power(a: ExactSeries, d: int) -> ExactSeries:
         raise ValueError(f"substitution power must be >= 1, got {d}")
     if d == 1:
         return a
-    order = a.order
-    out = [0] * (order + 1)
-    for n, c in enumerate(a.coeffs):
-        e = d * n
-        if e > order:
-            break
-        out[e] = c
-    return ExactSeries(tuple(out))
+    return from_terms(zip(range(0, a.order + 1, d), a.coeffs), a.order)
 
 
 def coeff(a: ExactSeries, n: int) -> int:

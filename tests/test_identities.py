@@ -14,10 +14,15 @@ from qident.identities import (
     verify,
     verify_suite,
 )
-from qident.identities import _bracket_half, _eta_quotient, _first_discrepancy
+from qident.identities import (
+    _bracket_half,
+    _eta_quotient,
+    _first_discrepancy,
+    _inv_poch_table,
+)
 from qident.oracles import pod_bipartitions
-from qident.qtools import INFINITE, WHOLE, alt_triangular_sum
-from qident.series import add, monomial, mul
+from qident.qtools import INFINITE, WHOLE, PochSpec, alt_triangular_sum, pochhammer
+from qident.series import add, monomial, mul, one
 
 # ---------------------------------------------------------------------------
 # Registry shape
@@ -138,6 +143,22 @@ def test_perturbed_comparison_reports_first_discrepancy():
 def test_holds_iff_no_discrepancy():
     good = verify(IdentityCase(id="L1", params=dict(k=1), order=10))
     assert good.holds and good.first_discrepancy is None
+
+
+# ---------------------------------------------------------------------------
+# Shared building blocks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("order", [0, 1, 7, 20])
+def test_inverse_pochhammer_table_inverts_the_products(step, order):
+    # count runs past order // step, where the entries stop changing
+    count = order // step + 3
+    table = _inv_poch_table(step, count, order)
+    assert len(table) == count + 1
+    for i, entry in enumerate(table):
+        product = pochhammer(PochSpec(sign=1, offset=step, step=step, length=i), order)
+        assert mul(entry, product) == one(order)
 
 
 # ---------------------------------------------------------------------------

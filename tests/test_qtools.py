@@ -71,6 +71,34 @@ def test_even_base_product_is_substitution():
     assert even == substituted
 
 
+def _in_place_product(sign, offset, step, length, order):
+    """Reference: multiply a coefficient list in place by each factor
+    (1 - sign*q^x), highest exponent first."""
+    coeffs = [1] + [0] * order
+    r = 0
+    while length == INFINITE or r < length:
+        x = offset + r * step
+        if x > order:
+            break
+        for n in range(order, x - 1, -1):
+            coeffs[n] -= sign * coeffs[n - x]
+        r += 1
+    return tuple(coeffs)
+
+
+@given(
+    st.sampled_from((1, -1)),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.one_of(st.integers(0, 6), st.just(INFINITE)),
+    st.integers(0, 30),
+)
+def test_pochhammer_matches_in_place_product(sign, offset, step, length, order):
+    spec = PochSpec(sign=sign, offset=offset, step=step, length=length)
+    assert pochhammer(spec, order).coeffs == _in_place_product(
+        sign, offset, step, length, order)
+
+
 def test_pochhammer_results_are_cached():
     spec = PochSpec(sign=-1, offset=1, step=2, length=INFINITE)
     assert pochhammer(spec, 10) is pochhammer(spec, 10)

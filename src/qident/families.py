@@ -28,7 +28,7 @@ from math import comb
 from typing import Dict, List, Tuple, Union
 
 from .qtools import INFINITE, kernel_H, squared_pochhammer
-from .series import ExactSeries, add, from_terms, mul, one, scale, shift, zero
+from .series import ExactSeries, add, from_terms, mul, one, weighted_sum, zero
 
 FAMILIES = ("A", "C", "V", "W")
 _WEAK = ("V", "W")  # chains may repeat magnitudes
@@ -230,11 +230,9 @@ def binomial_combination(
         return zero(order)
     m_eff = _m_eff(family, spec0.m, order)
     table = _family_prefix(family, sign, m_eff, order, order)
-    acc = zero(order)
-    for j in range(k, order + 1):
-        w = (-sign) ** (j - k) * comb(2 * j, j - k)
-        acc = add(acc, scale(w, table[j]))
-    return acc
+    terms = ((0, (-sign) ** (j - k) * comb(2 * j, j - k), table[j])
+             for j in range(k, order + 1))
+    return weighted_sum(terms, order)
 
 
 def reconstruct_family(
@@ -257,11 +255,6 @@ def reconstruct_family(
     FamilySpec(family, sign, j, m)  # validate
     d = 2 if family in _ODD else 1
     prefactor = squared_pochhammer(sign, 1, d, m, order)
-    acc = zero(order)
-    for k in range(j, order + 1):
-        b = b_coefficient(k, j)
-        if b == 0:
-            continue
-        term = shift(kernel_H(k, m, d, 2, order - k), k)
-        acc = add(acc, scale(sign ** (k - j) * b, term))
-    return mul(prefactor, acc)
+    terms = ((k, sign ** (k - j) * b_coefficient(k, j), kernel_H(k, m, d, 2, order - k))
+             for k in range(j, order + 1))
+    return mul(prefactor, weighted_sum(terms, order))

@@ -56,15 +56,13 @@ from .qtools import (
 )
 from .series import (
     ExactSeries,
-    add,
     from_coeffs,
     from_terms,
     invert,
-    monomial,
     mul,
     one,
-    scale,
     shift,
+    weighted_sum,
     zero,
 )
 
@@ -141,7 +139,7 @@ def _eta_quotient(sign: int, odd: bool, order: int) -> ExactSeries:
 def _bracket_half(k: int, order: int) -> ExactSeries:
     """-1 + (1 + q^k) * sum_{j>=k} (-1)^(j-k) q^(T_j - T_k); valuation k."""
     half = alt_triangular_sum(k, HALF, order)
-    return add(monomial(-1, 0, order), add(half, shift(half, k)))
+    return weighted_sum([(0, -1, one(order)), (0, 1, half), (k, 1, half)], order)
 
 
 def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
@@ -169,14 +167,12 @@ def _quotient_sum(step: int, k: int, order: int) -> ExactSeries:
 
     The j-th term has valuation 2j + k, so j runs to (order - k) // 2.
     """
-    acc = zero(order)
     if k > order:
-        return acc
+        return zero(order)
     jmax = (order - k) // 2
     inv = _inv_poch_table(step, jmax + k, order)
-    for j in range(jmax + 1):
-        acc = add(acc, shift(mul(inv[j], inv[j + k]), 2 * j + k))
-    return acc
+    terms = ((2 * j + k, 1, mul(inv[j], inv[j + k])) for j in range(jmax + 1))
+    return weighted_sum(terms, order)
 
 
 def _weighted_theta_sum(sign: int, j: int, odd: bool, order: int) -> ExactSeries:
@@ -184,13 +180,9 @@ def _weighted_theta_sum(sign: int, j: int, odd: bool, order: int) -> ExactSeries
 
     The one-sided sum of index k has valuation k, so k runs to the order.
     """
-    acc = zero(order)
-    for k in range(j, order + 1):
-        b = b_coefficient(k, j)
-        if b == 0:
-            continue
-        acc = add(acc, scale(sign ** (k - j) * b, _one_sided(k, odd, order)))
-    return acc
+    terms = ((0, sign ** (k - j) * b_coefficient(k, j), _one_sided(k, odd, order))
+             for k in range(j, order + 1))
+    return weighted_sum(terms, order)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +232,8 @@ def _quotient_sum_check(odd: bool) -> Callable[..., Optional[Discrepancy]]:
     step = 2 if odd else 1
 
     def check(order: int, *, k: int) -> Optional[Discrepancy]:
+        if k < 0:
+            raise ValueError(f"index must be non-negative, got {k}")
         lhs = mul(squared_pochhammer(1, step, step, INFINITE, order),
                   _quotient_sum(step, k, order))
         return _first_discrepancy(lhs, _one_sided(k, odd, order))
@@ -290,12 +284,10 @@ def divisor_sum_series(order: int) -> ExactSeries:
 
     The (k, i) term has valuation 2i + k, bounding both indices.
     """
-    acc = zero(order)
     inv = _inv_poch_table(1, order, order)
-    for k in range(1, order + 1):
-        for i in range((order - k) // 2 + 1):
-            acc = add(acc, scale(k * k, shift(mul(inv[i], inv[i + k]), 2 * i + k)))
-    return mul(squared_pochhammer(1, 1, 1, INFINITE, order), acc)
+    terms = ((2 * i + k, k * k, mul(inv[i], inv[i + k]))
+             for k in range(1, order + 1) for i in range((order - k) // 2 + 1))
+    return mul(squared_pochhammer(1, 1, 1, INFINITE, order), weighted_sum(terms, order))
 
 
 def _check_divisor_sum(order: int) -> Optional[Discrepancy]:
@@ -308,37 +300,32 @@ def _check_cauchy(order: int, *, n: int, s: int) -> Optional[Discrepancy]:
         raise ValueError(f"the bounded-product expansion needs n >= 1, got {n}")
     if s < 1:
         raise ValueError(f"exponent stride must be >= 1, got {s}")
-    acc = zero(order)
-    for k in range(order // s + 1):
-        acc = add(acc, shift(gaussian_binomial(n - 1 + k, k, 1, order - s * k), s * k))
+    lhs = weighted_sum(((s * k, 1, gaussian_binomial(n - 1 + k, k, 1, order - s * k))
+                        for k in range(order // s + 1)), order)
     rhs = invert(pochhammer(PochSpec(sign=1, offset=s, step=1, length=n), order))
-    return _first_discrepancy(acc, rhs)
+    return _first_discrepancy(lhs, rhs)
 
 
 def _check_euler_alternating(order: int, *, e: int) -> Optional[Discrepancy]:
     if e < 1:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
     lhs = pochhammer(PochSpec(sign=1, offset=e, step=1, length=INFINITE), order)
-    acc = zero(order)
     jmax = 0
     while (jmax + 1) * jmax // 2 + (jmax + 1) * e <= order:
         jmax += 1
     inv = _inv_poch_table(1, jmax, order)
-    for j in range(jmax + 1):
-        exponent = j * (j - 1) // 2 + j * e
-        acc = add(acc, scale((-1) ** j, shift(inv[j], exponent)))
-    return _first_discrepancy(lhs, acc)
+    rhs = weighted_sum(((j * (j - 1) // 2 + j * e, (-1) ** j, inv[j])
+                        for j in range(jmax + 1)), order)
+    return _first_discrepancy(lhs, rhs)
 
 
 def _check_euler_direct(order: int, *, e: int) -> Optional[Discrepancy]:
     if e < 1:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
-    acc = zero(order)
     inv = _inv_poch_table(1, order // e, order)
-    for j in range(order // e + 1):
-        acc = add(acc, shift(inv[j], j * e))
+    lhs = weighted_sum(((j * e, 1, entry) for j, entry in enumerate(inv)), order)
     rhs = invert(pochhammer(PochSpec(sign=1, offset=e, step=1, length=INFINITE), order))
-    return _first_discrepancy(acc, rhs)
+    return _first_discrepancy(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +636,14 @@ def verify_suite(
     """Verify every registry id over its parameter grid at one order.
 
     With grids=None each entry uses its default grid; otherwise each id runs
-    the grid given for it (ids absent from the mapping are skipped).  Never
-    aborts early: every case contributes a report, in registry order.
+    the grid given for it (ids absent from the mapping are skipped, and a
+    key that names no registry id raises UnknownIdentity before any case
+    runs).  Never aborts early: every case contributes a report, in
+    registry order.
     """
+    for name in grids or ():
+        if name not in REGISTRY:
+            raise UnknownIdentity(f"unknown identity id: {name!r}")
     reports: List[VerifyReport] = []
     for name, entry in REGISTRY.items():
         grid = entry.default_grid if grids is None else tuple(grids.get(name, ()))

@@ -8,10 +8,11 @@ Truncation rule for formally infinite objects: a factor or term whose
 minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
 modulo q^(N+1) and is simply skipped, so every result is exact at order N.
 
-Every series here is built with :mod:`qident.series`: sparse sums and
-binomial factors through ``from_terms``, products through ``mul``.  The one
-other arithmetic is ``_gauss_poly``, which builds exact q-Pascal
-polynomials (plain integer tuples, not series) for the Gaussian binomials.
+Every series here is built with :mod:`qident.series`: sparse sums through
+``from_terms``, sums of shifted multiples of series (products with a
+binomial (1 - q^x) included) through ``weighted_sum``, other products
+through ``mul``.  The one other arithmetic is ``_gauss_poly``, which builds
+exact q-Pascal polynomials (plain integer tuples, not series).
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from typing import Tuple, Union
 
 from .series import (
     ExactSeries,
-    add,
     from_terms,
     invert,
     monomial,
     mul,
     one,
-    shift,
-    zero,
+    weighted_sum,
 )
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
@@ -90,7 +89,7 @@ def pochhammer(spec: PochSpec, order: int) -> ExactSeries:
     p = one(order)
     for r in range(min(spec.length, visible)):
         x = spec.offset + r * spec.step
-        p = mul(p, from_terms([(0, 1), (x, -spec.sign)], order))
+        p = weighted_sum([(0, 1, p), (x, -spec.sign, p)], order)
     return p
 
 
@@ -161,15 +160,10 @@ def kernel_H(k: int, m: int, d: int, s: int, order: int) -> ExactSeries:
         raise ValueError(f"indices must be non-negative, got k={k}, m={m}")
     if d < 1 or s < 1:
         raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")
-    acc = zero(order)
-    for j in range(0, order // s + 1):
-        rem = order - s * j
-        g1 = gaussian_binomial(m - 1 + j, j, d, rem)
-        g2 = gaussian_binomial(m - 1 + k + j, k + j, d, rem)
-        if g1.is_zero() or g2.is_zero():
-            continue
-        acc = add(acc, shift(mul(g1, g2), s * j))
-    return acc
+    terms = ((s * j, 1, mul(gaussian_binomial(m - 1 + j, j, d, order - s * j),
+                            gaussian_binomial(m - 1 + k + j, k + j, d, order - s * j)))
+             for j in range(order // s + 1))
+    return weighted_sum(terms, order)
 
 
 # ---------------------------------------------------------------------------
@@ -186,33 +180,27 @@ def phi2_1(
     unit constant term; the z-argument q^s must satisfy s >= 1 so that
     term n has valuation >= s*n and the sum truncates at n <= order/s.
 
-    Each term is obtained from the previous one by multiplying with the
-    exact factor ratio; the denominators are binomials with unit constant
-    term, handled by invert + mul, so no polynomial division ever occurs.
+    Each term is obtained from the previous one through the exact factor
+    ratio: numerator binomials by weighted_sum, denominator binomials (unit
+    constant term) by invert + mul, so no polynomial division ever occurs.
     """
     if min(a_exp, b_exp, c_exp) < 1:
         raise ValueError("parameter exponents must be >= 1")
     if d < 1 or s < 1:
         raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")
 
-    def binom_factor(exp_q: int) -> ExactSeries:
-        # (1 - q^exp_q) at the working order
-        return from_terms([(0, 1), (exp_q, -1)], order)
+    def terms():
+        term = one(order)
+        yield 0, 1, term
+        for n in range(1, order // s + 1):
+            for x in (d * (a_exp + n - 1), d * (b_exp + n - 1)):
+                term = weighted_sum([(0, 1, term), (x, -1, term)], order)
+            for x in (d * n, d * (c_exp + n - 1)):
+                term = mul(term, invert(from_terms([(0, 1), (x, -1)], order)))
+            term = mul(term, monomial(1, s, order))
+            yield 0, 1, term
 
-    acc = one(order)
-    term = one(order)
-    n = 1
-    while s * n <= order:
-        term = mul(term, binom_factor(d * (a_exp + n - 1)))
-        term = mul(term, binom_factor(d * (b_exp + n - 1)))
-        term = mul(term, invert(binom_factor(d * n)))
-        term = mul(term, invert(binom_factor(d * (c_exp + n - 1))))
-        term = mul(term, monomial(1, s, order))
-        if term.is_zero():
-            break
-        acc = add(acc, term)
-        n += 1
-    return acc
+    return weighted_sum(terms(), order)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ Conventions
 This is the package's one arithmetic core: no other module constructs an
 ExactSeries.  The others state a series as its (exponent, coefficient)
 terms for :func:`from_terms` (atoms, binomial factors, geometric and
-theta sums) or combine series with the operations below.
+theta sums) or a sum of shifted multiples c*q^e*s as its (e, c, s) triples
+for :func:`weighted_sum`, or combine series with the operations below.
 
 Multiplication is schoolbook convolution, O(N^2) coefficient operations;
 at the working orders of this package (N <= a few hundred) that is faster
@@ -33,6 +34,7 @@ being the valuation of the other one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Tuple
@@ -140,6 +142,29 @@ def from_terms(terms: Iterable[Tuple[int, int]], order: int) -> ExactSeries:
 # ---------------------------------------------------------------------------
 # Arithmetic
 # ---------------------------------------------------------------------------
+
+def weighted_sum(terms: Iterable[Tuple[int, int, ExactSeries]], order: int) -> ExactSeries:
+    """The sum of c*q^e*s over the (e, c, s) triples in terms.
+
+    q^e*s is exact to q^(e + s.order), so the result stops at the smallest
+    such order, or at the given order if that is smaller.  Terms with e
+    above the order add nothing; no terms give zero(order).
+    """
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+    out = [0] * (order + 1)
+    top = order
+    for e, c, s in terms:
+        if e < 0:
+            raise ValueError(f"exponent must be non-negative, got {e}")
+        top = min(top, e + s.order)
+        # c = 1 (most terms) adds without building a temporary c*y
+        if c == 1:
+            out[e : e + s.order + 1] = map(operator.add, out[e:], s.coeffs)
+        else:
+            out[e : e + s.order + 1] = [x + c * y for x, y in zip(out[e:], s.coeffs)]
+    return ExactSeries(tuple(out[: top + 1]))
+
 
 def add(a: ExactSeries, b: ExactSeries) -> ExactSeries:
     """Coefficientwise sum at the common (minimum) order."""

@@ -92,6 +92,14 @@ def test_verify_extra_param(capsys):
     assert "unexpected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("identity", ["L1", "L2"])
+def test_verify_quotient_sum_rejects_negative_index(capsys, identity):
+    assert main(["verify", "--id", identity, "--k", "-1", "--order", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: index must be non-negative, got -1\n"
+
+
 def test_verify_csv_has_header(capsys):
     assert main(["verify", "--id", "CAUCHY", "--n", "2", "--s", "1",
                  "--order", "12", "--format", "csv", "--deterministic"]) == 0

@@ -1,9 +1,14 @@
 """The verification registry: dispatch, parameter binding, discrepancy
-reporting, suite aggregation, and the resolved reading of the bipartition
-difference predicate."""
+reporting, suite aggregation, golden coefficients of the weighted-sum
+builders, and the resolved reading of the bipartition difference
+predicate."""
+
+import hashlib
 
 import pytest
 
+from qident import identities
+from qident.families import binomial_combination, reconstruct_family
 from qident.identities import (
     REGISTRY,
     Discrepancy,
@@ -16,12 +21,26 @@ from qident.identities import (
 )
 from qident.identities import (
     _bracket_half,
+    _check_cauchy,
+    _check_euler_alternating,
+    _check_euler_direct,
     _eta_quotient,
     _first_discrepancy,
     _inv_poch_table,
+    _quotient_sum,
+    _weighted_theta_sum,
+    divisor_sum_series,
 )
 from qident.oracles import pod_bipartitions
-from qident.qtools import INFINITE, WHOLE, PochSpec, alt_triangular_sum, pochhammer
+from qident.qtools import (
+    INFINITE,
+    WHOLE,
+    PochSpec,
+    alt_triangular_sum,
+    kernel_H,
+    phi2_1,
+    pochhammer,
+)
 from qident.series import add, monomial, mul, one
 
 # ---------------------------------------------------------------------------
@@ -162,6 +181,95 @@ def test_inverse_pochhammer_table_inverts_the_products(step, order):
 
 
 # ---------------------------------------------------------------------------
+# Golden coefficients of the weighted-sum builders
+# ---------------------------------------------------------------------------
+
+GOLDEN_ORDERS = (0, 1, 2, 5, 17, 40)
+SIGNS = (1, -1)
+
+
+def _captured_sides(check, **params):
+    """Both series a check hands to _first_discrepancy, for each golden
+    order: the Cauchy and Euler sums live only inside their checks."""
+    sides = []
+
+    def recorder(lhs, rhs):
+        sides.extend((lhs, rhs))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_first_discrepancy", recorder)
+        for order in GOLDEN_ORDERS:
+            check(order, **params)
+    return sides
+
+
+# Each builder's outputs over GOLDEN_ORDERS and a small parameter grid;
+# the SHA-256 of their coefficient tuples pins every coefficient.
+GOLDEN_BUILDS = {
+    "binomial_combination": lambda: [
+        binomial_combination(family, sign, k, m, order)
+        for order in GOLDEN_ORDERS for family in ("V", "W") for sign in SIGNS
+        for k in (0, 1, 3) for m in (1, 3, INFINITE)],
+    "reconstruct_family": lambda: [
+        reconstruct_family(family, sign, j, m, order)
+        for order in GOLDEN_ORDERS for family in ("V", "W") for sign in SIGNS
+        for j in (0, 1, 2) for m in (1, 2, 3)],
+    "kernel_H": lambda: [
+        kernel_H(k, m, d, s, order)
+        for order in GOLDEN_ORDERS for k in (0, 1, 2) for m in (0, 1, 2)
+        for d in (1, 2) for s in (1, 2, 3)],
+    "phi2_1": lambda: [
+        phi2_1(a, b, c, d, s, order)
+        for order in GOLDEN_ORDERS for a, b, c in ((1, 1, 1), (1, 2, 3), (3, 1, 2))
+        for d in (1, 2) for s in (1, 2)],
+    "pochhammer": lambda: [
+        pochhammer(PochSpec(sign=sign, offset=offset, step=step, length=length), order)
+        for order in GOLDEN_ORDERS for sign in SIGNS for offset in (1, 2, 3)
+        for step in (1, 2, 3) for length in (0, 1, 3, 7, INFINITE)],
+    "_quotient_sum": lambda: [
+        _quotient_sum(step, k, order)
+        for order in GOLDEN_ORDERS for step in (1, 2) for k in (0, 1, 2, 3, order + 1)],
+    "_weighted_theta_sum": lambda: [
+        _weighted_theta_sum(sign, j, odd, order)
+        for order in GOLDEN_ORDERS for sign in SIGNS for j in (0, 1, 2)
+        for odd in (False, True)],
+    "_bracket_half": lambda: [
+        _bracket_half(k, order) for order in GOLDEN_ORDERS for k in (0, 1, 2, 5)],
+    "divisor_sum_series": lambda: [divisor_sum_series(order) for order in GOLDEN_ORDERS],
+    "cauchy": lambda: [
+        side for n in (1, 2, 4) for s in (1, 2, 3)
+        for side in _captured_sides(_check_cauchy, n=n, s=s)],
+    "euler_alternating": lambda: [
+        side for e in (1, 2, 3)
+        for side in _captured_sides(_check_euler_alternating, e=e)],
+    "euler_direct": lambda: [
+        side for e in (1, 2, 3)
+        for side in _captured_sides(_check_euler_direct, e=e)],
+}
+
+GOLDEN_SHA256 = {
+    "_bracket_half": "78cae9aa05a52ad85aabb4250d25402e456abe77567e8d75f1a9836439c12643",
+    "_quotient_sum": "a0f60d7d45deb3a074ddba4458bc65fb2b0d6391c5c074beb2faf09a08334851",
+    "_weighted_theta_sum": "0484bc54696ec0e178401549d1a66bf354e8a6fbe08acb6c5df057502ec79558",
+    "binomial_combination": "c2d5d9509bd2ccc88846bdca68ec9375ea8d22e5c77c51dc338fe8115eafed83",
+    "cauchy": "153af000d42bd38473f630ca09698396f9d93f366d5cfdd29d2b8756aff9db3c",
+    "divisor_sum_series": "b3e15ea83d5950b031c6886b8eccd468cad134f00dd685fdd948cd0d3a700005",
+    "euler_alternating": "bdaf4d399f27621ef271fc9828de9551d3deadc24d0437d60062c8915c28bb01",
+    "euler_direct": "d12a2ea193cf6d2f0004cbcedb08e550a6c6190e3dc452a80df9eee2f9e75876",
+    "kernel_H": "757ba5f23bec6c119804534759bd2b216c14b43161214e9564573fe5f98beb79",
+    "phi2_1": "28b2754bf1eb6a93cd7685c66bfcbc8ec643a3a79730d4840d618fa3365c0ead",
+    "pochhammer": "3b0c1f2c934a5d76332b553e1fed072e74028e06565c8ddba3759498d48e00e5",
+    "reconstruct_family": "bea1b60e655062c9e1bcf7d56da0fdaaead02097d9daa936db30af97cce2dd12",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BUILDS))
+def test_weighted_sum_builders_match_golden_coefficients(name):
+    coeffs = [series.coeffs for series in GOLDEN_BUILDS[name]()]
+    assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
 # Suite aggregation
 # ---------------------------------------------------------------------------
 
@@ -180,6 +288,11 @@ def test_suite_at_order_zero_reduces_to_constant_terms():
 
 def test_empty_grid_gives_empty_reports():
     assert verify_suite(order=10, grids={}) == []
+
+
+def test_grid_with_unknown_id_is_rejected():
+    with pytest.raises(UnknownIdentity, match="'T4v'"):
+        verify_suite(order=4, grids={"L1": [dict(k=0)], "T4v": [dict(sign=1, k=0)]})
 
 
 def test_explicit_grid_limits_cases():

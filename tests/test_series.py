@@ -26,6 +26,7 @@ from qident.series import (
     scale,
     shift,
     substitute_power,
+    weighted_sum,
     zero,
 )
 
@@ -193,6 +194,48 @@ def test_mul_matches_naive_convolution(a, b):
     expected = _naive_product(a, b)
     assert mul(a, b).coeffs == expected
     assert mul(b, a).coeffs == expected
+
+
+# ---------------------------------------------------------------------------
+# Weighted sums
+# ---------------------------------------------------------------------------
+
+def _folded_sum(terms, order):
+    """The sum of c*q^e*s by the add/scale/shift fold: shift raises the
+    order, add truncates to the smaller one."""
+    acc = zero(order)
+    for e, c, s in terms:
+        acc = add(acc, scale(c, shift(s, e)))
+    return acc
+
+
+@st.composite
+def weighted_sum_case(draw):
+    order = draw(st.integers(0, 20))
+    weight_st = st.one_of(st.sampled_from((0, 1, -1)), big_st)
+    series_st = st.lists(big_st, min_size=1, max_size=25).map(from_coeffs)
+    terms = draw(st.lists(st.tuples(st.integers(0, order + 3), weight_st, series_st),
+                          max_size=6))
+    return terms, order
+
+
+@settings(max_examples=300)
+@given(weighted_sum_case())
+def test_weighted_sum_matches_add_scale_shift_fold(case):
+    terms, order = case
+    assert weighted_sum(iter(terms), order).coeffs == _folded_sum(terms, order).coeffs
+
+
+def test_weighted_sum_empty_is_zero():
+    assert weighted_sum([], 5).coeffs == zero(5).coeffs
+    assert weighted_sum(iter(()), 0).coeffs == zero(0).coeffs
+
+
+def test_weighted_sum_validates_order_and_exponents():
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        weighted_sum([], -1)
+    with pytest.raises(ValueError, match="exponent must be non-negative"):
+        weighted_sum([(-1, 1, one(4))], 4)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ being the valuation of the other one.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Tuple
@@ -158,11 +157,7 @@ def weighted_sum(terms: Iterable[Tuple[int, int, ExactSeries]], order: int) -> E
         if e < 0:
             raise ValueError(f"exponent must be non-negative, got {e}")
         top = min(top, e + s.order)
-        # c = 1 (most terms) adds without building a temporary c*y
-        if c == 1:
-            out[e : e + s.order + 1] = map(operator.add, out[e:], s.coeffs)
-        else:
-            out[e : e + s.order + 1] = [x + c * y for x, y in zip(out[e:], s.coeffs)]
+        out[e : e + s.order + 1] = [x + c * y for x, y in zip(out[e:], s.coeffs)]
     return ExactSeries(tuple(out[: top + 1]))
 
 

@@ -61,6 +61,7 @@ from .series import (
     NonUnitConstantTerm,
     add,
     coeff,
+    divide_binomial,
     from_coeffs,
     from_terms,
     invert,
@@ -78,8 +79,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactSeries", "ExponentOutOfOrder", "NonUnitConstantTerm",
-    "add", "coeff", "from_coeffs", "from_terms", "weighted_sum", "invert",
-    "monomial", "mul", "one", "scale", "shift", "substitute_power", "zero",
+    "add", "coeff", "from_coeffs", "from_terms", "weighted_sum",
+    "divide_binomial", "invert", "monomial", "mul", "one", "scale", "shift",
+    "substitute_power", "zero",
     "INFINITE", "HALF", "WHOLE", "PochSpec",
     "pochhammer", "gaussian_binomial", "kernel_H", "phi2_1",
     "theta_phi_neg", "theta_psi", "alt_triangular_sum",

@@ -28,7 +28,16 @@ from math import comb
 from typing import Dict, List, Tuple, Union
 
 from .qtools import INFINITE, kernel_H, squared_pochhammer
-from .series import ExactSeries, add, from_terms, mul, one, weighted_sum, zero
+from .series import (
+    ExactSeries,
+    add,
+    divide_binomial,
+    from_terms,
+    mul,
+    one,
+    weighted_sum,
+    zero,
+)
 
 FAMILIES = ("A", "C", "V", "W")
 _WEAK = ("V", "W")  # chains may repeat magnitudes
@@ -76,13 +85,20 @@ class FamilySpec:
 # Atoms
 # ---------------------------------------------------------------------------
 
+def _atom_exponent(family: str, n: int) -> int:
+    """The exponent e of the magnitude-n atom: 2n-1 for odd parts, else n."""
+    return 2 * n - 1 if family in _ODD else n
+
+
 def atom(family: str, sign: int, n: int, order: int) -> ExactSeries:
     """The magnitude-n factor q^e / (1 - sign*q^e)^2, e = n or 2n-1.
 
-    Built from the closed form q^e/(1 -+ q^e)^2 = sum_{t>=1} sign^(t+1) * t * q^(e*t)
-    (geometric-squared expansion), which is exact and O(order/e) to write
-    down.  The equivalence with q^e * invert((1 -+ q^e)^2) is a tested
-    invariant.
+    Written down from the closed form
+    q^e/(1 -+ q^e)^2 = sum_{t>=1} sign^(t+1) * t * q^(e*t)
+    (geometric-squared expansion).  The chain DP does not use it: each of
+    its cells divides q^e times the predecessor by (1 - sign*q^e) twice.
+    The tests check this closed form against that cell form and against
+    q^e * invert((1 -+ q^e)^2).
     """
     if family not in FAMILIES:
         raise InvalidSpec(f"family must be one of {FAMILIES}, got {family!r}")
@@ -90,7 +106,7 @@ def atom(family: str, sign: int, n: int, order: int) -> ExactSeries:
         raise InvalidSpec(f"sign must be +1 or -1, got {sign}")
     if n < 1:
         raise InvalidSpec(f"magnitude must be >= 1, got {n}")
-    e = 2 * n - 1 if family in _ODD else n
+    e = _atom_exponent(family, n)
     terms = ((e * t, t * sign ** (t + 1)) for t in range(1, order // e + 1))
     return from_terms(terms, order)
 
@@ -142,8 +158,11 @@ def _family_prefix(
     Strict chains: S_i(n) = S_i(n-1) + atom(n) * S_{i-1}(n-1)
 
     where S_i(n) sums over chains confined to magnitudes <= n; the family
-    value is S_i(m_eff).  Once the minimal chain exponent exceeds the
-    order, all remaining rows are zero and are filled without DP work.
+    value is S_i(m_eff).  The atom product is never multiplied out: the
+    cell shifts the predecessor by q^e and divides it twice by
+    (1 - sign*q^e) with divide_binomial, O(order) work per cell.  Once the
+    minimal chain exponent exceeds the order, all remaining rows are zero
+    and are filled without DP work.
 
     The predecessor is an (i-1)-chain sum, of valuation at least
     v = _min_valuation(family, i-1), so the cell term atom(n) * S_{i-1}
@@ -162,19 +181,19 @@ def _family_prefix(
             _tables[key] = entry = (series_by_k, last_row)
         series_by_k, last_row = entry
         strict = family not in _WEAK
-        atoms = None
         while len(series_by_k) <= k_max:
             i = len(series_by_k)
             if _min_valuation(family, i) > order:
                 series_by_k.append(zero(order))
                 continue
-            if atoms is None:
-                atoms = [atom(family, sign, n, order) for n in range(1, m_eff + 1)]
             cap = _m_eff(family, m_eff, order - _min_valuation(family, i - 1))
             row: List[ExactSeries] = [zero(order)]
             for n in range(1, cap + 1):
+                e = _atom_exponent(family, n)
                 predecessor = last_row[n - 1] if strict else last_row[n]
-                row.append(add(row[n - 1], mul(atoms[n - 1], predecessor)))
+                shifted = weighted_sum([(e, 1, predecessor)], order)
+                cell = divide_binomial(divide_binomial(shifted, e, sign), e, sign)
+                row.append(add(row[n - 1], cell))
             series_by_k.append(row[-1])
             last_row = row
             _tables[key] = (series_by_k, last_row)

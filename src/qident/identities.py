@@ -56,8 +56,8 @@ from .qtools import (
 )
 from .series import (
     ExactSeries,
+    divide_binomial,
     from_coeffs,
-    from_terms,
     invert,
     mul,
     one,
@@ -150,28 +150,27 @@ def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
 
 def _inv_poch_table(step: int, count: int, order: int) -> List[ExactSeries]:
     """[1/(q^step; q^step)_i for i = 0..count], built incrementally: entry i
-    is entry i-1 times the geometric series 1/(1 - q^x) = sum_t q^(x*t),
-    x = step*i.  Once x exceeds the order that series is 1 at this
-    truncation, so the entries stabilize.
+    is entry i-1 divided by (1 - q^x), x = step*i, with divide_binomial.
+    Once x exceeds the order that division leaves its argument unchanged
+    at this truncation, so the entries stabilize.
     """
     table = [one(order)]
     for i in range(1, count + 1):
-        x = step * i
-        geometric = from_terms(((x * t, 1) for t in range(order // x + 1)), order)
-        table.append(mul(table[-1], geometric))
+        table.append(divide_binomial(table[-1], step * i, 1))
     return table
 
 
-def _quotient_sum(step: int, k: int, order: int) -> ExactSeries:
-    """sum_j q^(2j+k) / ((q^step;q^step)_j (q^step;q^step)_{j+k}).
+def _quotient_sum(inv: List[ExactSeries], k: int, order: int) -> ExactSeries:
+    """sum_j q^(2j+k) / ((q^step;q^step)_j (q^step;q^step)_{j+k}), read
+    from inv = _inv_poch_table(step, order, order).
 
-    The j-th term has valuation 2j + k, so j runs to (order - k) // 2.
+    The j-th term has valuation 2j + k, so j runs to (order - k) // 2 and
+    the sum reads table entries up to (order + k) // 2.
     """
     if k > order:
         return zero(order)
-    jmax = (order - k) // 2
-    inv = _inv_poch_table(step, jmax + k, order)
-    terms = ((2 * j + k, 1, mul(inv[j], inv[j + k])) for j in range(jmax + 1))
+    terms = ((2 * j + k, 1, mul(inv[j], inv[j + k]))
+             for j in range((order - k) // 2 + 1))
     return weighted_sum(terms, order)
 
 
@@ -235,7 +234,7 @@ def _quotient_sum_check(odd: bool) -> Callable[..., Optional[Discrepancy]]:
         if k < 0:
             raise ValueError(f"index must be non-negative, got {k}")
         lhs = mul(squared_pochhammer(1, step, step, INFINITE, order),
-                  _quotient_sum(step, k, order))
+                  _quotient_sum(_inv_poch_table(step, order, order), k, order))
         return _first_discrepancy(lhs, _one_sided(k, odd, order))
 
     return check
@@ -280,13 +279,13 @@ def pod_bipartition_series(order: int) -> ExactSeries:
 
 def divisor_sum_series(order: int) -> ExactSeries:
     """The weighted Pochhammer-quotient double sum whose n-th coefficient
-    is the sum of the divisors of n.
+    is the sum of the divisors of n: sum_k k^2 * _quotient_sum(k) under
+    (q;q)_inf^2, all k sharing one inverse-Pochhammer table.
 
-    The (k, i) term has valuation 2i + k, bounding both indices.
+    The k-th quotient sum has valuation k, so k runs to the order.
     """
     inv = _inv_poch_table(1, order, order)
-    terms = ((2 * i + k, k * k, mul(inv[i], inv[i + k]))
-             for k in range(1, order + 1) for i in range((order - k) // 2 + 1))
+    terms = ((0, k * k, _quotient_sum(inv, k, order)) for k in range(1, order + 1))
     return mul(squared_pochhammer(1, 1, 1, INFINITE, order), weighted_sum(terms, order))
 
 

@@ -89,6 +89,15 @@ def partition_count(n: int) -> int:
 # Weighted chain oracles
 # ---------------------------------------------------------------------------
 
+#: Largest target n the chain sums accept.  Their cost peaks at k near
+#: n/2 and grows about 3.5x every 2 steps: at n = 24 the slowest k takes
+#: about 3.0 s (v_oracle, k = 12) and 2.3 s (w_oracle, k = 13), at n = 26
+#: about 10.5 s and 8.8 s (Python 3.11, Xeon).  Larger n raise DomainError
+#: instead of running for minutes.  The ORACLE_V/ORACLE_W checks enumerate
+#: only up to q^15, below the cap.
+CHAIN_ORACLE_CAP = 24
+
+
 def _chain_sum(
     sign: int, k: int, m: Union[int, float], n: int, odd_parts: bool
 ) -> int:
@@ -105,6 +114,11 @@ def _chain_sum(
         raise DomainError(f"k must be non-negative, got {k}")
     if n < 0:
         raise DomainError(f"target must be non-negative, got {n}")
+    if n > CHAIN_ORACLE_CAP:
+        raise DomainError(
+            f"target {n} is above {CHAIN_ORACLE_CAP}, the largest n the "
+            "brute-force chain sums enumerate"
+        )
     if k == 0:
         return 1 if n == 0 else 0
 
@@ -139,7 +153,8 @@ def _chain_sum(
 
 def v_oracle(sign: int, k: int, m: Union[int, float], n: int) -> int:
     """The linear-parts chain sum: weighted count over weak chains of
-    k magnitudes <= m with part*multiplicity totals equal to n."""
+    k magnitudes <= m with part*multiplicity totals equal to n, for
+    0 <= n <= CHAIN_ORACLE_CAP."""
     return _chain_sum(sign, k, m, n, odd_parts=False)
 
 

@@ -10,9 +10,10 @@ modulo q^(N+1) and is simply skipped, so every result is exact at order N.
 
 Every series here is built with :mod:`qident.series`: sparse sums through
 ``from_terms``, sums of shifted multiples of series (products with a
-binomial (1 - q^x) included) through ``weighted_sum``, other products
-through ``mul``.  The one other arithmetic is ``_gauss_poly``, which builds
-exact q-Pascal polynomials (plain integer tuples, not series).
+binomial (1 - q^x) included) through ``weighted_sum``, quotients by a
+binomial through ``divide_binomial``, other products through ``mul``.
+The one other arithmetic is ``_gauss_poly``, which builds exact q-Pascal
+polynomials (plain integer tuples, not series).
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from itertools import cycle
 from math import isqrt
 from typing import Tuple, Union
 
-from .series import (
-    ExactSeries,
-    from_terms,
-    invert,
-    monomial,
-    mul,
-    one,
-    weighted_sum,
-)
+from .series import ExactSeries, divide_binomial, from_terms, mul, one, weighted_sum
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
@@ -154,10 +147,13 @@ def kernel_H(k: int, m: int, d: int, s: int, order: int) -> ExactSeries:
     Term j carries the factor q^(s*j), so only j <= order/s contribute at
     the working order.  At m = 0 every term has the vanishing factor
     [-1+j, j] (zero for all j >= 0 under the two-case definition), so the
-    result is the zero series for every k.
+    result is the zero series for every k.  m must be finite: the
+    binomials [m-1+j, j] of an unbounded m are not polynomials.
     """
     if k < 0 or m < 0:
         raise ValueError(f"indices must be non-negative, got k={k}, m={m}")
+    if not math.isfinite(m):
+        raise ValueError(f"the two-binomial kernel needs a finite bound m, got m={m}")
     if d < 1 or s < 1:
         raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")
     terms = ((s * j, 1, mul(gaussian_binomial(m - 1 + j, j, d, order - s * j),
@@ -181,8 +177,8 @@ def phi2_1(
     term n has valuation >= s*n and the sum truncates at n <= order/s.
 
     Each term is obtained from the previous one through the exact factor
-    ratio: numerator binomials by weighted_sum, denominator binomials (unit
-    constant term) by invert + mul, so no polynomial division ever occurs.
+    ratio: numerator binomials by weighted_sum, denominator binomials by
+    divide_binomial, the z-power q^s by a one-term weighted_sum.
     """
     if min(a_exp, b_exp, c_exp) < 1:
         raise ValueError("parameter exponents must be >= 1")
@@ -196,8 +192,8 @@ def phi2_1(
             for x in (d * (a_exp + n - 1), d * (b_exp + n - 1)):
                 term = weighted_sum([(0, 1, term), (x, -1, term)], order)
             for x in (d * n, d * (c_exp + n - 1)):
-                term = mul(term, invert(from_terms([(0, 1), (x, -1)], order)))
-            term = mul(term, monomial(1, s, order))
+                term = divide_binomial(term, x, 1)
+            term = weighted_sum([(s, 1, term)], order)
             yield 0, 1, term
 
     return weighted_sum(terms(), order)

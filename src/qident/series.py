@@ -19,9 +19,13 @@ Conventions
 
 This is the package's one arithmetic core: no other module constructs an
 ExactSeries.  The others state a series as its (exponent, coefficient)
-terms for :func:`from_terms` (atoms, binomial factors, geometric and
-theta sums) or a sum of shifted multiples c*q^e*s as its (e, c, s) triples
-for :func:`weighted_sum`, or combine series with the operations below.
+terms for :func:`from_terms` (binomial factors, theta sums) or a sum of
+shifted multiples c*q^e*s as its (e, c, s) triples for
+:func:`weighted_sum`, divide by a binomial (1 - c*q^x) with
+:func:`divide_binomial`, or combine series with the operations below.
+Every quotient by a binomial (chain atoms, inverse Pochhammer tables,
+hypergeometric denominators) goes through :func:`divide_binomial`;
+:func:`invert` is kept for inverting whole products.
 
 Multiplication is schoolbook convolution, O(N^2) coefficient operations;
 at the working orders of this package (N <= a few hundred) that is faster
@@ -240,6 +244,23 @@ def invert(a: ExactSeries) -> ExactSeries:
             s += ac[i] * b[n - i]
         if s:
             b[n] = -a0 * s
+    return ExactSeries(tuple(b))
+
+
+def divide_binomial(a: ExactSeries, x: int, c: int) -> ExactSeries:
+    """The quotient a / (1 - c*q^x) at a's order, for x >= 1.
+
+    One forward pass of b[n] += c*b[n-x]: the quotient b satisfies
+    b - c*q^x*b = a.  Entries below a's valuation plus x equal a's, so the
+    pass starts there; O(order) work for any x and c.
+    """
+    if x < 1:
+        raise ValueError(f"binomial exponent must be >= 1, got {x}")
+    b = list(a.coeffs)
+    v = _valuation(a.coeffs)
+    if v is not None:
+        for n in range(v + x, len(b)):
+            b[n] += c * b[n - x]
     return ExactSeries(tuple(b))
 
 

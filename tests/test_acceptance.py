@@ -2,13 +2,16 @@
 under ``pytest -v``.  All comparisons are exact integer equality at the
 stated orders; the stated runtime ceilings are asserted where given."""
 
+import os
 import subprocess
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import qident
 from qident.families import FamilySpec, b_coefficient, family_series
 from qident.identities import IdentityCase, verify
 from qident.oracles import b_extraction, v_oracle, w_oracle
@@ -152,10 +155,15 @@ def test_series_product_expansions():
 # -- criterion 13: the shipped front end runs the whole default grid -------
 
 def test_full_suite_cli():
+    # Run the package this process imported, also when pytest found it
+    # through its own pythonpath setting rather than PYTHONPATH.
+    package_root = str(Path(qident.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "qident", "suite", "--order", "20"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     elapsed = time.perf_counter() - start
     assert result.returncode == 0, result.stdout + result.stderr

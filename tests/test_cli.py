@@ -100,6 +100,15 @@ def test_verify_quotient_sum_rejects_negative_index(capsys, identity):
     assert captured.err == "error: index must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("identity", ("T1_V", "T1_W"))
+def test_verify_kernel_product_rejects_unbounded_m(capsys, identity):
+    assert main(["verify", "--id", identity, "--k", "1", "--m", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the two-binomial kernel needs a finite "
+                            "bound m, got m=inf\n")
+
+
 def test_verify_csv_has_header(capsys):
     assert main(["verify", "--id", "CAUCHY", "--n", "2", "--s", "1",
                  "--order", "12", "--format", "csv", "--deterministic"]) == 0
@@ -214,6 +223,16 @@ def test_oracle_pair_count_cap_is_usage_error(capsys, which):
     assert captured.out == ""
     assert captured.err == ("error: target 51 is above 50, the largest n the "
                             "brute-force pair counts enumerate\n")
+
+
+@pytest.mark.parametrize("which", ("v", "w"))
+def test_oracle_chain_cap_is_usage_error(capsys, which):
+    assert main(["oracle", "--which", which, "--sign", "plus", "--k", "4",
+                 "--n", "25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: target 25 is above 24, the largest n the "
+                            "brute-force chain sums enumerate\n")
 
 
 def test_oracle_missing_chain_flags(capsys):

@@ -20,7 +20,17 @@ from qident.families import (
 )
 from qident.oracles import b_extraction, triangular, v_oracle, w_oracle
 from qident.qtools import INFINITE
-from qident.series import add, invert, monomial, mul, one, scale, zero
+from qident.series import (
+    add,
+    divide_binomial,
+    invert,
+    monomial,
+    mul,
+    one,
+    scale,
+    weighted_sum,
+    zero,
+)
 
 # ---------------------------------------------------------------------------
 # Spec validation
@@ -64,6 +74,10 @@ def test_atom_matches_rational_closed_form(family, exponent, sign):
     factor = add(one(order), monomial(-sign, exponent, order))
     closed = mul(monomial(1, exponent, order), invert(mul(factor, factor)))
     assert atom(family, sign, 3, order) == closed
+    # The chain DP's cell form: q^e divided twice by (1 - sign q^e).
+    q_e = weighted_sum([(exponent, 1, one(order))], order)
+    cell = divide_binomial(divide_binomial(q_e, exponent, sign), exponent, sign)
+    assert atom(family, sign, 3, order).coeffs == cell.coeffs
 
 
 def test_atom_validates_index():
@@ -227,21 +241,22 @@ def test_dp_rows_match_chain_enumeration(family, m, sign):
         assert series.coeffs == tuple(expected), (family, m, sign, k)
 
 
-@pytest.mark.parametrize("family,products", [("V", 820), ("W", 420), ("A", 236), ("C", 94)])
+@pytest.mark.parametrize("family,cells", [("V", 820), ("W", 420), ("A", 236), ("C", 94)])
 @BOTH_SIGNS
-def test_cold_dp_skips_cells_beyond_the_order(monkeypatch, family, products, sign):
+def test_cold_dp_skips_cells_beyond_the_order(monkeypatch, family, cells, sign):
     # A cell atom(n) * S_{i-1} with e(n) + _min_valuation(i-1) > order is
-    # zero at the truncation and must not be multiplied out.
+    # zero at the truncation and must not be computed; every computed cell
+    # divides by (1 - sign*q^e) twice (1640/840/472/188 divisions).
     calls = []
 
-    def counting_mul(a, b):
+    def counting_divide_binomial(a, x, c):
         calls.append(None)
-        return mul(a, b)
+        return divide_binomial(a, x, c)
 
     monkeypatch.setattr(families, "_tables", {})
-    monkeypatch.setattr(families, "mul", counting_mul)
+    monkeypatch.setattr(families, "divide_binomial", counting_divide_binomial)
     family_series(FamilySpec(family=family, sign=sign, k=40), 40)
-    assert len(calls) == products
+    assert len(calls) == 2 * cells
 
 
 # ---------------------------------------------------------------------------

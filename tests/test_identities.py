@@ -227,7 +227,7 @@ GOLDEN_BUILDS = {
         for order in GOLDEN_ORDERS for sign in SIGNS for offset in (1, 2, 3)
         for step in (1, 2, 3) for length in (0, 1, 3, 7, INFINITE)],
     "_quotient_sum": lambda: [
-        _quotient_sum(step, k, order)
+        _quotient_sum(_inv_poch_table(step, order, order), k, order)
         for order in GOLDEN_ORDERS for step in (1, 2) for k in (0, 1, 2, 3, order + 1)],
     "_weighted_theta_sum": lambda: [
         _weighted_theta_sum(sign, j, odd, order)

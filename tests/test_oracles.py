@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qident.identities import _ORACLE_CAP
 from qident.oracles import (
+    CHAIN_ORACLE_CAP,
     PAIR_COUNT_CAP,
     DomainError,
     b_extraction,
@@ -93,6 +95,16 @@ def test_chain_oracle_validates_arguments():
         v_oracle(1, -1, INFINITE, 3)
     with pytest.raises(DomainError):
         w_oracle(1, 1, INFINITE, -2)
+
+
+def test_chain_oracles_reject_targets_above_the_cap():
+    assert CHAIN_ORACLE_CAP == 24
+    # ORACLE_V/ORACLE_W enumerate q^0.._ORACLE_CAP and must stay below it.
+    assert CHAIN_ORACLE_CAP >= _ORACLE_CAP
+    for oracle in (v_oracle, w_oracle):
+        assert oracle(1, 2, INFINITE, CHAIN_ORACLE_CAP) > 0
+        with pytest.raises(DomainError, match="above 24"):
+            oracle(1, 2, INFINITE, CHAIN_ORACLE_CAP + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,13 @@ def test_kernel_validates_arguments():
         kernel_H(1, 2, 1, 0, 4)
 
 
+def test_kernel_rejects_an_unbounded_m():
+    # [m-1+j, j] is no polynomial for m = inf; kernel_H must refuse it
+    # rather than recurse through _gauss_poly without end.
+    with pytest.raises(ValueError, match="finite bound m, got m=inf"):
+        kernel_H(1, INFINITE, 1, 2, 4)
+
+
 @pytest.mark.parametrize("d", (1, 2))
 @pytest.mark.parametrize("m", (1, 2, 3))
 @pytest.mark.parametrize("k", (0, 1, 2, 3))

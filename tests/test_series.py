@@ -17,6 +17,7 @@ from qident.series import (
     NonUnitConstantTerm,
     add,
     coeff,
+    divide_binomial,
     from_coeffs,
     from_terms,
     invert,
@@ -236,6 +237,32 @@ def test_weighted_sum_validates_order_and_exponents():
         weighted_sum([], -1)
     with pytest.raises(ValueError, match="exponent must be non-negative"):
         weighted_sum([(-1, 1, one(4))], 4)
+
+
+# ---------------------------------------------------------------------------
+# Binomial division
+# ---------------------------------------------------------------------------
+
+@st.composite
+def divide_binomial_case(draw):
+    a = draw(mul_operand_st)
+    x = draw(st.integers(1, a.order + 2))
+    c = draw(st.one_of(st.sampled_from((1, -1)), big_st))
+    return a, x, c
+
+
+@settings(max_examples=300)
+@given(divide_binomial_case())
+def test_divide_binomial_matches_inverted_binomial_product(case):
+    a, x, c = case
+    expected = mul(a, invert(from_terms([(0, 1), (x, -c)], a.order)))
+    assert divide_binomial(a, x, c).coeffs == expected.coeffs
+
+
+def test_divide_binomial_rejects_exponents_below_one():
+    for x in (0, -1):
+        with pytest.raises(ValueError, match="binomial exponent must be >= 1"):
+            divide_binomial(one(4), x, 1)
 
 
 # ---------------------------------------------------------------------------

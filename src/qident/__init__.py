@@ -11,7 +11,6 @@ from .families import (
     FAMILIES,
     FamilySpec,
     InvalidSpec,
-    atom,
     b_coefficient,
     binomial_combination,
     family_series,
@@ -32,10 +31,8 @@ from .identities import (
 )
 from .oracles import (
     DomainError,
-    b_extraction,
     divisor_sigma,
     overpartition_pairs,
-    partition_count,
     partitions,
     pod_bipartitions,
     triangular,
@@ -46,21 +43,17 @@ from .qtools import (
     HALF,
     INFINITE,
     WHOLE,
-    PochSpec,
     alt_triangular_sum,
     gaussian_binomial,
     kernel_H,
-    phi2_1,
     pochhammer,
     theta_phi_neg,
     theta_psi,
 )
 from .series import (
     ExactSeries,
-    ExponentOutOfOrder,
     NonUnitConstantTerm,
     add,
-    coeff,
     divide_binomial,
     from_coeffs,
     from_terms,
@@ -68,9 +61,7 @@ from .series import (
     monomial,
     mul,
     one,
-    scale,
     shift,
-    substitute_power,
     weighted_sum,
     zero,
 )
@@ -78,19 +69,18 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactSeries", "ExponentOutOfOrder", "NonUnitConstantTerm",
-    "add", "coeff", "from_coeffs", "from_terms", "weighted_sum",
-    "divide_binomial", "invert", "monomial", "mul", "one", "scale", "shift",
-    "substitute_power", "zero",
-    "INFINITE", "HALF", "WHOLE", "PochSpec",
-    "pochhammer", "gaussian_binomial", "kernel_H", "phi2_1",
+    "ExactSeries", "NonUnitConstantTerm",
+    "add", "from_coeffs", "from_terms", "weighted_sum",
+    "divide_binomial", "invert", "monomial", "mul", "one", "shift", "zero",
+    "INFINITE", "HALF", "WHOLE",
+    "pochhammer", "gaussian_binomial", "kernel_H",
     "theta_phi_neg", "theta_psi", "alt_triangular_sum",
     "FAMILIES", "FamilySpec", "InvalidSpec",
-    "atom", "family_series", "b_coefficient",
+    "family_series", "b_coefficient",
     "binomial_combination", "reconstruct_family",
-    "DomainError", "partitions", "partition_count",
+    "DomainError", "partitions",
     "v_oracle", "w_oracle", "overpartition_pairs", "pod_bipartitions",
-    "divisor_sigma", "triangular", "b_extraction",
+    "divisor_sigma", "triangular",
     "Discrepancy", "IdentityCase", "VerifyReport",
     "UnknownIdentity", "MissingParam", "REGISTRY",
     "verify", "verify_suite",

@@ -21,7 +21,9 @@ its per-term bound inline.
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -45,7 +47,6 @@ from .qtools import (
     HALF,
     INFINITE,
     WHOLE,
-    PochSpec,
     alt_triangular_sum,
     gaussian_binomial,
     kernel_H,
@@ -192,6 +193,9 @@ def _kernel_product_check(family: str) -> Callable[..., Optional[Discrepancy]]:
     d = 2 if family == "W" else 1
 
     def check(order: int, *, sign: int, k: int, m: int) -> Optional[Discrepancy]:
+        # kernel_H rejects an unbounded m too, but k > order never calls it
+        if not math.isfinite(m):
+            raise ValueError(f"the two-binomial kernel needs a finite bound m, got m={m}")
         lhs = binomial_combination(family, sign, k, m, order)
         if k > order:
             rhs = zero(order)
@@ -301,14 +305,14 @@ def _check_cauchy(order: int, *, n: int, s: int) -> Optional[Discrepancy]:
         raise ValueError(f"exponent stride must be >= 1, got {s}")
     lhs = weighted_sum(((s * k, 1, gaussian_binomial(n - 1 + k, k, 1, order - s * k))
                         for k in range(order // s + 1)), order)
-    rhs = invert(pochhammer(PochSpec(sign=1, offset=s, step=1, length=n), order))
+    rhs = invert(pochhammer(1, s, 1, n, order))
     return _first_discrepancy(lhs, rhs)
 
 
 def _check_euler_alternating(order: int, *, e: int) -> Optional[Discrepancy]:
     if e < 1:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
-    lhs = pochhammer(PochSpec(sign=1, offset=e, step=1, length=INFINITE), order)
+    lhs = pochhammer(1, e, 1, INFINITE, order)
     jmax = 0
     while (jmax + 1) * jmax // 2 + (jmax + 1) * e <= order:
         jmax += 1
@@ -323,7 +327,7 @@ def _check_euler_direct(order: int, *, e: int) -> Optional[Discrepancy]:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
     inv = _inv_poch_table(1, order // e, order)
     lhs = weighted_sum(((j * e, 1, entry) for j, entry in enumerate(inv)), order)
-    rhs = invert(pochhammer(PochSpec(sign=1, offset=e, step=1, length=INFINITE), order))
+    rhs = invert(pochhammer(1, e, 1, INFINITE, order))
     return _first_discrepancy(lhs, rhs)
 
 
@@ -331,14 +335,14 @@ def _check_euler_direct(order: int, *, e: int) -> Optional[Discrepancy]:
 # Checks: combinatorial oracles and coefficient predicates
 # ---------------------------------------------------------------------------
 
-def _check_gf_overpartition_pairs(order: int) -> Optional[Discrepancy]:
-    counts = [overpartition_pairs(n) for n in range(min(order, _GF_CAP) + 1)]
-    return _first_discrepancy(overpartition_pair_series(order), from_coeffs(counts))
+def _gf_check(series: Callable[[int], ExactSeries],
+              count: Callable[[int], int]) -> Callable[..., Optional[Discrepancy]]:
+    """A generating series against its brute-force counts on q^0..q^_GF_CAP."""
+    def check(order: int) -> Optional[Discrepancy]:
+        counts = [count(n) for n in range(min(order, _GF_CAP) + 1)]
+        return _first_discrepancy(series(order), from_coeffs(counts))
 
-
-def _check_gf_pod_bipartitions(order: int) -> Optional[Discrepancy]:
-    counts = [pod_bipartitions(n) for n in range(min(order, _GF_CAP) + 1)]
-    return _first_discrepancy(pod_bipartition_series(order), from_coeffs(counts))
+    return check
 
 
 def _check_parity_flip(order: int, *, k: int) -> Optional[Discrepancy]:
@@ -417,14 +421,19 @@ def _oracle_check(family: str) -> Callable[..., Optional[Discrepancy]]:
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """One verifiable statement: required parameter names, the check, the
-    default parameter grid for suite runs, and a note documenting how the
-    two compared computations stay independent."""
+    """One verifiable statement: the check, the default parameter grid for
+    suite runs, and a note documenting how the two compared computations
+    stay independent."""
 
-    required: Tuple[str, ...]
     check: Callable[..., Optional[Discrepancy]]
     default_grid: Tuple[Mapping[str, Union[int, float]], ...]
     independence: str
+
+    @property
+    def required(self) -> Tuple[str, ...]:
+        """The parameter names a case binds: the check's keyword-only ones."""
+        params = inspect.signature(self.check).parameters.values()
+        return tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY)
 
 
 def _grid(**axes: Iterable[Union[int, float]]) -> Tuple[Dict[str, Union[int, float]], ...]:
@@ -438,157 +447,134 @@ _SIGNS = (1, -1)
 
 REGISTRY: Dict[str, RegistryEntry] = {
     "T1_V": RegistryEntry(
-        required=("sign", "k", "m"),
         check=_kernel_product_check("V"),
         default_grid=_grid(sign=_SIGNS, k=(0, 1, 2), m=(1, 2, 3)),
         independence="LHS: weighted family sums via the chain DP; "
                      "RHS: squared Pochhammer times shifted kernel_H.",
     ),
     "T1_W": RegistryEntry(
-        required=("sign", "k", "m"),
         check=_kernel_product_check("W"),
         default_grid=_grid(sign=_SIGNS, k=(0, 1, 2), m=(1, 2, 3)),
         independence="As T1_V with odd parts: base q^2 kernel and "
                      "(sign q; q^2)_m^2 prefactor.",
     ),
     "T2_V": RegistryEntry(
-        required=("sign", "j", "m"),
         check=_reconstruction_check("V"),
         default_grid=_grid(sign=_SIGNS, j=(0, 1, 2), m=(1, 2)),
         independence="LHS: single family series from the chain DP; "
                      "RHS: B-weighted kernel_H expansion.",
     ),
     "T2_W": RegistryEntry(
-        required=("sign", "j", "m"),
         check=_reconstruction_check("W"),
         default_grid=_grid(sign=_SIGNS, j=(0, 1, 2), m=(1, 2)),
         independence="As T2_V with odd parts.",
     ),
     "T4_V": RegistryEntry(
-        required=("sign", "k"),
         check=_collapse_check("V"),
         default_grid=_grid(sign=_SIGNS, k=(0, 1, 2)),
         independence="LHS: weighted family sums at unbounded m; "
                      "RHS: infinite-product quotient times one-sided theta sum.",
     ),
     "T4_W": RegistryEntry(
-        required=("sign", "k"),
         check=_collapse_check("W"),
         default_grid=_grid(sign=_SIGNS, k=(0, 1, 2)),
         independence="As T4_V with odd parts and the whole-exponent theta sum.",
     ),
     "L1": RegistryEntry(
-        required=("k",),
         check=_quotient_sum_check(odd=False),
         default_grid=_grid(k=(0, 1, 2, 3)),
         independence="LHS: Pochhammer-quotient double product built from "
                      "geometric-series products; RHS: one-sided theta sum, no products.",
     ),
     "L2": RegistryEntry(
-        required=("k",),
         check=_quotient_sum_check(odd=True),
         default_grid=_grid(k=(0, 1, 2, 3)),
         independence="As L1 in base q^2.",
     ),
     "TT4_V": RegistryEntry(
-        required=("sign", "j"),
         check=_unbounded_expansion_check("V"),
         default_grid=_grid(sign=_SIGNS, j=(0, 1, 2)),
         independence="LHS: single family series from the chain DP; "
                      "RHS: B-weighted one-sided theta sums under the product quotient.",
     ),
     "TT4_W": RegistryEntry(
-        required=("sign", "j"),
         check=_unbounded_expansion_check("W"),
         default_grid=_grid(sign=_SIGNS, j=(0, 1, 2)),
         independence="As TT4_V with odd parts.",
     ),
     "THETA_PHI_SQ": RegistryEntry(
-        required=(),
         check=_theta_square_check(odd=False),
         default_grid=(dict(),),
         independence="LHS: product of two lacunary theta expansions; "
                      "RHS: B_{k,0}-weighted one-sided sums.",
     ),
     "THETA_PSI_SQ": RegistryEntry(
-        required=(),
         check=_theta_square_check(odd=True),
         default_grid=(dict(),),
         independence="LHS: product of two triangular-exponent expansions; "
                      "RHS: B_{k,0}-weighted whole-exponent sums.",
     ),
     "SIGMA_ID": RegistryEntry(
-        required=(),
         check=_check_divisor_sum,
         default_grid=(dict(),),
         independence="LHS: divisor sums by trial division; "
                      "RHS: weighted Pochhammer-quotient double sum.",
     ),
     "CAUCHY": RegistryEntry(
-        required=("n", "s"),
         check=_check_cauchy,
         default_grid=_grid(n=(1, 2, 3, 4), s=(1, 2)),
         independence="LHS: Gaussian-binomial sum from the q-Pascal recurrence; "
                      "RHS: inverted finite product.",
     ),
     "EULER1": RegistryEntry(
-        required=("e",),
         check=_check_euler_alternating,
         default_grid=_grid(e=(1, 2, 3)),
         independence="LHS: direct product expansion; RHS: alternating "
                      "triangular-shifted inverse-Pochhammer sum.",
     ),
     "EULER2": RegistryEntry(
-        required=("e",),
         check=_check_euler_direct,
         default_grid=_grid(e=(1, 2)),
         independence="LHS: shifted inverse-Pochhammer sum; RHS: inverted "
                      "infinite product.",
     ),
     "GF_PP": RegistryEntry(
-        required=(),
-        check=_check_gf_overpartition_pairs,
+        check=_gf_check(overpartition_pair_series, overpartition_pairs),
         default_grid=(dict(),),
         independence="LHS: infinite-product quotient; RHS: weighted "
                      "enumeration of plain partitions, convolved.",
     ),
     "GF_POD": RegistryEntry(
-        required=(),
-        check=_check_gf_pod_bipartitions,
+        check=_gf_check(pod_bipartition_series, pod_bipartitions),
         default_grid=(dict(),),
         independence="LHS: infinite-product quotient; RHS: filtered "
                      "enumeration of plain partitions, convolved.",
     ),
     "PARITY_W": RegistryEntry(
-        required=("k",),
         check=_check_parity_flip,
         default_grid=_grid(k=(0, 1, 2, 3)),
         independence="Both sides use the chain DP, once per sign; the "
                      "compared predicate is the (-1)^(n+k) coefficient flip.",
     ),
     "POS_V": RegistryEntry(
-        required=("k",),
         check=_positivity_check("V"),
         default_grid=_grid(k=(0, 1, 2, 3)),
         independence="Series side: product quotient times one-sided theta "
                      "sum; predicate side: signed overpartition-pair counts.",
     ),
     "POS_W": RegistryEntry(
-        required=("k",),
         check=_positivity_check("W"),
         default_grid=_grid(k=(0, 1, 2, 3)),
         independence="Series side: odd-part product quotient times "
                      "whole-exponent sum; predicate side: signed bipartition counts.",
     ),
     "ORACLE_V": RegistryEntry(
-        required=("sign", "k", "m"),
         check=_oracle_check("V"),
         default_grid=_grid(sign=_SIGNS, k=(0, 2, 3), m=(2, INFINITE)),
         independence="Series side: chain DP; oracle side: explicit recursive "
                      "enumeration of weighted chains.",
     ),
     "ORACLE_W": RegistryEntry(
-        required=("sign", "k", "m"),
         check=_oracle_check("W"),
         default_grid=_grid(sign=_SIGNS, k=(0, 2, 3), m=(2, INFINITE)),
         independence="As ORACLE_V with odd parts.",
@@ -628,24 +614,10 @@ def verify(case: IdentityCase) -> VerifyReport:
                         first_discrepancy=disc, elapsed=elapsed)
 
 
-def verify_suite(
-    order: int = 20,
-    grids: Optional[Mapping[str, Iterable[Mapping[str, Union[int, float]]]]] = None,
-) -> List[VerifyReport]:
-    """Verify every registry id over its parameter grid at one order.
+def verify_suite(order: int = 20) -> List[VerifyReport]:
+    """Verify every registry id over its default parameter grid at one order.
 
-    With grids=None each entry uses its default grid; otherwise each id runs
-    the grid given for it (ids absent from the mapping are skipped, and a
-    key that names no registry id raises UnknownIdentity before any case
-    runs).  Never aborts early: every case contributes a report, in
-    registry order.
+    Never aborts early: every case contributes a report, in registry order.
     """
-    for name in grids or ():
-        if name not in REGISTRY:
-            raise UnknownIdentity(f"unknown identity id: {name!r}")
-    reports: List[VerifyReport] = []
-    for name, entry in REGISTRY.items():
-        grid = entry.default_grid if grids is None else tuple(grids.get(name, ()))
-        for params in grid:
-            reports.append(verify(IdentityCase(id=name, params=dict(params), order=order)))
-    return reports
+    return [verify(IdentityCase(id=name, params=dict(params), order=order))
+            for name, entry in REGISTRY.items() for params in entry.default_grid]

@@ -19,7 +19,6 @@ polynomials (plain integer tuples, not series).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle
 from math import isqrt
@@ -41,55 +40,35 @@ WHOLE = "whole"
 # Pochhammer products
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PochSpec:
-    """A product prod_r (1 - sign*q^(offset + r*step)) over r = 0..length-1.
-
-    sign +1 gives factors (1 - q^x), sign -1 gives (1 + q^x).  length may
-    be INFINITE: at order N only the factors with exponent <= N are real,
-    the rest are 1 modulo q^(N+1).
-    """
-
-    sign: int
-    offset: int
-    step: int
-    length: Union[int, float]
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.offset < 1:
-            raise ValueError(f"offset must be >= 1, got {self.offset}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
-        if self.length != INFINITE and (
-            not isinstance(self.length, int) or self.length < 0
-        ):
-            raise ValueError(
-                f"length must be a non-negative integer or INFINITE, got {self.length}"
-            )
-
-
 @lru_cache(maxsize=None)
-def pochhammer(spec: PochSpec, order: int) -> ExactSeries:
-    """The truncated product described by spec, at the given order.
+def pochhammer(sign: int, offset: int, step: int, length: Union[int, float],
+               order: int) -> ExactSeries:
+    """prod_r (1 - sign*q^(offset + r*step)) over r = 0..length-1, at the order.
 
-    length 0 gives the empty product 1.  Factors whose exponent exceeds
-    the order contribute nothing modulo q^(order+1) and are skipped, which
-    realizes INFINITE length with finitely many factors.
+    sign +1 gives factors (1 - q^x), sign -1 gives (1 + q^x).  length 0
+    gives the empty product 1; length may be INFINITE.  Factors whose
+    exponent exceeds the order contribute nothing modulo q^(order+1) and
+    are skipped, which realizes INFINITE length with finitely many factors.
     """
-    visible = (order - spec.offset) // spec.step + 1  # factors with x <= order
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if offset < 1:
+        raise ValueError(f"offset must be >= 1, got {offset}")
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
+    if length != INFINITE and (not isinstance(length, int) or length < 0):
+        raise ValueError(f"length must be a non-negative integer or INFINITE, got {length}")
+    visible = (order - offset) // step + 1  # factors with x <= order
     p = one(order)
-    for r in range(min(spec.length, visible)):
-        x = spec.offset + r * spec.step
-        p = weighted_sum([(0, 1, p), (x, -spec.sign, p)], order)
+    for r in range(min(length, visible)):
+        p = weighted_sum([(0, 1, p), (offset + r * step, -sign, p)], order)
     return p
 
 
 def squared_pochhammer(sign: int, offset: int, step: int,
                        length: Union[int, float], order: int) -> ExactSeries:
-    """The square of the PochSpec(sign, offset, step, length) product."""
-    p = pochhammer(PochSpec(sign=sign, offset=offset, step=step, length=length), order)
+    """The square of pochhammer(sign, offset, step, length, order)."""
+    p = pochhammer(sign, offset, step, length, order)
     return mul(p, p)
 
 
@@ -100,6 +79,11 @@ def squared_pochhammer(sign: int, offset: int, step: int,
 # The memo table is an lru_cache: safe for concurrent read/insert (worst
 # case two threads compute the same entry once each; entries are immutable
 # tuples, so sharing is harmless).
+
+#: gaussian_binomial fills the _gauss_poly memo every this many levels m
+#: on the way up, so a cold recursion never runs deeper than this.
+_GAUSS_DEPTH = 200
+
 
 @lru_cache(maxsize=None)
 def _gauss_poly(m: int, k: int) -> Tuple[int, ...]:
@@ -133,6 +117,12 @@ def gaussian_binomial(m: int, k: int, d: int, order: int) -> ExactSeries:
     """
     if d < 1:
         raise ValueError(f"base power must be >= 1, got {d}")
+    # [m, k] recurses into [top, j] for every j >= 1 in this range, so
+    # filling them level by level, lowest first, adds no memo entry its
+    # own recursion would not add.
+    for top in range(_GAUSS_DEPTH, m, _GAUSS_DEPTH):
+        for j in range(max(1, k - (m - top)), min(k, top) + 1):
+            _gauss_poly(top, j)
     return from_terms(zip(range(0, order + 1, d), _gauss_poly(m, k)), order)
 
 

@@ -30,6 +30,14 @@ def _bump(monkeypatch, name, at, by=1):
     monkeypatch.setattr(identities, name, lambda n: real(n) + (by if n == at else 0))
 
 
+def _gf_first(series, count):
+    """The GF check's first discrepancy, built from the module's current
+    ``series`` and ``count``: the factory binds both when called, so a
+    patched count needs a fresh check."""
+    return identities._gf_check(getattr(identities, series),
+                                getattr(identities, count))(ORDER)
+
+
 def _fault_one_sided(monkeypatch, at, by):
     """Add ``by*q^at`` to every one-sided theta sum; the positivity product
     (unit-constant quotient times that sum) first changes at q^at by ``by``."""
@@ -47,17 +55,19 @@ def _fault_one_sided(monkeypatch, at, by):
 
 def test_gf_pp_reports_the_faulty_count(monkeypatch):
     _bump(monkeypatch, "overpartition_pairs", 7)
-    assert _first("GF_PP") == Discrepancy(exponent=7, lhs=704, rhs=705)
+    assert _gf_first("overpartition_pair_series", "overpartition_pairs") == \
+        Discrepancy(exponent=7, lhs=704, rhs=705)
 
 
 def test_gf_pod_reports_the_faulty_count(monkeypatch):
     _bump(monkeypatch, "pod_bipartitions", 9)
-    assert _first("GF_POD") == Discrepancy(exponent=9, lhs=104, rhs=105)
+    assert _gf_first("pod_bipartition_series", "pod_bipartitions") == \
+        Discrepancy(exponent=9, lhs=104, rhs=105)
 
 
 def test_gf_fault_beyond_the_cap_goes_unseen(monkeypatch):
     _bump(monkeypatch, "overpartition_pairs", 25)
-    assert _first("GF_PP") is None
+    assert _gf_first("overpartition_pair_series", "overpartition_pairs") is None
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,17 @@ def test_verify_kernel_product_rejects_unbounded_m(capsys, identity):
                             "bound m, got m=inf\n")
 
 
+@pytest.mark.parametrize("k, order", [(5, 3), (0, 0)])
+def test_verify_kernel_product_rejects_unbounded_m_beyond_the_order(capsys, k, order):
+    # k > order builds no kernel, and must be rejected all the same
+    assert main(["verify", "--id", "T1_V", "--k", str(k), "--m", "inf",
+                 "--order", str(order)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the two-binomial kernel needs a finite "
+                            "bound m, got m=inf\n")
+
+
 def test_verify_csv_has_header(capsys):
     assert main(["verify", "--id", "CAUCHY", "--n", "2", "--s", "1",
                  "--order", "12", "--format", "csv", "--deterministic"]) == 0
@@ -119,7 +130,6 @@ def test_verify_csv_has_header(capsys):
 
 def test_verify_failure_reports_big_integers_exactly(capsys):
     REGISTRY["ALWAYS_OFF"] = RegistryEntry(
-        required=(),
         check=lambda order: Discrepancy(exponent=7, lhs=0, rhs=10 ** 30),
         default_grid=(dict(),),
         independence="test-only mutant",
@@ -163,7 +173,6 @@ def test_suite_json_is_deterministic(capsys):
 
 def test_suite_reports_failures_with_exit_one(capsys):
     REGISTRY["ALWAYS_OFF"] = RegistryEntry(
-        required=(),
         check=lambda order: Discrepancy(exponent=0, lhs=1, rhs=2),
         default_grid=(dict(),),
         independence="test-only mutant",

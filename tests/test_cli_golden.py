@@ -113,7 +113,6 @@ SUITE_ORDER_4 = {
 def always_off():
     """A registry entry that always fails at q^3 with a 26-digit lhs."""
     REGISTRY["ALWAYS_OFF"] = RegistryEntry(
-        required=(),
         check=lambda order: Discrepancy(exponent=3, lhs=BIG, rhs=7),
         default_grid=(dict(),),
         independence="test-only mutant",

@@ -35,7 +35,6 @@ from qident.oracles import pod_bipartitions
 from qident.qtools import (
     INFINITE,
     WHOLE,
-    PochSpec,
     alt_triangular_sum,
     kernel_H,
     phi2_1,
@@ -65,6 +64,16 @@ def test_every_entry_documents_independence_and_grid():
         assert len(entry.default_grid) >= 1
         for params in entry.default_grid:
             assert set(params) == set(entry.required)
+
+
+def test_required_names_are_the_checks_keyword_only_parameters():
+    def check(order, *, sign, k, m):
+        return None
+
+    entry = RegistryEntry(check=check, default_grid=(), independence="test-only")
+    assert entry.required == ("sign", "k", "m")
+    assert REGISTRY["CAUCHY"].required == ("n", "s")
+    assert REGISTRY["SIGMA_ID"].required == ()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +156,7 @@ def test_perturbed_comparison_reports_first_discrepancy():
         return _first_discrepancy(base, wrong)
 
     REGISTRY["PERTURBED"] = RegistryEntry(
-        required=(), check=perturbed_check,
+        check=perturbed_check,
         default_grid=(dict(),), independence="test-only mutant",
     )
     try:
@@ -176,7 +185,7 @@ def test_inverse_pochhammer_table_inverts_the_products(step, order):
     table = _inv_poch_table(step, count, order)
     assert len(table) == count + 1
     for i, entry in enumerate(table):
-        product = pochhammer(PochSpec(sign=1, offset=step, step=step, length=i), order)
+        product = pochhammer(1, step, step, i, order)
         assert mul(entry, product) == one(order)
 
 
@@ -223,7 +232,7 @@ GOLDEN_BUILDS = {
         for order in GOLDEN_ORDERS for a, b, c in ((1, 1, 1), (1, 2, 3), (3, 1, 2))
         for d in (1, 2) for s in (1, 2)],
     "pochhammer": lambda: [
-        pochhammer(PochSpec(sign=sign, offset=offset, step=step, length=length), order)
+        pochhammer(sign, offset, step, length, order)
         for order in GOLDEN_ORDERS for sign in SIGNS for offset in (1, 2, 3)
         for step in (1, 2, 3) for length in (0, 1, 3, 7, INFINITE)],
     "_quotient_sum": lambda: [
@@ -284,21 +293,6 @@ def test_default_suite_holds_everywhere():
 
 def test_suite_at_order_zero_reduces_to_constant_terms():
     assert all(r.holds for r in verify_suite(order=0))
-
-
-def test_empty_grid_gives_empty_reports():
-    assert verify_suite(order=10, grids={}) == []
-
-
-def test_grid_with_unknown_id_is_rejected():
-    with pytest.raises(UnknownIdentity, match="'T4v'"):
-        verify_suite(order=4, grids={"L1": [dict(k=0)], "T4v": [dict(sign=1, k=0)]})
-
-
-def test_explicit_grid_limits_cases():
-    reports = verify_suite(order=10, grids={"L1": [dict(k=0), dict(k=2)]})
-    assert [r.case.id for r in reports] == ["L1", "L1"]
-    assert all(r.holds for r in reports)
 
 
 # ---------------------------------------------------------------------------

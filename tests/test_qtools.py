@@ -9,7 +9,7 @@ from qident.qtools import (
     HALF,
     INFINITE,
     WHOLE,
-    PochSpec,
+    _gauss_poly,
     alt_triangular_sum,
     gaussian_binomial,
     kernel_H,
@@ -21,7 +21,7 @@ from qident.qtools import (
 from qident.series import from_coeffs, invert, mul, one, substitute_power, zero
 
 # ---------------------------------------------------------------------------
-# PochSpec validation
+# Pochhammer argument validation
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [
@@ -34,7 +34,7 @@ from qident.series import from_coeffs, invert, mul, one, substitute_power, zero
 ])
 def test_poch_spec_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
-        PochSpec(**kwargs)
+        pochhammer(**kwargs, order=4)
 
 
 # ---------------------------------------------------------------------------
@@ -43,29 +43,29 @@ def test_poch_spec_rejects_bad_fields(kwargs):
 
 def test_finite_products():
     # (1-q)(1-q^2)(1-q^3)
-    p = pochhammer(PochSpec(sign=1, offset=1, step=1, length=3), 6)
+    p = pochhammer(1, 1, 1, 3, 6)
     assert p.coeffs == (1, -1, -1, 0, 1, 1, -1)
     # (1+q)(1+q^2)
-    p = pochhammer(PochSpec(sign=-1, offset=1, step=1, length=2), 3)
+    p = pochhammer(-1, 1, 1, 2, 3)
     assert p.coeffs == (1, 1, 1, 1)
     # zero factors = empty product
-    assert pochhammer(PochSpec(sign=1, offset=1, step=1, length=0), 4) == one(4)
+    assert pochhammer(1, 1, 1, 0, 4) == one(4)
 
 
 def test_infinite_product_pentagonal_prefix():
-    p = pochhammer(PochSpec(sign=1, offset=1, step=1, length=INFINITE), 15)
+    p = pochhammer(1, 1, 1, INFINITE, 15)
     assert p.coeffs == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1)
 
 
 def test_infinite_product_matches_long_finite_one():
-    infinite = pochhammer(PochSpec(sign=1, offset=1, step=1, length=INFINITE), 12)
-    finite = pochhammer(PochSpec(sign=1, offset=1, step=1, length=40), 12)
+    infinite = pochhammer(1, 1, 1, INFINITE, 12)
+    finite = pochhammer(1, 1, 1, 40, 12)
     assert infinite == finite
 
 
 def test_even_base_product_is_substitution():
-    even = pochhammer(PochSpec(sign=1, offset=2, step=2, length=INFINITE), 16)
-    plain = pochhammer(PochSpec(sign=1, offset=1, step=1, length=INFINITE), 16)
+    even = pochhammer(1, 2, 2, INFINITE, 16)
+    plain = pochhammer(1, 1, 1, INFINITE, 16)
     substituted = substitute_power(plain, 2)
     assert substituted.order == 16
     assert even == substituted
@@ -94,14 +94,12 @@ def _in_place_product(sign, offset, step, length, order):
     st.integers(0, 30),
 )
 def test_pochhammer_matches_in_place_product(sign, offset, step, length, order):
-    spec = PochSpec(sign=sign, offset=offset, step=step, length=length)
-    assert pochhammer(spec, order).coeffs == _in_place_product(
+    assert pochhammer(sign, offset, step, length, order).coeffs == _in_place_product(
         sign, offset, step, length, order)
 
 
 def test_pochhammer_results_are_cached():
-    spec = PochSpec(sign=-1, offset=1, step=2, length=INFINITE)
-    assert pochhammer(spec, 10) is pochhammer(spec, 10)
+    assert pochhammer(-1, 1, 2, INFINITE, 10) is pochhammer(-1, 1, 2, INFINITE, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +155,20 @@ def test_gaussian_binomial_degree_and_unit_constant(m, k):
     assert poly.coeffs[0] == 1
     degree = max((i for i, c in enumerate(poly.coeffs) if c), default=0)
     assert degree == k * (m - k)
+
+
+@pytest.mark.parametrize("m, k", [(1500, 1), (1300, 1299)])
+def test_gaussian_binomial_from_a_cold_cache_stays_shallow(m, k):
+    # [m, k] recurses m levels deep through _gauss_poly; filled level by
+    # level it stays under the default recursion limit.  The memo then holds
+    # exactly the recursion's own entries [m - a, k - b], 0 <= b <= a, with
+    # k - b <= m - a, plus the zero leaves [j - 1, j] for j = 1..k.
+    _gauss_poly.cache_clear()
+    try:
+        assert gaussian_binomial(m, k, 1, 10).coeffs == (1,) * 11
+        assert _gauss_poly.cache_info().currsize == (m - k + 1) * (k + 1) + k
+    finally:
+        _gauss_poly.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +235,16 @@ def test_theta_psi_prefix():
 def test_theta_phi_neg_product_form():
     # phi(-q) = (q;q)_inf / (-q;q)_inf
     order = 30
-    qq = pochhammer(PochSpec(sign=1, offset=1, step=1, length=INFINITE), order)
-    mq = pochhammer(PochSpec(sign=-1, offset=1, step=1, length=INFINITE), order)
+    qq = pochhammer(1, 1, 1, INFINITE, order)
+    mq = pochhammer(-1, 1, 1, INFINITE, order)
     assert mul(theta_phi_neg(order), mq) == qq
 
 
 def test_theta_psi_product_form():
     # psi(q) = (q^2;q^2)_inf / (q;q^2)_inf
     order = 30
-    q2 = pochhammer(PochSpec(sign=1, offset=2, step=2, length=INFINITE), order)
-    qodd = pochhammer(PochSpec(sign=1, offset=1, step=2, length=INFINITE), order)
+    q2 = pochhammer(1, 2, 2, INFINITE, order)
+    qodd = pochhammer(1, 1, 2, INFINITE, order)
     assert mul(theta_psi(order), qodd) == q2
 
 

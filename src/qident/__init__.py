@@ -61,7 +61,6 @@ from .series import (
     monomial,
     mul,
     one,
-    shift,
     weighted_sum,
     zero,
 )
@@ -71,7 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ExactSeries", "NonUnitConstantTerm",
     "add", "from_coeffs", "from_terms", "weighted_sum",
-    "divide_binomial", "invert", "monomial", "mul", "one", "shift", "zero",
+    "divide_binomial", "invert", "monomial", "mul", "one", "zero",
     "INFINITE", "HALF", "WHOLE",
     "pochhammer", "gaussian_binomial", "kernel_H",
     "theta_phi_neg", "theta_psi", "alt_triangular_sum",

@@ -66,10 +66,10 @@ def _m_value(text: str) -> Union[int, float]:
     """Parse the --m flag: a positive integer or the literal token "inf"."""
     if text == "inf":
         return INFINITE
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"--m must be positive or 'inf', got {text}")
-    return value
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"--m must be a positive integer or 'inf', got {text}")
+    return int(text)
 
 
 def _sign_number(text: str) -> int:

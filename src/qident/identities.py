@@ -15,15 +15,15 @@ difference predicate on q^0..q^30 (``_EQUIV_CAP``) and nonnegativity on
 q^0..q^N.  Every other check compares q^0..q^N.
 
 Formally infinite sums on right-hand sides truncate by valuation: a term
-whose minimal exponent exceeds the order is dropped, and each check states
-its per-term bound inline.
+whose minimal exponent exceeds the order is dropped.  Each sum runs its
+index only as far as some term can still reach the order, and
+``weighted_sum`` drops the terms in that range whose shift lies above it.
 """
 
 from __future__ import annotations
 
 import inspect
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -62,9 +62,7 @@ from .series import (
     invert,
     mul,
     one,
-    shift,
     weighted_sum,
-    zero,
 )
 
 # Brute-force oracles get expensive quickly, so oracle-backed checks cap the
@@ -165,11 +163,10 @@ def _quotient_sum(inv: List[ExactSeries], k: int, order: int) -> ExactSeries:
     """sum_j q^(2j+k) / ((q^step;q^step)_j (q^step;q^step)_{j+k}), read
     from inv = _inv_poch_table(step, order, order).
 
-    The j-th term has valuation 2j + k, so j runs to (order - k) // 2 and
-    the sum reads table entries up to (order + k) // 2.
+    The j-th term has valuation 2j + k, so j runs to (order - k) // 2, an
+    empty range for k > order, and the sum reads table entries up to
+    (order + k) // 2.
     """
-    if k > order:
-        return zero(order)
     terms = ((2 * j + k, 1, mul(inv[j], inv[j + k]))
              for j in range((order - k) // 2 + 1))
     return weighted_sum(terms, order)
@@ -193,16 +190,12 @@ def _kernel_product_check(family: str) -> Callable[..., Optional[Discrepancy]]:
     d = 2 if family == "W" else 1
 
     def check(order: int, *, sign: int, k: int, m: int) -> Optional[Discrepancy]:
-        # kernel_H rejects an unbounded m too, but k > order never calls it
-        if not math.isfinite(m):
-            raise ValueError(f"the two-binomial kernel needs a finite bound m, got m={m}")
         lhs = binomial_combination(family, sign, k, m, order)
-        if k > order:
-            rhs = zero(order)
-        else:
-            sq = squared_pochhammer(sign, 1, d, m, order)
-            rhs = mul(sq, shift(kernel_H(k, m, d, 2, order - k), k))
-        return _first_discrepancy(lhs, rhs)
+        sq = squared_pochhammer(sign, 1, d, m, order)
+        # built even for k > order, where weighted_sum drops it, so that
+        # kernel_H rejects an unbounded m on every path
+        kernel = kernel_H(k, m, d, 2, max(order - k, 0))
+        return _first_discrepancy(lhs, mul(sq, weighted_sum([(k, 1, kernel)], order)))
 
     return check
 
@@ -283,14 +276,20 @@ def pod_bipartition_series(order: int) -> ExactSeries:
 
 def divisor_sum_series(order: int) -> ExactSeries:
     """The weighted Pochhammer-quotient double sum whose n-th coefficient
-    is the sum of the divisors of n: sum_k k^2 * _quotient_sum(k) under
-    (q;q)_inf^2, all k sharing one inverse-Pochhammer table.
+    is the sum of the divisors of n:
+    (q;q)_inf^2 * sum_{k>=1} k^2 sum_{j>=0} q^(2j+k) / ((q;q)_j (q;q)_(j+k)).
 
-    The k-th quotient sum has valuation k, so k runs to the order.
+    With d = j + k and x_i = q^i/(q;q)_i the double sum is
+    sum_{j<d} (d-j)^2 x_j x_d.  That summand is symmetric in j and d and
+    vanishes at j = d, so the sum is half the full double sum over all
+    (j, d), which is M0*M2 - M1^2 with the moments M_r = sum_i i^r x_i.
+    x_i has valuation i, so i runs to the order.
     """
     inv = _inv_poch_table(1, order, order)
-    terms = ((0, k * k, _quotient_sum(inv, k, order)) for k in range(1, order + 1))
-    return mul(squared_pochhammer(1, 1, 1, INFINITE, order), weighted_sum(terms, order))
+    m0, m1, m2 = (weighted_sum([(i, i ** r, x) for i, x in enumerate(inv)], order)
+                  for r in range(3))
+    return mul(squared_pochhammer(1, 1, 1, INFINITE, order),
+               weighted_sum([(0, 1, mul(m0, m2)), (0, -1, mul(m1, m1))], order))
 
 
 def _check_divisor_sum(order: int) -> Optional[Discrepancy]:
@@ -313,12 +312,9 @@ def _check_euler_alternating(order: int, *, e: int) -> Optional[Discrepancy]:
     if e < 1:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
     lhs = pochhammer(1, e, 1, INFINITE, order)
-    jmax = 0
-    while (jmax + 1) * jmax // 2 + (jmax + 1) * e <= order:
-        jmax += 1
-    inv = _inv_poch_table(1, jmax, order)
-    rhs = weighted_sum(((j * (j - 1) // 2 + j * e, (-1) ** j, inv[j])
-                        for j in range(jmax + 1)), order)
+    inv = _inv_poch_table(1, order // e, order)
+    rhs = weighted_sum(((j * (j - 1) // 2 + j * e, (-1) ** j, entry)
+                        for j, entry in enumerate(inv)), order)
     return _first_discrepancy(lhs, rhs)
 
 
@@ -518,7 +514,8 @@ REGISTRY: Dict[str, RegistryEntry] = {
         check=_check_divisor_sum,
         default_grid=(dict(),),
         independence="LHS: divisor sums by trial division; "
-                     "RHS: weighted Pochhammer-quotient double sum.",
+                     "RHS: weighted Pochhammer-quotient double sum, "
+                     "summed as M0*M2 - M1^2.",
     ),
     "CAUCHY": RegistryEntry(
         check=_check_cauchy,

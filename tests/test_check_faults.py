@@ -1,9 +1,9 @@
 """Failure paths of the oracle-, predicate- and flip-backed checks.
 
 Each test injects one fault into an input the check reads through the
-``qident.identities`` module (an oracle count, a predicate count, the chain
-DP, or the one-sided theta sum under the positivity product) and pins the
-exact Discrepancy the check reports at order 40.
+``qident.identities`` module (an oracle count, a predicate count, a divisor
+sum, the chain DP, or the one-sided theta sum under the positivity product)
+and pins the exact Discrepancy the check reports at order 40.
 """
 
 import pytest
@@ -68,6 +68,15 @@ def test_gf_pod_reports_the_faulty_count(monkeypatch):
 def test_gf_fault_beyond_the_cap_goes_unseen(monkeypatch):
     _bump(monkeypatch, "overpartition_pairs", 25)
     assert _gf_first("overpartition_pair_series", "overpartition_pairs") is None
+
+
+# ---------------------------------------------------------------------------
+# Divisor sums by trial division against the moment form
+# ---------------------------------------------------------------------------
+
+def test_sigma_reports_the_faulty_divisor_sum(monkeypatch):
+    _bump(monkeypatch, "divisor_sigma", 12)
+    assert _first("SIGMA_ID") == Discrepancy(exponent=12, lhs=29, rhs=28)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,19 @@ def test_coeffs_rejects_bad_magnitude_bound():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command, value", [
+    (["coeffs", "--family", "V", "--sign", "plus", "--k", "1"], "0"),
+    (["coeffs", "--family", "V", "--sign", "plus", "--k", "1"], "abc"),
+    (["verify", "--id", "T1_V", "--k", "1"], "-3"),
+])
+def test_bad_magnitude_bound_names_the_flag(capsys, command, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + ["--m", value])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --m: --m must be a positive integer or 'inf', got {value}\n")
+
+
 def test_coeffs_strict_family_with_finite_bound_is_usage_error(capsys):
     assert main(["coeffs", "--family", "A", "--sign", "plus", "--k", "1",
                  "--m", "3", "--order", "4"]) == 2

@@ -126,6 +126,11 @@ def test_holding_at_high_order_implies_lower_orders(identity, params):
         assert verify(IdentityCase(id=identity, params=params, order=order)).holds
 
 
+def test_divisor_sum_holds_at_high_order():
+    # the moment form makes O(N^2) work, so the north-star order stays cheap
+    assert verify(IdentityCase(id="SIGMA_ID", params={}, order=400)).holds
+
+
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         verify(IdentityCase(id="NOPE", params={}, order=5))

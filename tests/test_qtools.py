@@ -18,7 +18,7 @@ from qident.qtools import (
     theta_phi_neg,
     theta_psi,
 )
-from qident.series import from_coeffs, invert, mul, one, substitute_power, zero
+from qident.series import mul, one, substitute_power, zero
 
 # ---------------------------------------------------------------------------
 # Pochhammer argument validation

@@ -389,3 +389,29 @@ def test_only_series_module_constructs_exact_series():
     calls = {path.name: _exact_series_calls(path) for path in sorted(package.glob("*.py"))}
     assert calls.pop("series.py"), "the guard found no constructor call at all"
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def _unused_imports(path):
+    """Names a source file imports but never reads; names listed in its
+    ``__all__`` count as read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value for node in tree.body if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return sorted(imported - used - exported)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(Path(qident.__file__).parent.glob("*.py")) + sorted(
+        Path(__file__).parent.glob("*.py"))
+    unused = {path.name: _unused_imports(path) for path in paths}
+    assert {name: names for name, names in unused.items() if names} == {}

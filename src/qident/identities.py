@@ -18,6 +18,10 @@ Formally infinite sums on right-hand sides truncate by valuation: a term
 whose minimal exponent exceeds the order is dropped.  Each sum runs its
 index only as far as some term can still reach the order, and
 ``weighted_sum`` drops the terms in that range whose shift lies above it.
+The basic hypergeometric sums (the L1/L2 quotient sums, the x_i of the
+divisor sum, the Euler sums) take their terms from
+``qtools.hypergeometric_terms``, each term from the one before by its
+term ratio, with no product of two series.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .qtools import (
     WHOLE,
     alt_triangular_sum,
     gaussian_binomial,
+    hypergeometric_terms,
     kernel_H,
     pochhammer,
     squared_pochhammer,
@@ -57,7 +62,6 @@ from .qtools import (
 )
 from .series import (
     ExactSeries,
-    divide_binomial,
     from_coeffs,
     invert,
     mul,
@@ -147,29 +151,21 @@ def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
     return alt_triangular_sum(k, WHOLE, order) if odd else _bracket_half(k, order)
 
 
-def _inv_poch_table(step: int, count: int, order: int) -> List[ExactSeries]:
-    """[1/(q^step; q^step)_i for i = 0..count], built incrementally: entry i
-    is entry i-1 divided by (1 - q^x), x = step*i, with divide_binomial.
-    Once x exceeds the order that division leaves its argument unchanged
-    at this truncation, so the entries stabilize.
+def _quotient_sum(step: int, k: int, order: int) -> ExactSeries:
+    """sum_j q^(2j+k) / ((Q;Q)_j (Q;Q)_{j+k}) with Q = q^step, summed from
+    its term ratio q^2 / ((1 - Q^(j+1)) (1 - Q^(k+j+1))).
+
+    The first term q^k/(Q;Q)_k is q^(k-h) times the h-th term
+    q^h/(Q;Q)_h of the series with ratio q/(1 - Q^n), h = min(k,
+    order // step): a factor (1 - Q^i) with step*i above the order is 1
+    at this truncation, so an index k far above the order costs no more
+    than k = order // step.  For k > order every term is zero.
     """
-    table = [one(order)]
-    for i in range(1, count + 1):
-        table.append(divide_binomial(table[-1], step * i, 1))
-    return table
-
-
-def _quotient_sum(inv: List[ExactSeries], k: int, order: int) -> ExactSeries:
-    """sum_j q^(2j+k) / ((q^step;q^step)_j (q^step;q^step)_{j+k}), read
-    from inv = _inv_poch_table(step, order, order).
-
-    The j-th term has valuation 2j + k, so j runs to (order - k) // 2, an
-    empty range for k > order, and the sum reads table entries up to
-    (order + k) // 2.
-    """
-    terms = ((2 * j + k, 1, mul(inv[j], inv[j + k]))
-             for j in range((order - k) // 2 + 1))
-    return weighted_sum(terms, order)
+    h = min(k, order // step)
+    x = hypergeometric_terms(one(order), (), (1,), step, 1, order)
+    first = weighted_sum([(k - h, 1, next(itertools.islice(x, h, None)))], order)
+    terms = hypergeometric_terms(first, (), (1, k + 1), step, 2, order)
+    return weighted_sum(((0, 1, t) for t in terms), order)
 
 
 def _weighted_theta_sum(sign: int, j: int, odd: bool, order: int) -> ExactSeries:
@@ -231,7 +227,7 @@ def _quotient_sum_check(odd: bool) -> Callable[..., Optional[Discrepancy]]:
         if k < 0:
             raise ValueError(f"index must be non-negative, got {k}")
         lhs = mul(squared_pochhammer(1, step, step, INFINITE, order),
-                  _quotient_sum(_inv_poch_table(step, order, order), k, order))
+                  _quotient_sum(step, k, order))
         return _first_discrepancy(lhs, _one_sided(k, odd, order))
 
     return check
@@ -283,10 +279,11 @@ def divisor_sum_series(order: int) -> ExactSeries:
     sum_{j<d} (d-j)^2 x_j x_d.  That summand is symmetric in j and d and
     vanishes at j = d, so the sum is half the full double sum over all
     (j, d), which is M0*M2 - M1^2 with the moments M_r = sum_i i^r x_i.
-    x_i has valuation i, so i runs to the order.
+    x_i has valuation i, so i runs to the order; hypergeometric_terms
+    builds each from the one before by the ratio q/(1 - q^i).
     """
-    inv = _inv_poch_table(1, order, order)
-    m0, m1, m2 = (weighted_sum([(i, i ** r, x) for i, x in enumerate(inv)], order)
+    x = list(hypergeometric_terms(one(order), (), (1,), 1, 1, order))
+    m0, m1, m2 = (weighted_sum([(0, i ** r, x_i) for i, x_i in enumerate(x)], order)
                   for r in range(3))
     return mul(squared_pochhammer(1, 1, 1, INFINITE, order),
                weighted_sum([(0, 1, mul(m0, m2)), (0, -1, mul(m1, m1))], order))
@@ -312,17 +309,17 @@ def _check_euler_alternating(order: int, *, e: int) -> Optional[Discrepancy]:
     if e < 1:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
     lhs = pochhammer(1, e, 1, INFINITE, order)
-    inv = _inv_poch_table(1, order // e, order)
-    rhs = weighted_sum(((j * (j - 1) // 2 + j * e, (-1) ** j, entry)
-                        for j, entry in enumerate(inv)), order)
+    terms = hypergeometric_terms(one(order), (), (1,), 1, e, order)
+    rhs = weighted_sum(((j * (j - 1) // 2, (-1) ** j, t) for j, t in enumerate(terms)),
+                       order)
     return _first_discrepancy(lhs, rhs)
 
 
 def _check_euler_direct(order: int, *, e: int) -> Optional[Discrepancy]:
     if e < 1:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
-    inv = _inv_poch_table(1, order // e, order)
-    lhs = weighted_sum(((j * e, 1, entry) for j, entry in enumerate(inv)), order)
+    terms = hypergeometric_terms(one(order), (), (1,), 1, e, order)
+    lhs = weighted_sum(((0, 1, t) for t in terms), order)
     rhs = invert(pochhammer(1, e, 1, INFINITE, order))
     return _first_discrepancy(lhs, rhs)
 
@@ -479,8 +476,8 @@ REGISTRY: Dict[str, RegistryEntry] = {
     "L1": RegistryEntry(
         check=_quotient_sum_check(odd=False),
         default_grid=_grid(k=(0, 1, 2, 3)),
-        independence="LHS: Pochhammer-quotient double product built from "
-                     "geometric-series products; RHS: one-sided theta sum, no products.",
+        independence="LHS: Pochhammer-quotient sum built term by term with "
+                     "binomial divisions; RHS: one-sided theta sum, no products.",
     ),
     "L2": RegistryEntry(
         check=_quotient_sum_check(odd=True),

@@ -1,8 +1,10 @@
 """q-calculus building blocks on top of :mod:`qident.series`.
 
 Pochhammer products (finite and truncated-infinite), Gaussian binomials,
-the two-binomial kernel sum, the basic hypergeometric sum with monomial
-arguments, lacunary theta sums, and one-sided alternating triangular sums.
+the terms of a basic hypergeometric series built from its term ratio
+(``hypergeometric_terms``) and the two sums built on them (the
+two-binomial kernel and 2phi1 with monomial arguments), lacunary theta
+sums, and one-sided alternating triangular sums.
 
 Truncation rule for formally infinite objects: a factor or term whose
 minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
@@ -11,18 +13,20 @@ modulo q^(N+1) and is simply skipped, so every result is exact at order N.
 Every series here is built with :mod:`qident.series`: sparse sums through
 ``from_terms``, sums of shifted multiples of series (products with a
 binomial (1 - q^x) included) through ``weighted_sum``, quotients by a
-binomial through ``divide_binomial``, other products through ``mul``.
-The one other arithmetic is ``_gauss_poly``, which builds exact q-Pascal
-polynomials (plain integer tuples, not series).
+binomial through ``divide_binomial``; the one product of two series is
+the square in ``squared_pochhammer``, through ``mul``.  The one other
+arithmetic is ``_gauss_poly``, which builds exact q-Pascal polynomials
+(plain integer tuples, not series).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import cycle
 from math import isqrt
-from typing import Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 from .series import ExactSeries, divide_binomial, from_terms, mul, one, weighted_sum
 
@@ -132,13 +136,15 @@ def gaussian_binomial(m: int, k: int, d: int, order: int) -> ExactSeries:
 
 @lru_cache(maxsize=None)
 def kernel_H(k: int, m: int, d: int, s: int, order: int) -> ExactSeries:
-    """sum_j [m-1+j, j] * [m-1+k+j, k+j] * q^(s*j), binomials in base q^d.
+    """sum_j [m-1+j, j] * [m-1+k+j, k+j] * q^(s*j), binomials in base Q = q^d.
 
-    Term j carries the factor q^(s*j), so only j <= order/s contribute at
-    the working order.  At m = 0 every term has the vanishing factor
-    [-1+j, j] (zero for all j >= 0 under the two-case definition), so the
-    result is the zero series for every k.  m must be finite: the
-    binomials [m-1+j, j] of an unbounded m are not polynomials.
+    Term j is term j-1 times q^s (1 - Q^(m-1+j)) (1 - Q^(m-1+k+j)) /
+    ((1 - Q^j) (1 - Q^(k+j))), so the sum is the basic hypergeometric
+    series [m-1+k, k]_Q * 2phi1(Q^m, Q^(m+k); Q^(k+1); Q, q^s), summed
+    from that term ratio by hypergeometric_terms.  At m = 0 both the first
+    term [-1+k, k] and the factor (1 - Q^0) vanish, so the result is the
+    zero series for every k.  m must be finite: the binomials [m-1+j, j]
+    of an unbounded m are not polynomials.
     """
     if k < 0 or m < 0:
         raise ValueError(f"indices must be non-negative, got k={k}, m={m}")
@@ -146,15 +152,43 @@ def kernel_H(k: int, m: int, d: int, s: int, order: int) -> ExactSeries:
         raise ValueError(f"the two-binomial kernel needs a finite bound m, got m={m}")
     if d < 1 or s < 1:
         raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")
-    terms = ((s * j, 1, mul(gaussian_binomial(m - 1 + j, j, d, order - s * j),
-                            gaussian_binomial(m - 1 + k + j, k + j, d, order - s * j)))
-             for j in range(order // s + 1))
-    return weighted_sum(terms, order)
+    first = gaussian_binomial(m - 1 + k, k, d, order)
+    terms = hypergeometric_terms(first, (m, m + k), (1, k + 1), d, s, order)
+    return weighted_sum(((0, 1, t) for t in terms), order)
 
 
 # ---------------------------------------------------------------------------
-# Basic hypergeometric sum with monomial arguments
+# Basic hypergeometric sums from their term ratio
 # ---------------------------------------------------------------------------
+
+def hypergeometric_terms(first: ExactSeries, top: Iterable[int], bottom: Iterable[int],
+                         d: int, s: int, order: int) -> Iterator[ExactSeries]:
+    """The terms t_0, t_1, ... of a basic hypergeometric series in base
+    Q = q^d, each built from the one before by the term ratio:
+
+        t_0 = first,
+        t_n = t_(n-1) * q^s * prod_{a in top} (1 - Q^(a+n-1))
+                            / prod_{c in bottom} (1 - Q^(c+n-1))
+
+    for n = 1..order//s; t_n has valuation >= s*n, so no later term can
+    reach the order.  Parameters found in both top and bottom cancel
+    first.  Each step is one weighted_sum (q^s times the expanded
+    numerator) and one divide_binomial per remaining denominator, so no
+    step multiplies two series.  Every c in bottom must be >= 1.
+    """
+    top, bottom = Counter(top), Counter(bottom)
+    top, bottom = list((top - bottom).elements()), list((bottom - top).elements())
+    term = first
+    yield term
+    for n in range(1, order // s + 1):
+        numerator = [(s, 1)]
+        for a in top:
+            numerator += [(e + d * (a + n - 1), -c) for e, c in numerator]
+        term = weighted_sum([(e, c, term) for e, c in numerator], order)
+        for c in bottom:
+            term = divide_binomial(term, d * (c + n - 1), 1)
+        yield term
+
 
 def phi2_1(
     a_exp: int, b_exp: int, c_exp: int, d: int, s: int, order: int
@@ -165,28 +199,15 @@ def phi2_1(
     All parameter exponents must be >= 1 so every Pochhammer factor has
     unit constant term; the z-argument q^s must satisfy s >= 1 so that
     term n has valuation >= s*n and the sum truncates at n <= order/s.
-
-    Each term is obtained from the previous one through the exact factor
-    ratio: numerator binomials by weighted_sum, denominator binomials by
-    divide_binomial, the z-power q^s by a one-term weighted_sum.
+    The terms come from hypergeometric_terms with top (a_exp, b_exp) and
+    bottom (1, c_exp).
     """
     if min(a_exp, b_exp, c_exp) < 1:
         raise ValueError("parameter exponents must be >= 1")
     if d < 1 or s < 1:
         raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")
-
-    def terms():
-        term = one(order)
-        yield 0, 1, term
-        for n in range(1, order // s + 1):
-            for x in (d * (a_exp + n - 1), d * (b_exp + n - 1)):
-                term = weighted_sum([(0, 1, term), (x, -1, term)], order)
-            for x in (d * n, d * (c_exp + n - 1)):
-                term = divide_binomial(term, x, 1)
-            term = weighted_sum([(s, 1, term)], order)
-            yield 0, 1, term
-
-    return weighted_sum(terms(), order)
+    terms = hypergeometric_terms(one(order), (a_exp, b_exp), (1, c_exp), d, s, order)
+    return weighted_sum(((0, 1, t) for t in terms), order)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import hashlib
 
 import pytest
 
-from qident import identities
+from qident import identities, qtools, series
 from qident.families import binomial_combination, reconstruct_family
 from qident.identities import (
     REGISTRY,
@@ -26,7 +26,6 @@ from qident.identities import (
     _check_euler_direct,
     _eta_quotient,
     _first_discrepancy,
-    _inv_poch_table,
     _quotient_sum,
     _weighted_theta_sum,
     divisor_sum_series,
@@ -36,11 +35,12 @@ from qident.qtools import (
     INFINITE,
     WHOLE,
     alt_triangular_sum,
+    hypergeometric_terms,
     kernel_H,
     phi2_1,
     pochhammer,
 )
-from qident.series import add, monomial, mul, one
+from qident.series import add, divide_binomial, invert, monomial, mul, one, weighted_sum
 
 # ---------------------------------------------------------------------------
 # Registry shape
@@ -185,13 +185,67 @@ def test_holds_iff_no_discrepancy():
 @pytest.mark.parametrize("step", [1, 2])
 @pytest.mark.parametrize("order", [0, 1, 7, 20])
 def test_inverse_pochhammer_table_inverts_the_products(step, order):
-    # count runs past order // step, where the entries stop changing
-    count = order // step + 3
-    table = _inv_poch_table(step, count, order)
-    assert len(table) == count + 1
-    for i, entry in enumerate(table):
-        product = pochhammer(1, step, step, i, order)
-        assert mul(entry, product) == one(order)
+    # the terms of ratio q^s/(1 - Q^n), Q = q^step, are q^(s*n)/(Q;Q)_n
+    for s in (1, 2, 3):
+        terms = list(hypergeometric_terms(one(order), (), (1,), step, s, order))
+        assert len(terms) == order // s + 1
+        for n, term in enumerate(terms):
+            product = pochhammer(1, step, step, n, order)
+            assert mul(term, product).coeffs == monomial(1, s * n, order).coeffs
+
+
+def _quotient_sum_reference(step, k, order):
+    """sum_j q^(2j+k) inv_j inv_(j+k), one product per j, where inv_i is
+    the inverted product 1/(q^step; q^step)_i."""
+    def inv(i):
+        return invert(pochhammer(1, step, step, i, order))
+
+    terms = ((2 * j + k, 1, mul(inv(j), inv(j + k))) for j in range((order - k) // 2 + 1))
+    return weighted_sum(terms, order)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("order", [0, 1, 7, 20])
+def test_quotient_sum_matches_the_product_sum(step, order):
+    for k in (0, 1, 2, 3, 4, order + 1):
+        want = _quotient_sum_reference(step, k, order)
+        assert _quotient_sum(step, k, order).coeffs == want.coeffs, k
+
+
+def test_kernel_and_quotient_sums_multiply_no_series(monkeypatch):
+    # both are summed from their term ratio: each step is a weighted sum
+    # and binomial divisions, never a product of two series
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    for module in (series, qtools, identities):
+        monkeypatch.setattr(module, "mul", counting_mul)
+    kernel_H.cache_clear()
+    kernel_H(2, 3, 2, 2, 40)
+    _quotient_sum(2, 1, 40)
+    assert calls == []
+
+
+@pytest.mark.parametrize("identity", ["L1", "L2"])
+def test_quotient_sum_of_a_huge_index_stays_cheap(monkeypatch, identity):
+    # (1 - Q^i) is 1 at the order once step*i exceeds it, so the first
+    # term of k = 10**6 takes no more divisions than that of k = order + 1
+    calls = []
+
+    def counting_divide(a, x, c):
+        calls.append(x)
+        return divide_binomial(a, x, c)
+
+    monkeypatch.setattr(qtools, "divide_binomial", counting_divide)
+    counts = []
+    for k in (21, 10 ** 6):
+        calls.clear()
+        assert verify(IdentityCase(id=identity, params=dict(k=k), order=20)).holds
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +295,7 @@ GOLDEN_BUILDS = {
         for order in GOLDEN_ORDERS for sign in SIGNS for offset in (1, 2, 3)
         for step in (1, 2, 3) for length in (0, 1, 3, 7, INFINITE)],
     "_quotient_sum": lambda: [
-        _quotient_sum(_inv_poch_table(step, order, order), k, order)
+        _quotient_sum(step, k, order)
         for order in GOLDEN_ORDERS for step in (1, 2) for k in (0, 1, 2, 3, order + 1)],
     "_weighted_theta_sum": lambda: [
         _weighted_theta_sum(sign, j, odd, order)

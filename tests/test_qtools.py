@@ -18,7 +18,7 @@ from qident.qtools import (
     theta_phi_neg,
     theta_psi,
 )
-from qident.series import mul, one, substitute_power, zero
+from qident.series import mul, one, substitute_power, weighted_sum, zero
 
 # ---------------------------------------------------------------------------
 # Pochhammer argument validation
@@ -211,6 +211,26 @@ def test_kernel_equals_binomial_times_hypergeometric(d, m, k):
     rhs = mul(gaussian_binomial(m - 1 + k, k, d, order),
               phi2_1(m, m + k, k + 1, d, 2, order))
     assert lhs == rhs
+
+
+def _kernel_reference(k, m, d, s, order):
+    """sum_j [m-1+j, j] * [m-1+k+j, k+j] * q^(s*j), one product per j."""
+    terms = ((s * j, 1, mul(gaussian_binomial(m - 1 + j, j, d, order),
+                            gaussian_binomial(m - 1 + k + j, k + j, d, order)))
+             for j in range(order // s + 1))
+    return weighted_sum(terms, order)
+
+
+@pytest.mark.parametrize("order", (0, 1, 7, 30))
+@pytest.mark.parametrize("s", (1, 2, 3))
+@pytest.mark.parametrize("d", (1, 2))
+def test_kernel_matches_the_two_binomial_sum(d, s, order):
+    # the grid holds m = 0 (a zero kernel), m = 1 (every ratio parameter
+    # cancels) and m = k + 1 (one cancels)
+    for k in range(4):
+        for m in range(5):
+            want = _kernel_reference(k, m, d, s, order)
+            assert kernel_H(k, m, d, s, order).coeffs == want.coeffs, (k, m)
 
 
 def test_phi2_1_validates_arguments():

@@ -32,12 +32,10 @@ import json
 import sys
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from .families import FamilySpec, InvalidSpec, family_series
+from .families import FamilySpec, family_series
 from .identities import (
     REGISTRY,
     IdentityCase,
-    MissingParam,
-    UnknownIdentity,
     VerifyReport,
     divisor_sum_series,
     overpartition_pair_series,
@@ -46,7 +44,6 @@ from .identities import (
     verify_suite,
 )
 from .oracles import (
-    DomainError,
     divisor_sigma,
     overpartition_pairs,
     pod_bipartitions,
@@ -332,7 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InvalidSpec, MissingParam, UnknownIdentity, DomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,16 +31,15 @@ divisor and Euler sums) goes through :func:`divide_binomial`;
 Multiplication is schoolbook convolution, O(N^2) coefficient operations;
 at the working orders of this package (N <= a few hundred) that is faster
 and simpler than any asymptotic trick, and exactness is free because
-Python integers never overflow.  It does no work on products that cannot
-reach q^N: the leading zeros of the inner operand are skipped, so a
-product costs about (nonzeros of the sparser operand) x (N + 1 - v), v
-being the valuation of the other one.
+Python integers never overflow.  :func:`mul` is a :func:`weighted_sum`
+over the nonzero terms c*q^i of its sparser operand, so a product costs
+N + 1 - i multiply-adds for each of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, repeat
 from typing import Iterable, Tuple
 
 
@@ -193,32 +192,20 @@ def shift(a: ExactSeries, e: int) -> ExactSeries:
 
 
 def mul(a: ExactSeries, b: ExactSeries) -> ExactSeries:
-    """Truncated Cauchy product at the common (minimum) order.
+    """Truncated Cauchy product at the common (minimum) order N.
 
-    Schoolbook convolution that skips zero rows; the operand with fewer
-    nonzero coefficients drives the outer loop (a on a tie), which makes
-    products with sparse factors (monomials, binomials, theta sums)
-    effectively linear.  The inner operand's leading zeros are skipped:
-    with valuation v it contributes only from q^v on, so each row starts
-    there and the outer loop stops at exponent order - v.
+    The operand with fewer nonzero coefficients in q^0..q^N drives (a on a
+    tie): the product is the weighted_sum of c*q^i times the other operand
+    over the driver's nonzero terms c*q^i, which makes products with sparse
+    factors (monomials, binomials, theta sums) effectively linear.
     """
     order = min(len(a.coeffs), len(b.coeffs)) - 1
-    ac = a.coeffs[: order + 1]
-    bc = b.coeffs[: order + 1]
-    # Let the sparser operand drive the outer loop (a on a tie).  Both
-    # tuples hold order + 1 entries, so fewer zeros means more nonzeros.
-    if ac.count(0) < bc.count(0):
-        ac, bc = bc, ac
-    out = [0] * (order + 1)
-    vb = _valuation(bc)
-    if vb is None:
-        return ExactSeries(tuple(out))
-    for i, ai in enumerate(ac[: order + 1 - vb]):
-        if not ai:
-            continue
-        lo = i + vb
-        out[lo:] = [x + ai * y for x, y in zip(out[lo:], bc[vb : order + 1 - i])]
-    return ExactSeries(tuple(out))
+    # Both slices hold order + 1 entries, so more zeros means fewer nonzeros.
+    if b.coeffs[: order + 1].count(0) > a.coeffs[: order + 1].count(0):
+        a, b = b, a
+    driver = a.coeffs[: order + 1]
+    terms = zip(compress(count(), driver), filter(None, driver), repeat(b))
+    return weighted_sum(terms, order)
 
 
 def invert(a: ExactSeries) -> ExactSeries:

@@ -197,6 +197,35 @@ def test_mul_matches_naive_convolution(a, b):
     assert mul(b, a).coeffs == expected
 
 
+def test_mul_is_a_weighted_sum_over_the_sparser_operand(monkeypatch):
+    real = qident.series.weighted_sum
+    calls = []
+
+    def recorder(terms, order):
+        terms = list(terms)
+        calls.append(([(e, c) for e, c, _ in terms], {id(s) for _, _, s in terms}))
+        return real(terms, order)
+
+    monkeypatch.setattr(qident.series, "weighted_sum", recorder)
+    dense = from_coeffs(range(1, 12))
+    sparse = from_terms([(0, 1), (3, -2), (7, 5)], 10)
+    for x, y in ((dense, sparse), (sparse, dense)):
+        calls.clear()
+        assert mul(x, y).coeffs == _naive_product(x, y)
+        assert calls == [([(0, 1), (3, -2), (7, 5)], {id(dense)})]
+
+    # a tie in nonzero count: the first operand drives
+    first, second = from_terms([(1, 4), (2, 3)], 6), from_terms([(0, 7), (5, 1)], 6)
+    calls.clear()
+    assert mul(first, second).coeffs == _naive_product(first, second)
+    assert calls == [([(1, 4), (2, 3)], {id(second)})]
+
+    # a zero driver hands over no terms
+    calls.clear()
+    assert mul(dense, zero(10)).coeffs == zero(10).coeffs
+    assert calls == [([], set())]
+
+
 # ---------------------------------------------------------------------------
 # Weighted sums
 # ---------------------------------------------------------------------------

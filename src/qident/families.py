@@ -255,7 +255,7 @@ def binomial_combination(
 
 
 def reconstruct_family(
-    family: str, sign: int, j: int, m: int, order: int
+    family: str, sign: int, j: int, m: Union[int, float], order: int
 ) -> ExactSeries:
     """F_{j,m} recovered from kernel series with the B_{k,j} weights:
 
@@ -264,13 +264,11 @@ def reconstruct_family(
     where H_k is the two-binomial kernel in base q (V) or q^2 (W) with
     z = q^2.  Term k has valuation >= k, so the sum truncates at k <= order.
     Contract: equals family_series for the same spec (a registry identity).
-    Requires a finite bound m; the unbounded reconstructions are covered
-    by the triangular-sum forms in the identity registry.
+    m may be INFINITE: H_k then sums q^(2l) / ((Q;Q)_l (Q;Q)_(k+l)), Q the
+    kernel base, and the prefactor is the infinite product.
     """
     if family not in _WEAK:
         raise InvalidSpec(f"reconstruction is defined for V and W, got {family!r}")
-    if m == INFINITE:
-        raise InvalidSpec("reconstruction requires a finite bound m")
     FamilySpec(family, sign, j, m)  # validate
     d = 2 if family in _ODD else 1
     prefactor = squared_pochhammer(sign, 1, d, m, order)

@@ -18,10 +18,11 @@ Formally infinite sums on right-hand sides truncate by valuation: a term
 whose minimal exponent exceeds the order is dropped.  Each sum runs its
 index only as far as some term can still reach the order, and
 ``weighted_sum`` drops the terms in that range whose shift lies above it.
-The basic hypergeometric sums (the L1/L2 quotient sums, the x_i of the
+The basic hypergeometric sums (the two-binomial kernel, the x_i of the
 divisor sum, the Euler sums) take their terms from
 ``qtools.hypergeometric_terms``, each term from the one before by its
-term ratio, with no product of two series.
+term ratio, with no product of two series.  The L1/L2 quotient sums are
+q^k times ``kernel_H`` at m = INFINITE, the kernel of T1 and T2.
 """
 
 from __future__ import annotations
@@ -151,23 +152,6 @@ def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
     return alt_triangular_sum(k, WHOLE, order) if odd else _bracket_half(k, order)
 
 
-def _quotient_sum(step: int, k: int, order: int) -> ExactSeries:
-    """sum_j q^(2j+k) / ((Q;Q)_j (Q;Q)_{j+k}) with Q = q^step, summed from
-    its term ratio q^2 / ((1 - Q^(j+1)) (1 - Q^(k+j+1))).
-
-    The first term q^k/(Q;Q)_k is q^(k-h) times the h-th term
-    q^h/(Q;Q)_h of the series with ratio q/(1 - Q^n), h = min(k,
-    order // step): a factor (1 - Q^i) with step*i above the order is 1
-    at this truncation, so an index k far above the order costs no more
-    than k = order // step.  For k > order every term is zero.
-    """
-    h = min(k, order // step)
-    x = hypergeometric_terms(one(order), (), (1,), step, 1, order)
-    first = weighted_sum([(k - h, 1, next(itertools.islice(x, h, None)))], order)
-    terms = hypergeometric_terms(first, (), (1, k + 1), step, 2, order)
-    return weighted_sum(((0, 1, t) for t in terms), order)
-
-
 def _weighted_theta_sum(sign: int, j: int, odd: bool, order: int) -> ExactSeries:
     """sum_{k>=j} sign^(k-j) B_{k,j} * _one_sided(k, odd).
 
@@ -179,17 +163,16 @@ def _weighted_theta_sum(sign: int, j: int, odd: bool, order: int) -> ExactSeries
 
 
 # ---------------------------------------------------------------------------
-# Checks: kernel product forms for bounded families
+# Checks: kernel product forms and kernel reconstructions
 # ---------------------------------------------------------------------------
 
 def _kernel_product_check(family: str) -> Callable[..., Optional[Discrepancy]]:
     d = 2 if family == "W" else 1
 
-    def check(order: int, *, sign: int, k: int, m: int) -> Optional[Discrepancy]:
+    def check(order: int, *, sign: int, k: int,
+              m: Union[int, float]) -> Optional[Discrepancy]:
         lhs = binomial_combination(family, sign, k, m, order)
         sq = squared_pochhammer(sign, 1, d, m, order)
-        # built even for k > order, where weighted_sum drops it, so that
-        # kernel_H rejects an unbounded m on every path
         kernel = kernel_H(k, m, d, 2, max(order - k, 0))
         return _first_discrepancy(lhs, mul(sq, weighted_sum([(k, 1, kernel)], order)))
 
@@ -197,7 +180,8 @@ def _kernel_product_check(family: str) -> Callable[..., Optional[Discrepancy]]:
 
 
 def _reconstruction_check(family: str) -> Callable[..., Optional[Discrepancy]]:
-    def check(order: int, *, sign: int, j: int, m: int) -> Optional[Discrepancy]:
+    def check(order: int, *, sign: int, j: int,
+              m: Union[int, float]) -> Optional[Discrepancy]:
         lhs = family_series(FamilySpec(family=family, sign=sign, k=j, m=m), order)
         rhs = reconstruct_family(family, sign, j, m, order)
         return _first_discrepancy(lhs, rhs)
@@ -226,8 +210,9 @@ def _quotient_sum_check(odd: bool) -> Callable[..., Optional[Discrepancy]]:
     def check(order: int, *, k: int) -> Optional[Discrepancy]:
         if k < 0:
             raise ValueError(f"index must be non-negative, got {k}")
+        kernel = kernel_H(k, INFINITE, step, 2, max(order - k, 0))
         lhs = mul(squared_pochhammer(1, step, step, INFINITE, order),
-                  _quotient_sum(step, k, order))
+                  weighted_sum([(k, 1, kernel)], order))
         return _first_discrepancy(lhs, _one_sided(k, odd, order))
 
     return check
@@ -476,7 +461,8 @@ REGISTRY: Dict[str, RegistryEntry] = {
     "L1": RegistryEntry(
         check=_quotient_sum_check(odd=False),
         default_grid=_grid(k=(0, 1, 2, 3)),
-        independence="LHS: Pochhammer-quotient sum built term by term with "
+        independence="LHS: squared infinite product times q^k * kernel_H at "
+                     "m = inf, a Pochhammer-quotient sum built term by term with "
                      "binomial divisions; RHS: one-sided theta sum, no products.",
     ),
     "L2": RegistryEntry(

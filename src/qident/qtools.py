@@ -3,8 +3,9 @@
 Pochhammer products (finite and truncated-infinite), Gaussian binomials,
 the terms of a basic hypergeometric series built from its term ratio
 (``hypergeometric_terms``) and the two sums built on them (the
-two-binomial kernel and 2phi1 with monomial arguments), lacunary theta
-sums, and one-sided alternating triangular sums.
+two-binomial kernel, for every bound m including INFINITE, and 2phi1 with
+monomial arguments), lacunary theta sums, and one-sided alternating
+triangular sums.
 
 Truncation rule for formally infinite objects: a factor or term whose
 minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
@@ -16,7 +17,8 @@ binomial (1 - q^x) included) through ``weighted_sum``, quotients by a
 binomial through ``divide_binomial``; the one product of two series is
 the square in ``squared_pochhammer``, through ``mul``.  The one other
 arithmetic is ``_gauss_poly``, which builds exact q-Pascal polynomials
-(plain integer tuples, not series).
+(plain integer tuples, not series) for ``gaussian_binomial`` alone; the
+kernel builds its first binomial from truncated Pochhammer products.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import cycle
 from math import isqrt
 from typing import Iterable, Iterator, Tuple, Union
 
-from .series import ExactSeries, divide_binomial, from_terms, mul, one, weighted_sum
+from .series import ExactSeries, divide_binomial, from_terms, mul, one, weighted_sum, zero
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
@@ -135,25 +137,33 @@ def gaussian_binomial(m: int, k: int, d: int, order: int) -> ExactSeries:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def kernel_H(k: int, m: int, d: int, s: int, order: int) -> ExactSeries:
+def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactSeries:
     """sum_j [m-1+j, j] * [m-1+k+j, k+j] * q^(s*j), binomials in base Q = q^d.
 
     Term j is term j-1 times q^s (1 - Q^(m-1+j)) (1 - Q^(m-1+k+j)) /
     ((1 - Q^j) (1 - Q^(k+j))), so the sum is the basic hypergeometric
     series [m-1+k, k]_Q * 2phi1(Q^m, Q^(m+k); Q^(k+1); Q, q^s), summed
-    from that term ratio by hypergeometric_terms.  At m = 0 both the first
-    term [-1+k, k] and the factor (1 - Q^0) vanish, so the result is the
-    zero series for every k.  m must be finite: the binomials [m-1+j, j]
-    of an unbounded m are not polynomials.
+    from that term ratio by hypergeometric_terms.  With h = min(k, m-1)
+    the first term is the product quotient
+    [m-1+k, k]_Q = (Q^(m+k-h); Q)_h / (Q; Q)_h, truncated at the order:
+    a divisor (1 - Q^i) with d*i above the order is 1 there, so a huge k
+    or m costs no more than the order allows.  At m = INFINITE both
+    binomials become 1/(Q; Q)_j and 1/(Q; Q)_(k+j): the first term is
+    1/(Q; Q)_k and the top parameters drop out.  At m = 0 every binomial
+    [-1+j, j] vanishes, so the result is the zero series for every k.
     """
     if k < 0 or m < 0:
         raise ValueError(f"indices must be non-negative, got k={k}, m={m}")
-    if not math.isfinite(m):
-        raise ValueError(f"the two-binomial kernel needs a finite bound m, got m={m}")
     if d < 1 or s < 1:
         raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")
-    first = gaussian_binomial(m - 1 + k, k, d, order)
-    terms = hypergeometric_terms(first, (m, m + k), (1, k + 1), d, s, order)
+    if m == 0:
+        return zero(order)
+    h = min(k, m - 1)
+    top = (m, m + k) if m != INFINITE else ()
+    first = pochhammer(1, d * (m + k - h), d, h, order) if top else one(order)
+    for i in range(1, min(h, order // d) + 1):
+        first = divide_binomial(first, d * i, 1)
+    terms = hypergeometric_terms(first, top, (1, k + 1), d, s, order)
     return weighted_sum(((0, 1, t) for t in terms), order)
 
 

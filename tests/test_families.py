@@ -311,15 +311,13 @@ def test_binomial_combination_beyond_order_is_zero():
 @pytest.mark.parametrize("sign", (1, -1))
 def test_reconstruction_round_trip(family, sign):
     order = 15
-    for j, m in [(0, 1), (1, 2), (2, 3)]:
+    for j, m in [(0, 1), (1, 2), (2, 3), (0, INFINITE), (2, INFINITE)]:
         direct = family_series(FamilySpec(family=family, sign=sign, k=j, m=m), order)
         rebuilt = reconstruct_family(family, sign, j, m, order)
         assert direct == rebuilt
 
 
-def test_reconstruction_requires_finite_bound():
-    with pytest.raises(InvalidSpec):
-        reconstruct_family("V", 1, 0, INFINITE, 8)
+def test_reconstruction_rejects_strict_families():
     with pytest.raises(InvalidSpec):
         reconstruct_family("A", 1, 0, 3, 8)
 

@@ -4,6 +4,7 @@ builders, and the resolved reading of the bipartition difference
 predicate."""
 
 import hashlib
+import time
 
 import pytest
 
@@ -26,7 +27,6 @@ from qident.identities import (
     _check_euler_direct,
     _eta_quotient,
     _first_discrepancy,
-    _quotient_sum,
     _weighted_theta_sum,
     divisor_sum_series,
 )
@@ -194,6 +194,13 @@ def test_inverse_pochhammer_table_inverts_the_products(step, order):
             assert mul(term, product).coeffs == monomial(1, s * n, order).coeffs
 
 
+def _quotient_sum(step, k, order):
+    """The L1/L2 quotient sum sum_j q^(2j+k) / ((Q;Q)_j (Q;Q)_(j+k)),
+    Q = q^step, as their checks build it: q^k times kernel_H at m = inf."""
+    kernel = kernel_H(k, INFINITE, step, 2, max(order - k, 0))
+    return weighted_sum([(k, 1, kernel)], order)
+
+
 def _quotient_sum_reference(step, k, order):
     """sum_j q^(2j+k) inv_j inv_(j+k), one product per j, where inv_i is
     the inverted product 1/(q^step; q^step)_i."""
@@ -214,7 +221,9 @@ def test_quotient_sum_matches_the_product_sum(step, order):
 
 def test_kernel_and_quotient_sums_multiply_no_series(monkeypatch):
     # both are summed from their term ratio: each step is a weighted sum
-    # and binomial divisions, never a product of two series
+    # and binomial divisions, never a product of two series; a bounded m
+    # with k >= 1 also builds the numerator (Q^(m+k-h); Q)_h of its first
+    # term, h = min(k, m-1) (h = k for the first call, m-1 for the second)
     calls = []
 
     def counting_mul(a, b):
@@ -224,7 +233,9 @@ def test_kernel_and_quotient_sums_multiply_no_series(monkeypatch):
     for module in (series, qtools, identities):
         monkeypatch.setattr(module, "mul", counting_mul)
     kernel_H.cache_clear()
+    pochhammer.cache_clear()
     kernel_H(2, 3, 2, 2, 40)
+    kernel_H(3, 2, 1, 1, 40)
     _quotient_sum(2, 1, 40)
     assert calls == []
 
@@ -246,6 +257,15 @@ def test_quotient_sum_of_a_huge_index_stays_cheap(monkeypatch, identity):
         assert verify(IdentityCase(id=identity, params=dict(k=k), order=20)).holds
         counts.append(len(calls))
     assert counts[1] <= counts[0]
+
+
+@pytest.mark.parametrize("k, m", [(10, 2000), (10 ** 5, 3)])
+def test_kernel_product_of_a_huge_bound_or_index_stays_cheap(k, m):
+    # the first kernel term [m-1+k, k] takes min(k, m-1) product factors
+    # truncated at the order, not a q-Pascal polynomial of degree k*(m-1)
+    start = time.perf_counter()
+    assert verify(IdentityCase(id="T1_V", params=dict(sign=1, k=k, m=m), order=20)).holds
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -194,11 +194,28 @@ def test_kernel_validates_arguments():
         kernel_H(1, 2, 1, 0, 4)
 
 
-def test_kernel_rejects_an_unbounded_m():
-    # [m-1+j, j] is no polynomial for m = inf; kernel_H must refuse it
-    # rather than recurse through _gauss_poly without end.
-    with pytest.raises(ValueError, match="finite bound m, got m=inf"):
-        kernel_H(1, INFINITE, 1, 2, 4)
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("s", (1, 2, 3))
+def test_kernel_at_an_unbounded_m_is_the_limit_of_large_bounds(d, s):
+    # [m-1+j, j]_Q = 1/(Q;Q)_j mod Q^m, so once d*m exceeds the order the
+    # bounded kernel (numerator products, top parameters) agrees with the
+    # unbounded one (no numerator at all); for k >= 1 the first term
+    # [m-1+k, k] differs from 1/(Q;Q)_k at Q^m, which a smaller m reaches
+    order = 30
+    for k in range(5):
+        want = kernel_H(k, INFINITE, d, s, order)
+        assert kernel_H(k, order // d + 1, d, s, order).coeffs == want.coeffs, k
+        if k:
+            assert kernel_H(k, order // d, d, s, order) != want, k
+
+
+def test_kernel_builds_no_gaussian_binomial_polynomial():
+    # the first term [m-1+k, k] is a product quotient truncated at the
+    # order, not a whole q-Pascal polynomial of degree k*(m-1)
+    kernel_H.cache_clear()
+    _gauss_poly.cache_clear()
+    kernel_H(3, 5, 1, 2, 20)
+    assert _gauss_poly.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("d", (1, 2))

@@ -40,9 +40,7 @@ from .oracles import (
     w_oracle,
 )
 from .qtools import (
-    HALF,
     INFINITE,
-    WHOLE,
     alt_triangular_sum,
     gaussian_binomial,
     kernel_H,
@@ -71,7 +69,7 @@ __all__ = [
     "ExactSeries", "NonUnitConstantTerm",
     "add", "from_coeffs", "from_terms", "weighted_sum",
     "divide_binomial", "invert", "monomial", "mul", "one", "zero",
-    "INFINITE", "HALF", "WHOLE",
+    "INFINITE",
     "pochhammer", "gaussian_binomial", "kernel_H",
     "theta_phi_neg", "theta_psi", "alt_triangular_sum",
     "FAMILIES", "FamilySpec", "InvalidSpec",

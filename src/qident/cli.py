@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="ID", help="registry id, one of: "
                           + " ".join(sorted(REGISTRY)))
     p_verify.add_argument("--sign", choices=("plus", "minus"),
-                          help="sign variant; defaults to plus for "
+                          help="sign; defaults to plus for "
                                "identities that take one")
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--j", type=int)

@@ -10,9 +10,9 @@ linear-parts families, e = 2n-1 for the odd-parts families):
   C (strict chains, odd parts):     same, atom exponent 2n-1
 
 The n-th coefficient of the k = 1 V-family with + sign is the divisor sum
-sigma(n); higher k generalize that to weighted chain counts.  The sign
-variant -1 flips the atom denominators to (1 + q^e)^2, which weights each
-chain term by (-1)^(t1+...+tk+k).
+sigma(n); higher k generalize that to weighted chain counts.  Sign -1
+flips the atom denominators to (1 + q^e)^2, which weights each chain
+term by (-1)^(t1+...+tk+k).
 
 Two index transforms are provided: the central-binomial combination
 sum_j w(j) * F_{j,m} that collapses to a Pochhammer-squared times kernel
@@ -50,11 +50,11 @@ class InvalidSpec(ValueError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Which family, which sign variant, how many magnitudes, which bound.
+    """Which family, which sign, how many magnitudes, which bound.
 
     m is a positive integer bound on the largest magnitude, or INFINITE.
     The strict-chain families A and C take only m = INFINITE (no truncated
-    variant is defined for them).  k = 0 yields the constant series 1 for
+    form is defined for them).  k = 0 yields the constant series 1 for
     every family.
     """
 

@@ -49,9 +49,7 @@ from .oracles import (
     w_oracle,
 )
 from .qtools import (
-    HALF,
     INFINITE,
-    WHOLE,
     alt_triangular_sum,
     gaussian_binomial,
     hypergeometric_terms,
@@ -67,6 +65,7 @@ from .series import (
     invert,
     mul,
     one,
+    substitute_power,
     weighted_sum,
 )
 
@@ -140,16 +139,20 @@ def _eta_quotient(sign: int, odd: bool, order: int) -> ExactSeries:
     return mul(num, invert(den))
 
 
-def _bracket_half(k: int, order: int) -> ExactSeries:
-    """-1 + (1 + q^k) * sum_{j>=k} (-1)^(j-k) q^(T_j - T_k); valuation k."""
-    half = alt_triangular_sum(k, HALF, order)
-    return weighted_sum([(0, -1, one(order)), (0, 1, half), (k, 1, half)], order)
-
-
 def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
-    """The one-sided theta sum of index k: the whole-exponent sum for the
-    odd-part families, the bracketed half-exponent sum otherwise."""
-    return alt_triangular_sum(k, WHOLE, order) if odd else _bracket_half(k, order)
+    """The one-sided theta sum of index k, valuation k, built from
+    S_k = alt_triangular_sum(k) = sum_{j>=k} (-1)^(j-k) q^(T_j - T_k).
+
+    Linear parts: -1 + (1 + q^k) * S_k(q).  Odd parts:
+    sum_{j>=k} (-1)^(j-k) q^(j(j+1) - k^2) = q^k * S_k(q^2), since
+    j(j+1) - k^2 = 2(T_j - T_k) + k.
+    """
+    if odd:
+        # q^k * S_k(q^2) reads S_k only to q^(N-k); the shift restores order N
+        half = alt_triangular_sum(k, max(order - k, 0))
+        return weighted_sum([(k, 1, substitute_power(half, 2))], order)
+    half = alt_triangular_sum(k, order)
+    return weighted_sum([(0, -1, one(order)), (0, 1, half), (k, 1, half)], order)
 
 
 def _weighted_theta_sum(sign: int, j: int, odd: bool, order: int) -> ExactSeries:
@@ -349,7 +352,7 @@ def _overpartition_predicate(k: int, n: int) -> int:
 def _bipartition_predicate(k: int, n: int) -> int:
     """sum_{j>=k} (-1)^(j-k) pod2(n - j(j+1) + k^2), negative arguments
     contributing 0.  (The exponent j(j+1) is twice a triangular number;
-    the halved variant fails already at k=0, n=1.)"""
+    the halved reading fails already at k=0, n=1.)"""
     predicted = 0
     j = k
     while j * (j + 1) - k * k <= n:

@@ -4,8 +4,9 @@ Pochhammer products (finite and truncated-infinite), Gaussian binomials,
 the terms of a basic hypergeometric series built from its term ratio
 (``hypergeometric_terms``) and the two sums built on them (the
 two-binomial kernel, for every bound m including INFINITE, and 2phi1 with
-monomial arguments), lacunary theta sums, and one-sided alternating
-triangular sums.
+monomial arguments), lacunary theta sums, and the one-sided alternating
+triangular sum S_k behind every one-sided theta sum (``identities``
+turns it into the linear-part and odd-part flavours).
 
 Truncation rule for formally infinite objects: a factor or term whose
 minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
@@ -18,7 +19,8 @@ binomial through ``divide_binomial``; the one product of two series is
 the square in ``squared_pochhammer``, through ``mul``.  The one other
 arithmetic is ``_gauss_poly``, which builds exact q-Pascal polynomials
 (plain integer tuples, not series) for ``gaussian_binomial`` alone; the
-kernel builds its first binomial from truncated Pochhammer products.
+kernel builds its first binomial as a product quotient, one numerator
+factor and one divisor at a time.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .series import ExactSeries, divide_binomial, from_terms, mul, one, weighted
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
 #: unbounded bounds.
 INFINITE: float = math.inf
-
-#: Variant selectors for :func:`alt_triangular_sum`.
-HALF = "half"
-WHOLE = "whole"
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +144,15 @@ def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactS
     from that term ratio by hypergeometric_terms.  With h = min(k, m-1)
     the first term is the product quotient
     [m-1+k, k]_Q = (Q^(m+k-h); Q)_h / (Q; Q)_h, truncated at the order:
-    a divisor (1 - Q^i) with d*i above the order is 1 there, so a huge k
-    or m costs no more than the order allows.  At m = INFINITE both
-    binomials become 1/(Q; Q)_j and 1/(Q; Q)_(k+j): the first term is
-    1/(Q; Q)_k and the top parameters drop out.  At m = 0 every binomial
-    [-1+j, j] vanishes, so the result is the zero series for every k.
+    one loop over i = 1..min(h, order//d) multiplies by the numerator
+    factor (1 - Q^(m+k-h-1+i)) with weighted_sum and divides by
+    (1 - Q^i), so no Pochhammer product is built or cached.  A divisor
+    (1 - Q^i) with d*i above the order is 1 there, and so is the numerator
+    factor beside it, so a huge k or m costs no more than the order
+    allows.  At m = INFINITE both binomials become 1/(Q; Q)_j and
+    1/(Q; Q)_(k+j): the first term is 1/(Q; Q)_k and the top parameters
+    drop out.  At m = 0 every binomial [-1+j, j] vanishes, so the result
+    is the zero series for every k.
     """
     if k < 0 or m < 0:
         raise ValueError(f"indices must be non-negative, got k={k}, m={m}")
@@ -160,8 +162,10 @@ def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactS
         return zero(order)
     h = min(k, m - 1)
     top = (m, m + k) if m != INFINITE else ()
-    first = pochhammer(1, d * (m + k - h), d, h, order) if top else one(order)
+    first = one(order)
     for i in range(1, min(h, order // d) + 1):
+        if top:
+            first = weighted_sum([(0, 1, first), (d * (m + k - h - 1 + i), -1, first)], order)
         first = divide_binomial(first, d * i, 1)
     terms = hypergeometric_terms(first, top, (1, k + 1), d, s, order)
     return weighted_sum(((0, 1, t) for t in terms), order)
@@ -253,26 +257,16 @@ def theta_psi(order: int) -> ExactSeries:
 # One-sided alternating triangular sums
 # ---------------------------------------------------------------------------
 
-def alt_triangular_sum(k: int, variant: str, order: int) -> ExactSeries:
-    """One-sided alternating sum over shifted triangular exponents.
+def alt_triangular_sum(k: int, order: int) -> ExactSeries:
+    """S_k = sum_{j>=k} (-1)^(j-k) * q^(T_j - T_k), T_j = j(j+1)/2.
 
-    HALF:  sum_{j>=k} (-1)^(j-k) * q^(j(j+1)/2 - k(k+1)/2)
-    WHOLE: sum_{j>=k} (-1)^(j-k) * q^(j(j+1) - k^2)
-
-    Only finitely many j contribute at any order.  The HALF variant starts
-    at 1 - q^(k+1) + q^(2k+3) - ...; the WHOLE variant starts at its j=k
-    term q^k (exponent k(k+1) - k^2), so both have valuation <= k.
+    Only finitely many j contribute at any order.  The sum starts at
+    1 - q^(k+1) + q^(2k+3) - ..., so its valuation is 0.
     """
     if k < 0:
         raise ValueError(f"index must be non-negative, got {k}")
-    if variant not in (HALF, WHOLE):
-        raise ValueError(f"variant must be {HALF!r} or {WHOLE!r}, got {variant!r}")
-    # Term j needs j^2 <= j(j+1) <= 2*order + k(k+1) (HALF) or
-    # order + k^2 (WHOLE); from_terms drops the few beyond the order.
-    if variant == HALF:
-        top = isqrt(2 * order + k * (k + 1))
-        exps = ((j * (j + 1) - k * (k + 1)) // 2 for j in range(k, top + 1))
-    else:
-        top = isqrt(order + k * k)
-        exps = (j * (j + 1) - k * k for j in range(k, top + 1))
+    # Term j needs j^2 <= j(j+1) <= 2*order + k(k+1); from_terms drops the
+    # few beyond the order.
+    top = isqrt(2 * order + k * (k + 1))
+    exps = ((j * (j + 1) - k * (k + 1)) // 2 for j in range(k, top + 1))
     return from_terms(zip(exps, cycle((1, -1))), order)

@@ -38,6 +38,7 @@ N + 1 - i multiply-adds for each of them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from typing import Iterable, Tuple
@@ -167,8 +168,7 @@ def weighted_sum(terms: Iterable[Tuple[int, int, ExactSeries]], order: int) -> E
 
 def add(a: ExactSeries, b: ExactSeries) -> ExactSeries:
     """Coefficientwise sum at the common (minimum) order."""
-    n = min(len(a.coeffs), len(b.coeffs))
-    return ExactSeries(tuple(x + y for x, y in zip(a.coeffs[:n], b.coeffs[:n])))
+    return ExactSeries(tuple(map(operator.add, a.coeffs, b.coeffs)))
 
 
 def scale(c: int, a: ExactSeries) -> ExactSeries:

@@ -41,12 +41,12 @@ def _gf_first(series, count):
 def _fault_one_sided(monkeypatch, at, by):
     """Add ``by*q^at`` to every one-sided theta sum; the positivity product
     (unit-constant quotient times that sum) first changes at q^at by ``by``."""
-    real = identities.alt_triangular_sum
+    real = identities._one_sided
 
-    def faulty(k, variant, order):
-        return add(real(k, variant, order), monomial(by, at, order))
+    def faulty(k, odd, order):
+        return add(real(k, odd, order), monomial(by, at, order))
 
-    monkeypatch.setattr(identities, "alt_triangular_sum", faulty)
+    monkeypatch.setattr(identities, "_one_sided", faulty)
 
 
 # ---------------------------------------------------------------------------

@@ -21,20 +21,18 @@ from qident.identities import (
     verify_suite,
 )
 from qident.identities import (
-    _bracket_half,
     _check_cauchy,
     _check_euler_alternating,
     _check_euler_direct,
     _eta_quotient,
     _first_discrepancy,
+    _one_sided,
     _weighted_theta_sum,
     divisor_sum_series,
 )
 from qident.oracles import pod_bipartitions
 from qident.qtools import (
     INFINITE,
-    WHOLE,
-    alt_triangular_sum,
     hypergeometric_terms,
     kernel_H,
     phi2_1,
@@ -156,7 +154,7 @@ def test_negative_order_rejected():
 
 def test_perturbed_comparison_reports_first_discrepancy():
     def perturbed_check(order):
-        base = _bracket_half(1, order)
+        base = _one_sided(1, False, order)
         wrong = add(base, monomial(10 ** 30, 7, order))
         return _first_discrepancy(base, wrong)
 
@@ -222,8 +220,9 @@ def test_quotient_sum_matches_the_product_sum(step, order):
 def test_kernel_and_quotient_sums_multiply_no_series(monkeypatch):
     # both are summed from their term ratio: each step is a weighted sum
     # and binomial divisions, never a product of two series; a bounded m
-    # with k >= 1 also builds the numerator (Q^(m+k-h); Q)_h of its first
-    # term, h = min(k, m-1) (h = k for the first call, m-1 for the second)
+    # with k >= 1 also multiplies the first term by the numerator factors
+    # (1 - Q^(m+k-h-1+i)), i = 1..h, h = min(k, m-1) (h = k for the first
+    # call, m-1 for the second), one weighted sum each
     calls = []
 
     def counting_mul(a, b):
@@ -233,7 +232,6 @@ def test_kernel_and_quotient_sums_multiply_no_series(monkeypatch):
     for module in (series, qtools, identities):
         monkeypatch.setattr(module, "mul", counting_mul)
     kernel_H.cache_clear()
-    pochhammer.cache_clear()
     kernel_H(2, 3, 2, 2, 40)
     kernel_H(3, 2, 1, 1, 40)
     _quotient_sum(2, 1, 40)
@@ -322,7 +320,7 @@ GOLDEN_BUILDS = {
         for order in GOLDEN_ORDERS for sign in SIGNS for j in (0, 1, 2)
         for odd in (False, True)],
     "_bracket_half": lambda: [
-        _bracket_half(k, order) for order in GOLDEN_ORDERS for k in (0, 1, 2, 5)],
+        _one_sided(k, False, order) for order in GOLDEN_ORDERS for k in (0, 1, 2, 5)],
     "divisor_sum_series": lambda: [divisor_sum_series(order) for order in GOLDEN_ORDERS],
     "cauchy": lambda: [
         side for n in (1, 2, 4) for s in (1, 2, 3)
@@ -384,7 +382,7 @@ def test_bipartition_predicate_reading_is_the_doubled_exponent():
     k=0, n=1, which pins the resolved reading."""
     order = 20
     k = 0
-    series = mul(_eta_quotient(-1, True, order), alt_triangular_sum(k, WHOLE, order))
+    series = mul(_eta_quotient(-1, True, order), _one_sided(k, True, order))
 
     def predicted(n, halved):
         total, j = 0, k

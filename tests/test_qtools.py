@@ -1,14 +1,14 @@
 """q-Pochhammer products, Gaussian binomials, the double-binomial kernel,
-basic hypergeometric evaluation, and theta/one-sided triangular sums."""
+basic hypergeometric evaluation, theta sums, and the one-sided triangular
+sum with the two one-sided theta sums built on it."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qident.identities import _one_sided
 from qident.qtools import (
-    HALF,
     INFINITE,
-    WHOLE,
     _gauss_poly,
     alt_triangular_sum,
     gaussian_binomial,
@@ -18,7 +18,7 @@ from qident.qtools import (
     theta_phi_neg,
     theta_psi,
 )
-from qident.series import mul, one, substitute_power, weighted_sum, zero
+from qident.series import from_terms, mul, one, substitute_power, weighted_sum, zero
 
 # ---------------------------------------------------------------------------
 # Pochhammer argument validation
@@ -218,6 +218,15 @@ def test_kernel_builds_no_gaussian_binomial_polynomial():
     assert _gauss_poly.cache_info().currsize == 0
 
 
+def test_kernel_adds_no_pochhammer_cache_entry():
+    # the numerator (Q^(m+k-h); Q)_h of the first term is multiplied in one
+    # factor at a time beside its divisors, not fetched as a cached product
+    kernel_H.cache_clear()
+    pochhammer.cache_clear()
+    kernel_H(3, 2, 1, 2, 40)
+    assert pochhammer.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("d", (1, 2))
 @pytest.mark.parametrize("m", (1, 2, 3))
 @pytest.mark.parametrize("k", (0, 1, 2, 3))
@@ -289,20 +298,28 @@ def test_theta_psi_product_form():
 # One-sided alternating triangular sums
 # ---------------------------------------------------------------------------
 
+def _whole_exponent_sum(k, order):
+    """sum_{j>=k} (-1)^(j-k) q^(j(j+1) - k^2), term by term: the reference
+    for the odd-part one-sided theta sum."""
+    return from_terms(((j * (j + 1) - k * k, (-1) ** (j - k))
+                       for j in range(k, order + 1)), order)
+
+
 def test_half_variant_reference_values():
-    assert alt_triangular_sum(2, HALF, 7).coeffs == (1, 0, 0, -1, 0, 0, 0, 1)
-    assert alt_triangular_sum(0, HALF, 6).coeffs == (1, -1, 0, 1, 0, 0, -1)
+    assert alt_triangular_sum(2, 7).coeffs == (1, 0, 0, -1, 0, 0, 0, 1)
+    assert alt_triangular_sum(0, 6).coeffs == (1, -1, 0, 1, 0, 0, -1)
 
 
 def test_whole_variant_reference_values():
-    assert alt_triangular_sum(1, WHOLE, 10).coeffs == (0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0)
-    assert alt_triangular_sum(0, WHOLE, 7).coeffs == (1, 0, -1, 0, 0, 0, 1, 0)
+    # the odd-part one-sided sum, exponents j(j+1) - k^2
+    assert _one_sided(1, True, 10).coeffs == (0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0)
+    assert _one_sided(0, True, 7).coeffs == (1, 0, -1, 0, 0, 0, 1, 0)
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_half_variant_starts_at_one(k):
     # leading term q^(T_k - T_k) = 1, next term -q^(k+1)
-    series = alt_triangular_sum(k, HALF, 25)
+    series = alt_triangular_sum(k, 25)
     assert series.valuation() == 0
     assert series.coeffs[0] == 1
     assert series.coeffs[k + 1] == -1
@@ -311,13 +328,22 @@ def test_half_variant_starts_at_one(k):
 @pytest.mark.parametrize("k", range(5))
 def test_whole_variant_starts_at_exponent_k(k):
     # leading term q^(k(k+1) - k^2) = q^k
-    series = alt_triangular_sum(k, WHOLE, 25)
+    series = _one_sided(k, True, 25)
     assert series.valuation() == k
     assert series.coeffs[k] == 1
 
 
+@pytest.mark.parametrize("k", range(7))
+def test_odd_one_sided_sum_is_the_shifted_half_sum_in_q_squared(k):
+    # j(j+1) - k^2 = 2(T_j - T_k) + k, so the whole-exponent sum is
+    # q^k * S_k(q^2)
+    order = 40
+    want = _whole_exponent_sum(k, order)
+    shifted = weighted_sum([(k, 1, substitute_power(alt_triangular_sum(k, order), 2))], order)
+    assert shifted.coeffs == want.coeffs
+    assert _one_sided(k, True, order).coeffs == want.coeffs
+
+
 def test_alt_triangular_sum_validates_arguments():
     with pytest.raises(ValueError):
-        alt_triangular_sum(-1, HALF, 5)
-    with pytest.raises(ValueError):
-        alt_triangular_sum(0, "bogus", 5)
+        alt_triangular_sum(-1, 5)

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .families import FamilySpec, family_series
 from .identities import (
@@ -101,12 +100,15 @@ def _params_json(params: Mapping[str, Union[int, float]]) -> Dict[str, Union[int
     return {name: _shown(name, value) for name, value in params.items()}
 
 
-def _report_json(report: VerifyReport, deterministic: bool) -> Dict[str, object]:
-    disc = report.first_discrepancy
+def _report(report: VerifyReport,
+            deterministic: bool) -> Tuple[Dict[str, object], List[str], str]:
+    """One verification report as its JSON object, its CSV row and its plain
+    line; with deterministic set, all three leave out the elapsed time."""
+    case, disc = report.case, report.first_discrepancy
     doc: Dict[str, object] = {
-        "id": report.case.id,
-        "params": _params_json(report.case.params),
-        "order": report.case.order,
+        "id": case.id,
+        "params": _params_json(case.params),
+        "order": case.order,
         "holds": report.holds,
         "first_discrepancy": None if disc is None else {
             "exponent": disc.exponent,
@@ -114,40 +116,20 @@ def _report_json(report: VerifyReport, deterministic: bool) -> Dict[str, object]
             "rhs": str(disc.rhs),
         },
     }
-    if not deterministic:
-        doc["elapsed_ms"] = round(report.elapsed * 1000.0, 3)
-    return doc
-
-
-def _report_plain(report: VerifyReport, deterministic: bool) -> str:
-    binding = _params_text(report.case.params)
-    head = f"{report.case.id}"
-    if binding:
-        head += f" {binding}"
-    head += f" order={report.case.order}: "
-    head += "holds" if report.holds else "FAILS"
-    disc = report.first_discrepancy
+    row = [case.id, _params_text(case.params, sep=";"), str(case.order),
+           "true" if report.holds else "false"]
+    row += ["", "", ""] if disc is None else [str(disc.exponent), str(disc.lhs), str(disc.rhs)]
+    binding = _params_text(case.params)
+    line = f"{case.id} {binding}" if binding else case.id
+    line += f" order={case.order}: " + ("holds" if report.holds else "FAILS")
     if disc is not None:
-        head += f" at q^{disc.exponent} (lhs={disc.lhs}, rhs={disc.rhs})"
+        line += f" at q^{disc.exponent} (lhs={disc.lhs}, rhs={disc.rhs})"
     if not deterministic:
-        head += f"  [{report.elapsed * 1000.0:.2f} ms]"
-    return head
-
-
-def _report_row(report: VerifyReport, deterministic: bool) -> List[str]:
-    disc = report.first_discrepancy
-    row = [
-        report.case.id,
-        _params_text(report.case.params, sep=";"),
-        str(report.case.order),
-        "true" if report.holds else "false",
-        "" if disc is None else str(disc.exponent),
-        "" if disc is None else str(disc.lhs),
-        "" if disc is None else str(disc.rhs),
-    ]
-    if not deterministic:
-        row.append(f"{report.elapsed * 1000.0:.3f}")
-    return row
+        ms = report.elapsed * 1000.0
+        doc["elapsed_ms"] = round(ms, 3)
+        row.append(f"{ms:.3f}")
+        line += f"  [{ms:.2f} ms]"
+    return doc, row, line
 
 
 def _report_header(deterministic: bool) -> List[str]:
@@ -196,9 +178,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "sign" in REGISTRY[args.id].required and "sign" not in params:
         params["sign"] = 1
     report = verify(IdentityCase(id=args.id, params=params, order=args.order))
-    det = args.deterministic
-    _emit(args.format, _report_json(report, det), _report_header(det),
-          [_report_row(report, det)], [_report_plain(report, det)])
+    doc, row, line = _report(report, args.deterministic)
+    _emit(args.format, doc, _report_header(args.deterministic), [row], [line])
     return 0 if report.holds else 1
 
 
@@ -206,18 +187,17 @@ def cmd_suite(args: argparse.Namespace) -> int:
     reports = verify_suite(order=args.order)
     passed = sum(1 for r in reports if r.holds)
     failed = len(reports) - passed
-    det = args.deterministic
+    docs, rows, lines = zip(*(_report(r, args.deterministic) for r in reports))
     doc = {
         "order": args.order,
         "passed": passed,
         "failed": failed,
         "total": len(reports),
-        "cases": [_report_json(r, det) for r in reports],
+        "cases": list(docs),
     }
     summary = f"{passed} passed / {failed} failed / {len(reports)} total"
-    _emit(args.format, doc, _report_header(det),
-          (_report_row(r, det) for r in reports),
-          itertools.chain((_report_plain(r, det) for r in reports), [summary]))
+    _emit(args.format, doc, _report_header(args.deterministic), rows,
+          [*lines, summary])
     return 0 if failed == 0 else 1
 
 

@@ -160,9 +160,9 @@ def _family_prefix(
     where S_i(n) sums over chains confined to magnitudes <= n; the family
     value is S_i(m_eff).  The atom product is never multiplied out: the
     cell shifts the predecessor by q^e and divides it twice by
-    (1 - sign*q^e) with divide_binomial, O(order) work per cell.  Once the
-    minimal chain exponent exceeds the order, all remaining rows are zero
-    and are filled without DP work.
+    (1 - sign*q^e) with divide_binomial, O(order) work per cell.  Every
+    row up to k_max must be visible (_min_valuation(family, k_max) <= order);
+    family_series answers the invisible ones without a table.
 
     The predecessor is an (i-1)-chain sum, of valuation at least
     v = _min_valuation(family, i-1), so the cell term atom(n) * S_{i-1}
@@ -183,9 +183,6 @@ def _family_prefix(
         strict = family not in _WEAK
         while len(series_by_k) <= k_max:
             i = len(series_by_k)
-            if _min_valuation(family, i) > order:
-                series_by_k.append(zero(order))
-                continue
             cap = _m_eff(family, m_eff, order - _min_valuation(family, i - 1))
             row: List[ExactSeries] = [zero(order)]
             for n in range(1, cap + 1):
@@ -201,9 +198,15 @@ def _family_prefix(
 
 
 def family_series(spec: FamilySpec, order: int) -> ExactSeries:
-    """The family series for spec, exact modulo q^(order+1)."""
+    """The family series for spec, exact modulo q^(order+1).
+
+    A k-chain has valuation at least _min_valuation(family, k), so when
+    that exceeds the order the series is zero there and no DP row is built.
+    """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
+    if _min_valuation(spec.family, spec.k) > order:
+        return zero(order)
     m_eff = _m_eff(spec.family, spec.m, order)
     return _family_prefix(spec.family, spec.sign, m_eff, order, spec.k)[spec.k]
 

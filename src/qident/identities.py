@@ -62,10 +62,10 @@ from .qtools import (
 from .series import (
     ExactSeries,
     from_coeffs,
+    from_terms,
     invert,
     mul,
     one,
-    substitute_power,
     weighted_sum,
 )
 
@@ -145,12 +145,13 @@ def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
 
     Linear parts: -1 + (1 + q^k) * S_k(q).  Odd parts:
     sum_{j>=k} (-1)^(j-k) q^(j(j+1) - k^2) = q^k * S_k(q^2), since
-    j(j+1) - k^2 = 2(T_j - T_k) + k.
+    j(j+1) - k^2 = 2(T_j - T_k) + k.  Its term c*q^e of S_k lands at
+    q^(2e+k), so S_k is read only to q^((N-k)//2) and its few nonzero
+    terms are placed one by one.
     """
     if odd:
-        # q^k * S_k(q^2) reads S_k only to q^(N-k); the shift restores order N
-        half = alt_triangular_sum(k, max(order - k, 0))
-        return weighted_sum([(k, 1, substitute_power(half, 2))], order)
+        half = alt_triangular_sum(k, max(order - k, 0) // 2)
+        return from_terms(((2 * e + k, c) for e, c in enumerate(half.coeffs) if c), order)
     half = alt_triangular_sum(k, order)
     return weighted_sum([(0, -1, one(order)), (0, 1, half), (k, 1, half)], order)
 

@@ -11,6 +11,8 @@ turns it into the linear-part and odd-part flavours).
 Truncation rule for formally infinite objects: a factor or term whose
 minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
 modulo q^(N+1) and is simply skipped, so every result is exact at order N.
+Gaussian binomials keep to it as well: ``gaussian_binomial`` clamps
+[m, k] to the box of partitions the order can see before it builds one.
 
 Every series here is built with :mod:`qident.series`: sparse sums through
 ``from_terms``, sums of shifted multiples of series (products with a
@@ -118,9 +120,18 @@ def gaussian_binomial(m: int, k: int, d: int, order: int) -> ExactSeries:
     Returns the zero series whenever the two-case definition says 0
     (k < 0, m < 0, or k > m).  The polynomial has degree k*(m-k) and
     constant term 1 in the nonzero case.
+
+    Its coefficient of Q^n, Q = q^d, counts the partitions of n into at
+    most k parts, each at most m-k (Andrews, *The Theory of Partitions*,
+    Thm 3.1).  Only n <= c = order // d is visible, and such a partition
+    has at most c parts, each at most c, so [m, k] is built as
+    [min(k, c) + min(m-k, c), min(k, c)]: the q-Pascal memo holds no
+    polynomial beyond that box.  Out-of-range (m, k) stay out of range.
     """
     if d < 1:
         raise ValueError(f"base power must be >= 1, got {d}")
+    c = order // d
+    m, k = min(k, c) + min(m - k, c), min(k, c)
     # [m, k] recurses into [top, j] for every j >= 1 in this range, so
     # filling them level by level, lowest first, adds no memo entry its
     # own recursion would not add.

@@ -195,17 +195,33 @@ def _table_coeffs(family, sign, order):
     return [s.coeffs for s in series_by_k], [s.coeffs for s in last_row]
 
 
+def _last_visible_row(family, order):
+    """The largest k whose k-chains can reach q^order: order for V and W,
+    6 (A) and 4 (C) at order 24, 8 (A) and 6 (C) at order 40."""
+    return max(k for k in range(order + 1) if families._min_valuation(family, k) <= order)
+
+
 @ALL_FAMILIES
 @BOTH_SIGNS
 def test_extended_table_matches_fresh_build(monkeypatch, family, sign):
     order = 24
+    last = _last_visible_row(family, order)
     monkeypatch.setattr(families, "_tables", {})
-    for k in (2, 7, order):
+    for k in (2, min(7, last - 1), last):
         family_series(FamilySpec(family=family, sign=sign, k=k), order)
     extended = _table_coeffs(family, sign, order)
     families._tables.clear()
-    family_series(FamilySpec(family=family, sign=sign, k=order), order)
+    family_series(FamilySpec(family=family, sign=sign, k=last), order)
     assert extended == _table_coeffs(family, sign, order)
+
+
+def test_invisible_chain_rows_build_no_table_rows(monkeypatch):
+    # V_k has valuation k, so at order 20 every k > 20 is zero there and
+    # must not fill the (V, 1, 20, 20) table with zero rows up to k
+    monkeypatch.setattr(families, "_tables", {})
+    assert family_series(FamilySpec("V", 1, 10 ** 5), 20).coeffs == zero(20).coeffs
+    series_by_k, _ = families._tables.get(("V", 1, 20, 20), ([], []))
+    assert len(series_by_k) <= 21
 
 
 def _strict_chain_sum(sign, k, n, odd_parts):
@@ -255,7 +271,7 @@ def test_cold_dp_skips_cells_beyond_the_order(monkeypatch, family, cells, sign):
 
     monkeypatch.setattr(families, "_tables", {})
     monkeypatch.setattr(families, "divide_binomial", counting_divide_binomial)
-    family_series(FamilySpec(family=family, sign=sign, k=40), 40)
+    family_series(FamilySpec(family=family, sign=sign, k=_last_visible_row(family, 40)), 40)
     assert len(calls) == 2 * cells
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qident.identities import _one_sided
+from qident.identities import IdentityCase, _one_sided, verify
 from qident.qtools import (
     INFINITE,
     _gauss_poly,
@@ -159,14 +159,37 @@ def test_gaussian_binomial_degree_and_unit_constant(m, k):
 
 @pytest.mark.parametrize("m, k", [(1500, 1), (1300, 1299)])
 def test_gaussian_binomial_from_a_cold_cache_stays_shallow(m, k):
-    # [m, k] recurses m levels deep through _gauss_poly; filled level by
+    # At order m the order sees the whole box, so [m, k] is built as it
+    # stands and recurses m levels deep through _gauss_poly; filled level by
     # level it stays under the default recursion limit.  The memo then holds
     # exactly the recursion's own entries [m - a, k - b], 0 <= b <= a, with
     # k - b <= m - a, plus the zero leaves [j - 1, j] for j = 1..k.
     _gauss_poly.cache_clear()
     try:
-        assert gaussian_binomial(m, k, 1, 10).coeffs == (1,) * 11
+        assert gaussian_binomial(m, k, 1, m).coeffs == (1,) * m + (0,)
         assert _gauss_poly.cache_info().currsize == (m - k + 1) * (k + 1) + k
+    finally:
+        _gauss_poly.cache_clear()
+
+
+def test_gaussian_binomial_matches_the_whole_polynomial_on_a_grid():
+    # the clamp to the box the order can see changes no visible coefficient
+    for m in range(15):
+        for k in range(-1, m + 2):
+            for d in range(1, 4):
+                for order in range(41):
+                    whole = from_terms(zip(range(0, order + 1, d), _gauss_poly(m, k)), order)
+                    assert gaussian_binomial(m, k, d, order) == whole, (m, k, d, order)
+
+
+def test_cauchy_builds_only_the_binomials_the_order_can_see():
+    # at order 10 every [n - 1 + j, j] is built inside the box b <= 10,
+    # a - b <= 10, so the memo holds at most its 11 * 11 entries [a, b]
+    # and the zero leaves [j - 1, j] beside it: 11 * 12 in all
+    _gauss_poly.cache_clear()
+    try:
+        assert verify(IdentityCase("CAUCHY", {"n": 60, "s": 1}, 10)).holds
+        assert _gauss_poly.cache_info().currsize <= 11 * 12
     finally:
         _gauss_poly.cache_clear()
 
@@ -305,19 +328,19 @@ def _whole_exponent_sum(k, order):
                        for j in range(k, order + 1)), order)
 
 
-def test_half_variant_reference_values():
+def test_alt_triangular_sum_reference_values():
     assert alt_triangular_sum(2, 7).coeffs == (1, 0, 0, -1, 0, 0, 0, 1)
     assert alt_triangular_sum(0, 6).coeffs == (1, -1, 0, 1, 0, 0, -1)
 
 
-def test_whole_variant_reference_values():
+def test_odd_one_sided_reference_values():
     # the odd-part one-sided sum, exponents j(j+1) - k^2
     assert _one_sided(1, True, 10).coeffs == (0, 1, 0, 0, 0, -1, 0, 0, 0, 0, 0)
     assert _one_sided(0, True, 7).coeffs == (1, 0, -1, 0, 0, 0, 1, 0)
 
 
 @pytest.mark.parametrize("k", range(5))
-def test_half_variant_starts_at_one(k):
+def test_alt_triangular_sum_starts_at_one(k):
     # leading term q^(T_k - T_k) = 1, next term -q^(k+1)
     series = alt_triangular_sum(k, 25)
     assert series.valuation() == 0
@@ -326,7 +349,7 @@ def test_half_variant_starts_at_one(k):
 
 
 @pytest.mark.parametrize("k", range(5))
-def test_whole_variant_starts_at_exponent_k(k):
+def test_odd_one_sided_starts_at_exponent_k(k):
     # leading term q^(k(k+1) - k^2) = q^k
     series = _one_sided(k, True, 25)
     assert series.valuation() == k

@@ -123,7 +123,7 @@ def _m_eff(family: str, m: Union[int, float], order: int) -> int:
     nothing modulo q^(order+1); INFINITE bounds are realized finitely.
     """
     cap = (order + 1) // 2 if family in _ODD else order
-    return int(min(m, cap)) if m != INFINITE else cap
+    return int(min(m, cap))
 
 
 def _min_valuation(family: str, k: int) -> int:

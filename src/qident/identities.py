@@ -21,8 +21,9 @@ index only as far as some term can still reach the order, and
 The basic hypergeometric sums (the two-binomial kernel, the x_i of the
 divisor sum, the Euler sums) take their terms from
 ``qtools.hypergeometric_terms``, each term from the one before by its
-term ratio, with no product of two series.  The L1/L2 quotient sums are
-q^k times ``kernel_H`` at m = INFINITE, the kernel of T1 and T2.
+term ratio and without its z-power q^(s*n), which each sum puts into
+its weighted_sum shift.  The L1/L2 quotient sums are q^k times
+``kernel_H`` at m = INFINITE, the kernel of T1 and T2.
 """
 
 from __future__ import annotations
@@ -269,10 +270,10 @@ def divisor_sum_series(order: int) -> ExactSeries:
     vanishes at j = d, so the sum is half the full double sum over all
     (j, d), which is M0*M2 - M1^2 with the moments M_r = sum_i i^r x_i.
     x_i has valuation i, so i runs to the order; hypergeometric_terms
-    builds each from the one before by the ratio q/(1 - q^i).
+    yields 1/(q;q)_i, each from the one before, and the moments shift by q^i.
     """
     x = list(hypergeometric_terms(one(order), (), (1,), 1, 1, order))
-    m0, m1, m2 = (weighted_sum([(0, i ** r, x_i) for i, x_i in enumerate(x)], order)
+    m0, m1, m2 = (weighted_sum([(i, i ** r, u) for i, u in enumerate(x)], order)
                   for r in range(3))
     return mul(squared_pochhammer(1, 1, 1, INFINITE, order),
                weighted_sum([(0, 1, mul(m0, m2)), (0, -1, mul(m1, m1))], order))
@@ -299,8 +300,8 @@ def _check_euler_alternating(order: int, *, e: int) -> Optional[Discrepancy]:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
     lhs = pochhammer(1, e, 1, INFINITE, order)
     terms = hypergeometric_terms(one(order), (), (1,), 1, e, order)
-    rhs = weighted_sum(((j * (j - 1) // 2, (-1) ** j, t) for j, t in enumerate(terms)),
-                       order)
+    rhs = weighted_sum(((j * (j - 1) // 2 + e * j, (-1) ** j, u)
+                        for j, u in enumerate(terms)), order)
     return _first_discrepancy(lhs, rhs)
 
 
@@ -308,7 +309,7 @@ def _check_euler_direct(order: int, *, e: int) -> Optional[Discrepancy]:
     if e < 1:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
     terms = hypergeometric_terms(one(order), (), (1,), 1, e, order)
-    lhs = weighted_sum(((0, 1, t) for t in terms), order)
+    lhs = weighted_sum(((e * j, 1, u) for j, u in enumerate(terms)), order)
     rhs = invert(pochhammer(1, e, 1, INFINITE, order))
     return _first_discrepancy(lhs, rhs)
 

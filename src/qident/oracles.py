@@ -16,8 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, List, Union
 
-from .qtools import INFINITE
-
 
 class DomainError(ValueError):
     """Raised when an argument is outside a function's domain."""
@@ -101,7 +99,7 @@ CHAIN_ORACLE_CAP = 24
 def _chain_sum(
     sign: int, k: int, m: Union[int, float], n: int, odd_parts: bool
 ) -> int:
-    """Signed weighted count over chains lambda_1 <= ... <= lambda_k <= m.
+    """Signed weighted count over chains lambda_1 <= ... <= lambda_k <= m (m may be inf).
 
     Each position i carries a part lambda_i (odd_parts: the actual part is
     2*lambda_i - 1) with multiplicity t_i >= 1; the chain contributes
@@ -134,7 +132,7 @@ def _chain_sum(
             # (later magnitudes are >= lam, so their parts are >= part)
             if part * positions_left > rem:
                 break
-            if m != INFINITE and lam > m:
+            if lam > m:
                 break
             t = 1
             while part * t + part * (positions_left - 1) <= rem:

@@ -1,9 +1,10 @@
 """q-calculus building blocks on top of :mod:`qident.series`.
 
 Pochhammer products (finite and truncated-infinite), Gaussian binomials,
-the terms of a basic hypergeometric series built from its term ratio
-(``hypergeometric_terms``) and the two sums built on them (the
-two-binomial kernel, for every bound m including INFINITE, and 2phi1 with
+the terms of a basic hypergeometric series built from its term ratio, one
+numerator factor and one divisor at a time (``hypergeometric_terms``),
+the two sums built on them (the two-binomial kernel, whose first binomial
+is such a term too, for every bound m including INFINITE, and 2phi1 with
 monomial arguments), lacunary theta sums, and the one-sided alternating
 triangular sum S_k behind every one-sided theta sum (``identities``
 turns it into the linear-part and odd-part flavours).
@@ -20,9 +21,7 @@ binomial (1 - q^x) included) through ``weighted_sum``, quotients by a
 binomial through ``divide_binomial``; the one product of two series is
 the square in ``squared_pochhammer``, through ``mul``.  The one other
 arithmetic is ``_gauss_poly``, which builds exact q-Pascal polynomials
-(plain integer tuples, not series) for ``gaussian_binomial`` alone; the
-kernel builds its first binomial as a product quotient, one numerator
-factor and one divisor at a time.
+(plain integer tuples, not series) for ``gaussian_binomial`` alone.
 """
 
 from __future__ import annotations
@@ -30,16 +29,23 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import cycle
+from itertools import cycle, islice
 from math import isqrt
 from typing import Iterable, Iterator, Tuple, Union
 
-from .series import ExactSeries, divide_binomial, from_terms, mul, one, weighted_sum, zero
+from .series import (ExactSeries, divide_binomial, from_coeffs, from_terms, mul, one,
+                     weighted_sum, zero)
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
 #: unbounded bounds.
 INFINITE: float = math.inf
+
+
+def _check_bound(name: str, value: Union[int, float]) -> None:
+    """Raise ValueError unless value is a non-negative integer or INFINITE."""
+    if value != INFINITE and (not isinstance(value, int) or value < 0):
+        raise ValueError(f"{name} must be a non-negative integer or INFINITE, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +68,7 @@ def pochhammer(sign: int, offset: int, step: int, length: Union[int, float],
         raise ValueError(f"offset must be >= 1, got {offset}")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    if length != INFINITE and (not isinstance(length, int) or length < 0):
-        raise ValueError(f"length must be a non-negative integer or INFINITE, got {length}")
+    _check_bound("length", length)
     visible = (order - offset) // step + 1  # factors with x <= order
     p = one(order)
     for r in range(min(length, visible)):
@@ -152,67 +157,65 @@ def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactS
     Term j is term j-1 times q^s (1 - Q^(m-1+j)) (1 - Q^(m-1+k+j)) /
     ((1 - Q^j) (1 - Q^(k+j))), so the sum is the basic hypergeometric
     series [m-1+k, k]_Q * 2phi1(Q^m, Q^(m+k); Q^(k+1); Q, q^s), summed
-    from that term ratio by hypergeometric_terms.  With h = min(k, m-1)
-    the first term is the product quotient
-    [m-1+k, k]_Q = (Q^(m+k-h); Q)_h / (Q; Q)_h, truncated at the order:
-    one loop over i = 1..min(h, order//d) multiplies by the numerator
-    factor (1 - Q^(m+k-h-1+i)) with weighted_sum and divides by
-    (1 - Q^i), so no Pochhammer product is built or cached.  A divisor
-    (1 - Q^i) with d*i above the order is 1 there, and so is the numerator
-    factor beside it, so a huge k or m costs no more than the order
-    allows.  At m = INFINITE both binomials become 1/(Q; Q)_j and
-    1/(Q; Q)_(k+j): the first term is 1/(Q; Q)_k and the top parameters
-    drop out.  At m = 0 every binomial [-1+j, j] vanishes, so the result
-    is the zero series for every k.
+    from that term ratio by hypergeometric_terms.  The first binomial comes
+    from the same generator: with h = min(k, m-1) and a = max(m, k+1),
+    [m-1+k, k]_Q = (Q^a; Q)_h / (Q; Q)_h is term h of the series of ratio
+    Q (1 - Q^(a+n-1)) / (1 - Q^n), without its Q^h.  Built at the
+    order + d*n, term n = min(h, order//d) is exact to the order; the
+    factors beyond it are 1 there, so a huge k or m costs no more than the
+    order allows.  m may be INFINITE: every factor (1 - Q^(m+...)) is then
+    1, so the binomials become 1/(Q; Q)_j and 1/(Q; Q)_(k+j).  At m = 0
+    every binomial [-1+j, j] vanishes: the result is zero for every k.
     """
-    if k < 0 or m < 0:
-        raise ValueError(f"indices must be non-negative, got k={k}, m={m}")
+    if k < 0:
+        raise ValueError(f"index must be non-negative, got k={k}")
+    _check_bound("m", m)
     if d < 1 or s < 1:
         raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")
     if m == 0:
         return zero(order)
-    h = min(k, m - 1)
-    top = (m, m + k) if m != INFINITE else ()
-    first = one(order)
-    for i in range(1, min(h, order // d) + 1):
-        if top:
-            first = weighted_sum([(0, 1, first), (d * (m + k - h - 1 + i), -1, first)], order)
-        first = divide_binomial(first, d * i, 1)
-    terms = hypergeometric_terms(first, top, (1, k + 1), d, s, order)
-    return weighted_sum(((0, 1, t) for t in terms), order)
+    n = min(k, m - 1, order // d)
+    wide = order + d * n
+    binomials = hypergeometric_terms(one(wide), (max(m, k + 1),), (1,), d, d, wide)
+    first = next(islice(binomials, n, None))
+    terms = hypergeometric_terms(first, (m, m + k), (1, k + 1), d, s, order)
+    return weighted_sum(((s * j, 1, u) for j, u in enumerate(terms)), order)
 
 
 # ---------------------------------------------------------------------------
 # Basic hypergeometric sums from their term ratio
 # ---------------------------------------------------------------------------
 
-def hypergeometric_terms(first: ExactSeries, top: Iterable[int], bottom: Iterable[int],
+def hypergeometric_terms(first: ExactSeries, top: Iterable[float], bottom: Iterable[int],
                          d: int, s: int, order: int) -> Iterator[ExactSeries]:
-    """The terms t_0, t_1, ... of a basic hypergeometric series in base
-    Q = q^d, each built from the one before by the term ratio:
+    """The terms of a basic hypergeometric series in base Q = q^d without
+    their z-power: term n of the series is q^(s*n) * u_n, where
 
-        t_0 = first,
-        t_n = t_(n-1) * q^s * prod_{a in top} (1 - Q^(a+n-1))
-                            / prod_{c in bottom} (1 - Q^(c+n-1))
+        u_0 = first,
+        u_n = u_(n-1) * prod_{a in top} (1 - Q^(a+n-1))
+                      / prod_{c in bottom} (1 - Q^(c+n-1))
 
-    for n = 1..order//s; t_n has valuation >= s*n, so no later term can
-    reach the order.  Parameters found in both top and bottom cancel
-    first.  Each step is one weighted_sum (q^s times the expanded
-    numerator) and one divide_binomial per remaining denominator, so no
-    step multiplies two series.  Every c in bottom must be >= 1.
+    for n = 1..order//s.  u_n is truncated at q^(order - s*n), all that
+    q^(s*n) * u_n can reach, so callers put s*n into the exponent they
+    hand weighted_sum.  Parameters in both top and bottom cancel first.
+    Each numerator factor is a two-term weighted_sum, as in pochhammer,
+    and each divisor a divide_binomial, so no step multiplies two series.
+    A numerator factor above u_n's order is 1 there and is skipped, so a
+    top parameter may be INFINITE.  Every c in bottom must be >= 1.
     """
     top, bottom = Counter(top), Counter(bottom)
     top, bottom = list((top - bottom).elements()), list((bottom - top).elements())
-    term = first
-    yield term
+    u = first
+    yield u
     for n in range(1, order // s + 1):
-        numerator = [(s, 1)]
-        for a in top:
-            numerator += [(e + d * (a + n - 1), -c) for e, c in numerator]
-        term = weighted_sum([(e, c, term) for e, c in numerator], order)
+        cut = order - s * n
+        u = from_coeffs(u.coeffs[: cut + 1])
+        for x in (d * (a + n - 1) for a in top):
+            if x <= cut:
+                u = weighted_sum([(0, 1, u), (x, -1, u)], cut)
         for c in bottom:
-            term = divide_binomial(term, d * (c + n - 1), 1)
-        yield term
+            u = divide_binomial(u, d * (c + n - 1), 1)
+        yield u
 
 
 def phi2_1(
@@ -225,14 +228,14 @@ def phi2_1(
     unit constant term; the z-argument q^s must satisfy s >= 1 so that
     term n has valuation >= s*n and the sum truncates at n <= order/s.
     The terms come from hypergeometric_terms with top (a_exp, b_exp) and
-    bottom (1, c_exp).
+    bottom (1, c_exp), without their q^(s*n), which the sum shifts back.
     """
     if min(a_exp, b_exp, c_exp) < 1:
         raise ValueError("parameter exponents must be >= 1")
     if d < 1 or s < 1:
         raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")
     terms = hypergeometric_terms(one(order), (a_exp, b_exp), (1, c_exp), d, s, order)
-    return weighted_sum(((0, 1, t) for t in terms), order)
+    return weighted_sum(((s * n, 1, u) for n, u in enumerate(terms)), order)
 
 
 # ---------------------------------------------------------------------------

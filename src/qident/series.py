@@ -78,9 +78,6 @@ class ExactSeries:
         """Smallest exponent with a nonzero coefficient, or None if zero."""
         return _valuation(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return _valuation(self.coeffs) is None
-
     # -- operators ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -129,6 +129,15 @@ def test_divisor_sum_holds_at_high_order():
     assert verify(IdentityCase(id="SIGMA_ID", params={}, order=400)).holds
 
 
+@pytest.mark.parametrize("order", (0, 1, 5, 60))
+def test_divisor_sum_equals_the_unbounded_t2_right_side(order):
+    # B_{k,1} = k^2, so T2_V's right side at (sign +1, j = 1, m = inf) is
+    # SIGMA_ID's double sum: kernel sums on one side, moment products on
+    # the other
+    kernels = reconstruct_family("V", 1, 1, INFINITE, order)
+    assert kernels.coeffs == divisor_sum_series(order).coeffs
+
+
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         verify(IdentityCase(id="NOPE", params={}, order=5))
@@ -183,13 +192,15 @@ def test_holds_iff_no_discrepancy():
 @pytest.mark.parametrize("step", [1, 2])
 @pytest.mark.parametrize("order", [0, 1, 7, 20])
 def test_inverse_pochhammer_table_inverts_the_products(step, order):
-    # the terms of ratio q^s/(1 - Q^n), Q = q^step, are q^(s*n)/(Q;Q)_n
+    # the terms of ratio q^s/(1 - Q^n), Q = q^step, are q^(s*n)/(Q;Q)_n;
+    # term n comes without its q^(s*n), truncated at q^(order - s*n)
     for s in (1, 2, 3):
         terms = list(hypergeometric_terms(one(order), (), (1,), step, s, order))
         assert len(terms) == order // s + 1
         for n, term in enumerate(terms):
-            product = pochhammer(1, step, step, n, order)
-            assert mul(term, product).coeffs == monomial(1, s * n, order).coeffs
+            assert term.order == order - s * n
+            product = pochhammer(1, step, step, n, term.order)
+            assert mul(term, product).coeffs == one(term.order).coeffs
 
 
 def _quotient_sum(step, k, order):

@@ -204,8 +204,8 @@ def test_kernel_reference_value():
 
 def test_kernel_vanishes_at_empty_bound():
     for k in range(4):
-        assert kernel_H(k, 0, 1, 2, 8).is_zero()
-        assert kernel_H(k, 0, 2, 2, 8).is_zero()
+        assert kernel_H(k, 0, 1, 2, 8) == zero(8)
+        assert kernel_H(k, 0, 2, 2, 8) == zero(8)
 
 
 def test_kernel_validates_arguments():
@@ -215,6 +215,13 @@ def test_kernel_validates_arguments():
         kernel_H(1, 2, 0, 2, 4)
     with pytest.raises(ValueError):
         kernel_H(1, 2, 1, 0, 4)
+
+
+@pytest.mark.parametrize("m", (2.5, -1, -INFINITE, "2"))
+def test_kernel_rejects_a_bad_bound(m):
+    # m is a non-negative integer or INFINITE, as pochhammer's length is
+    with pytest.raises(ValueError, match="m must be a non-negative integer or INFINITE"):
+        kernel_H(1, m, 1, 2, 10)
 
 
 @pytest.mark.parametrize("d", (1, 2))

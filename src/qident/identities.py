@@ -2,11 +2,11 @@
 
 Every registry entry realizes one checkable statement as two computations
 that share as little code as the mathematics allows (the per-entry
-``independence`` note documents the two paths) and compares exact integer
-coefficients up to a requested order.  A report either holds outright or
-carries the first discrepancy — exponent plus both coefficients, exact,
-never a tolerance.  Every check reports through ``_first_discrepancy``,
-which compares up to the shorter of its two series.
+``independence`` note documents the two paths).  Its check returns the two
+series; ``verify`` compares their exact integer coefficients with
+``_first_discrepancy``, up to the shorter of the two orders, and nothing
+else compares them.  A report either holds outright or carries the first
+discrepancy — exponent plus both coefficients, exact, never a tolerance.
 
 The oracle- and predicate-backed checks compare fewer exponents than the
 requested order N: ORACLE_V/ORACLE_W compare q^0..q^15 (``_ORACLE_CAP``),
@@ -127,6 +127,10 @@ def _first_discrepancy(lhs: ExactSeries, rhs: ExactSeries) -> Optional[Discrepan
     return None
 
 
+# A check's two independently computed series, in (lhs, rhs) order.
+_Sides = Tuple[ExactSeries, ExactSeries]
+
+
 # ---------------------------------------------------------------------------
 # Shared right-hand-side building blocks
 # ---------------------------------------------------------------------------
@@ -171,25 +175,24 @@ def _weighted_theta_sum(sign: int, j: int, odd: bool, order: int) -> ExactSeries
 # Checks: kernel product forms and kernel reconstructions
 # ---------------------------------------------------------------------------
 
-def _kernel_product_check(family: str) -> Callable[..., Optional[Discrepancy]]:
+def _kernel_product_check(family: str) -> Callable[..., _Sides]:
     d = 2 if family == "W" else 1
 
     def check(order: int, *, sign: int, k: int,
-              m: Union[int, float]) -> Optional[Discrepancy]:
+              m: Union[int, float]) -> _Sides:
         lhs = binomial_combination(family, sign, k, m, order)
         sq = squared_pochhammer(sign, 1, d, m, order)
         kernel = kernel_H(k, m, d, 2, max(order - k, 0))
-        return _first_discrepancy(lhs, mul(sq, weighted_sum([(k, 1, kernel)], order)))
+        return lhs, mul(sq, weighted_sum([(k, 1, kernel)], order))
 
     return check
 
 
-def _reconstruction_check(family: str) -> Callable[..., Optional[Discrepancy]]:
+def _reconstruction_check(family: str) -> Callable[..., _Sides]:
     def check(order: int, *, sign: int, j: int,
-              m: Union[int, float]) -> Optional[Discrepancy]:
-        lhs = family_series(FamilySpec(family=family, sign=sign, k=j, m=m), order)
-        rhs = reconstruct_family(family, sign, j, m, order)
-        return _first_discrepancy(lhs, rhs)
+              m: Union[int, float]) -> _Sides:
+        return (family_series(FamilySpec(family=family, sign=sign, k=j, m=m), order),
+                reconstruct_family(family, sign, j, m, order))
 
     return check
 
@@ -198,38 +201,34 @@ def _reconstruction_check(family: str) -> Callable[..., Optional[Discrepancy]]:
 # Checks: unbounded families against one-sided theta sums
 # ---------------------------------------------------------------------------
 
-def _collapse_check(family: str) -> Callable[..., Optional[Discrepancy]]:
+def _collapse_check(family: str) -> Callable[..., _Sides]:
     odd = family == "W"
 
-    def check(order: int, *, sign: int, k: int) -> Optional[Discrepancy]:
-        lhs = binomial_combination(family, sign, k, INFINITE, order)
-        rhs = mul(_eta_quotient(sign, odd, order), _one_sided(k, odd, order))
-        return _first_discrepancy(lhs, rhs)
+    def check(order: int, *, sign: int, k: int) -> _Sides:
+        return (binomial_combination(family, sign, k, INFINITE, order),
+                mul(_eta_quotient(sign, odd, order), _one_sided(k, odd, order)))
 
     return check
 
 
-def _quotient_sum_check(odd: bool) -> Callable[..., Optional[Discrepancy]]:
+def _quotient_sum_check(odd: bool) -> Callable[..., _Sides]:
     step = 2 if odd else 1
 
-    def check(order: int, *, k: int) -> Optional[Discrepancy]:
-        if k < 0:
-            raise ValueError(f"index must be non-negative, got {k}")
+    def check(order: int, *, k: int) -> _Sides:
         kernel = kernel_H(k, INFINITE, step, 2, max(order - k, 0))
         lhs = mul(squared_pochhammer(1, step, step, INFINITE, order),
                   weighted_sum([(k, 1, kernel)], order))
-        return _first_discrepancy(lhs, _one_sided(k, odd, order))
+        return lhs, _one_sided(k, odd, order)
 
     return check
 
 
-def _unbounded_expansion_check(family: str) -> Callable[..., Optional[Discrepancy]]:
+def _unbounded_expansion_check(family: str) -> Callable[..., _Sides]:
     odd = family == "W"
 
-    def check(order: int, *, sign: int, j: int) -> Optional[Discrepancy]:
-        lhs = family_series(FamilySpec(family=family, sign=sign, k=j, m=INFINITE), order)
-        rhs = mul(_eta_quotient(sign, odd, order), _weighted_theta_sum(sign, j, odd, order))
-        return _first_discrepancy(lhs, rhs)
+    def check(order: int, *, sign: int, j: int) -> _Sides:
+        return (family_series(FamilySpec(family=family, sign=sign, k=j, m=INFINITE), order),
+                mul(_eta_quotient(sign, odd, order), _weighted_theta_sum(sign, j, odd, order)))
 
     return check
 
@@ -238,13 +237,13 @@ def _unbounded_expansion_check(family: str) -> Callable[..., Optional[Discrepanc
 # Checks: theta squares, divisor sums, classical expansions
 # ---------------------------------------------------------------------------
 
-def _theta_square_check(odd: bool) -> Callable[..., Optional[Discrepancy]]:
+def _theta_square_check(odd: bool) -> Callable[..., _Sides]:
     """The square-exponent theta sum (sign -1 weights) or, for odd, the
     triangular one (sign +1) squared against B_{k,0}-weighted sums."""
-    def check(order: int) -> Optional[Discrepancy]:
+    def check(order: int) -> _Sides:
         theta = theta_psi(order) if odd else theta_phi_neg(order)
         rhs = _weighted_theta_sum(1 if odd else -1, 0, odd, order)
-        return _first_discrepancy(mul(theta, theta), rhs)
+        return mul(theta, theta), rhs
 
     return check
 
@@ -279,39 +278,36 @@ def divisor_sum_series(order: int) -> ExactSeries:
                weighted_sum([(0, 1, mul(m0, m2)), (0, -1, mul(m1, m1))], order))
 
 
-def _check_divisor_sum(order: int) -> Optional[Discrepancy]:
+def _check_divisor_sum(order: int) -> _Sides:
     lhs = from_coeffs([0] + [divisor_sigma(n) for n in range(1, order + 1)])
-    return _first_discrepancy(lhs, divisor_sum_series(order))
+    return lhs, divisor_sum_series(order)
 
 
-def _check_cauchy(order: int, *, n: int, s: int) -> Optional[Discrepancy]:
+def _check_cauchy(order: int, *, n: int, s: int) -> _Sides:
     if n < 1:
         raise ValueError(f"the bounded-product expansion needs n >= 1, got {n}")
     if s < 1:
         raise ValueError(f"exponent stride must be >= 1, got {s}")
     lhs = weighted_sum(((s * k, 1, gaussian_binomial(n - 1 + k, k, 1, order - s * k))
                         for k in range(order // s + 1)), order)
-    rhs = invert(pochhammer(1, s, 1, n, order))
-    return _first_discrepancy(lhs, rhs)
+    return lhs, invert(pochhammer(1, s, 1, n, order))
 
 
-def _check_euler_alternating(order: int, *, e: int) -> Optional[Discrepancy]:
+def _check_euler_alternating(order: int, *, e: int) -> _Sides:
     if e < 1:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
-    lhs = pochhammer(1, e, 1, INFINITE, order)
     terms = hypergeometric_terms(one(order), (), (1,), 1, e, order)
     rhs = weighted_sum(((j * (j - 1) // 2 + e * j, (-1) ** j, u)
                         for j, u in enumerate(terms)), order)
-    return _first_discrepancy(lhs, rhs)
+    return pochhammer(1, e, 1, INFINITE, order), rhs
 
 
-def _check_euler_direct(order: int, *, e: int) -> Optional[Discrepancy]:
+def _check_euler_direct(order: int, *, e: int) -> _Sides:
     if e < 1:
         raise ValueError(f"starting exponent must be >= 1, got {e}")
     terms = hypergeometric_terms(one(order), (), (1,), 1, e, order)
     lhs = weighted_sum(((e * j, 1, u) for j, u in enumerate(terms)), order)
-    rhs = invert(pochhammer(1, e, 1, INFINITE, order))
-    return _first_discrepancy(lhs, rhs)
+    return lhs, invert(pochhammer(1, e, 1, INFINITE, order))
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +315,20 @@ def _check_euler_direct(order: int, *, e: int) -> Optional[Discrepancy]:
 # ---------------------------------------------------------------------------
 
 def _gf_check(series: Callable[[int], ExactSeries],
-              count: Callable[[int], int]) -> Callable[..., Optional[Discrepancy]]:
+              count: Callable[[int], int]) -> Callable[..., _Sides]:
     """A generating series against its brute-force counts on q^0..q^_GF_CAP."""
-    def check(order: int) -> Optional[Discrepancy]:
+    def check(order: int) -> _Sides:
         counts = [count(n) for n in range(min(order, _GF_CAP) + 1)]
-        return _first_discrepancy(series(order), from_coeffs(counts))
+        return series(order), from_coeffs(counts)
 
     return check
 
 
-def _check_parity_flip(order: int, *, k: int) -> Optional[Discrepancy]:
+def _check_parity_flip(order: int, *, k: int) -> _Sides:
     plus = family_series(FamilySpec(family="W", sign=1, k=k, m=INFINITE), order)
     minus = family_series(FamilySpec(family="W", sign=-1, k=k, m=INFINITE), order)
     flipped = [(-1) ** (n + k) * c for n, c in enumerate(plus.coeffs)]
-    return _first_discrepancy(minus, from_coeffs(flipped))
+    return minus, from_coeffs(flipped)
 
 
 def _overpartition_predicate(k: int, n: int) -> int:
@@ -364,36 +360,36 @@ def _bipartition_predicate(k: int, n: int) -> int:
     return predicted
 
 
-def _positivity_check(family: str) -> Callable[..., Optional[Discrepancy]]:
+def _positivity_check(family: str) -> Callable[..., _Sides]:
     """Nonnegativity of the signed-product expansion to the full order, plus
     agreement with the family's difference predicate up to q^_EQUIV_CAP.
 
-    The earlier of the two discrepancies is reported; at a tie the
-    nonnegativity one (rhs 0) wins.
+    Both conditions are one expected series: 0 where the product is
+    negative, else the predicate value up to q^_EQUIV_CAP and the product's
+    own coefficient above it.  The first exponent where the product and
+    that series differ is the earlier of the two faults; where both fail
+    at once, the nonnegativity fault (rhs 0) is the one reported.
     """
     odd = family == "W"
 
-    def check(order: int, *, k: int) -> Optional[Discrepancy]:
+    def check(order: int, *, k: int) -> _Sides:
         prod = mul(_eta_quotient(-1, odd, order), _one_sided(k, odd, order))
         predicate = _bipartition_predicate if odd else _overpartition_predicate
-        predicted = [predicate(k, n) for n in range(min(order, _EQUIV_CAP) + 1)]
-        found = [d for d in (
-            _first_discrepancy(prod, from_coeffs(max(c, 0) for c in prod.coeffs)),
-            _first_discrepancy(prod, from_coeffs(predicted)),
-        ) if d is not None]
-        return min(found, key=lambda d: d.exponent, default=None)
+        expected = (0 if c < 0 else predicate(k, n) if n <= _EQUIV_CAP else c
+                    for n, c in enumerate(prod.coeffs))
+        return prod, from_coeffs(expected)
 
     return check
 
 
-def _oracle_check(family: str) -> Callable[..., Optional[Discrepancy]]:
+def _oracle_check(family: str) -> Callable[..., _Sides]:
     enumerate_fn = v_oracle if family == "V" else w_oracle
 
     def check(order: int, *, sign: int, k: int,
-              m: Union[int, float]) -> Optional[Discrepancy]:
+              m: Union[int, float]) -> _Sides:
         series = family_series(FamilySpec(family=family, sign=sign, k=k, m=m), order)
         counts = [enumerate_fn(sign, k, m, n) for n in range(min(order, _ORACLE_CAP) + 1)]
-        return _first_discrepancy(series, from_coeffs(counts))
+        return series, from_coeffs(counts)
 
     return check
 
@@ -406,9 +402,11 @@ def _oracle_check(family: str) -> Callable[..., Optional[Discrepancy]]:
 class RegistryEntry:
     """One verifiable statement: the check, the default parameter grid for
     suite runs, and a note documenting how the two compared computations
-    stay independent."""
+    stay independent.  The check takes the order and the case's params as
+    keywords and returns its two series, (lhs, rhs); it never compares
+    them itself."""
 
-    check: Callable[..., Optional[Discrepancy]]
+    check: Callable[..., _Sides]
     default_grid: Tuple[Mapping[str, Union[int, float]], ...]
     independence: str
 
@@ -593,7 +591,7 @@ def verify(case: IdentityCase) -> VerifyReport:
     if case.order < 0:
         raise ValueError(f"order must be non-negative, got {case.order}")
     start = time.perf_counter()
-    disc = entry.check(case.order, **dict(case.params))
+    disc = _first_discrepancy(*entry.check(case.order, **dict(case.params)))
     elapsed = time.perf_counter() - start
     return VerifyReport(case=case, holds=disc is None,
                         first_discrepancy=disc, elapsed=elapsed)

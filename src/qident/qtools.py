@@ -168,7 +168,7 @@ def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactS
     every binomial [-1+j, j] vanishes: the result is zero for every k.
     """
     if k < 0:
-        raise ValueError(f"index must be non-negative, got k={k}")
+        raise ValueError(f"index must be non-negative, got {k}")
     _check_bound("m", m)
     if d < 1 or s < 1:
         raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")

@@ -23,9 +23,9 @@ terms for :func:`from_terms` (binomial factors, theta sums) or a sum of
 shifted multiples c*q^e*s as its (e, c, s) triples for
 :func:`weighted_sum`, divide by a binomial (1 - c*q^x) with
 :func:`divide_binomial`, or combine series with the operations below.
-Every quotient by a binomial (chain atoms, the denominators of the
-basic hypergeometric term ratios behind the kernel, 2phi1, quotient,
-divisor and Euler sums) goes through :func:`divide_binomial`;
+Every quotient by a binomial (the chain DP's cells, the denominators of
+the basic hypergeometric term ratios behind the kernel, 2phi1, divisor
+and Euler sums) goes through :func:`divide_binomial`;
 :func:`invert` is kept for inverting whole products.
 
 Multiplication is schoolbook convolution, O(N^2) coefficient operations;

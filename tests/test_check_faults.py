@@ -3,13 +3,13 @@
 Each test injects one fault into an input the check reads through the
 ``qident.identities`` module (an oracle count, a predicate count, a divisor
 sum, the chain DP, or the one-sided theta sum under the positivity product)
-and pins the exact Discrepancy the check reports at order 40.
+and pins the exact Discrepancy between the check's two sides at order 40.
 """
 
 import pytest
 
 import qident.identities as identities
-from qident.identities import Discrepancy, IdentityCase, verify
+from qident.identities import Discrepancy, IdentityCase, _first_discrepancy, verify
 from qident.qtools import INFINITE
 from qident.series import add, monomial
 
@@ -34,8 +34,8 @@ def _gf_first(series, count):
     """The GF check's first discrepancy, built from the module's current
     ``series`` and ``count``: the factory binds both when called, so a
     patched count needs a fresh check."""
-    return identities._gf_check(getattr(identities, series),
-                                getattr(identities, count))(ORDER)
+    return _first_discrepancy(*identities._gf_check(getattr(identities, series),
+                                                    getattr(identities, count))(ORDER))
 
 
 def _fault_one_sided(monkeypatch, at, by):
@@ -93,14 +93,14 @@ def test_oracle_check_reports_the_faulty_enumeration(monkeypatch, family, name,
     monkeypatch.setattr(identities, name,
                         lambda sign, k, m, n: real(sign, k, m, n) + (n == at))
     # the factory binds its enumerator when called, so build a fresh check
-    assert identities._oracle_check(family)(ORDER, **params) == expected
+    assert _first_discrepancy(*identities._oracle_check(family)(ORDER, **params)) == expected
 
 
 def test_oracle_fault_beyond_the_cap_goes_unseen(monkeypatch):
     real = identities.v_oracle
     monkeypatch.setattr(identities, "v_oracle",
                         lambda sign, k, m, n: real(sign, k, m, n) + (n == 16))
-    assert identities._oracle_check("V")(ORDER, sign=1, k=2, m=2) is None
+    assert _first_discrepancy(*identities._oracle_check("V")(ORDER, sign=1, k=2, m=2)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from qident.cli import main
-from qident.identities import REGISTRY, Discrepancy, RegistryEntry
+from qident.identities import REGISTRY, RegistryEntry
+from qident.series import monomial, one, zero
 
 # ---------------------------------------------------------------------------
 # coeffs
@@ -137,7 +138,7 @@ def test_verify_csv_has_header(capsys):
 
 def test_verify_failure_reports_big_integers_exactly(capsys):
     REGISTRY["ALWAYS_OFF"] = RegistryEntry(
-        check=lambda order: Discrepancy(exponent=7, lhs=0, rhs=10 ** 30),
+        check=lambda order: (zero(order), monomial(10 ** 30, 7, order)),
         default_grid=(dict(),),
         independence="test-only mutant",
     )
@@ -180,7 +181,7 @@ def test_suite_json_is_deterministic(capsys):
 
 def test_suite_reports_failures_with_exit_one(capsys):
     REGISTRY["ALWAYS_OFF"] = RegistryEntry(
-        check=lambda order: Discrepancy(exponent=0, lhs=1, rhs=2),
+        check=lambda order: (one(order), monomial(2, 0, order)),
         default_grid=(dict(),),
         independence="test-only mutant",
     )

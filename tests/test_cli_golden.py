@@ -12,7 +12,8 @@ import json
 import pytest
 
 from qident.cli import main
-from qident.identities import REGISTRY, Discrepancy, RegistryEntry
+from qident.identities import REGISTRY, RegistryEntry
+from qident.series import monomial
 
 
 def _plain(*lines):
@@ -113,7 +114,7 @@ SUITE_ORDER_4 = {
 def always_off():
     """A registry entry that always fails at q^3 with a 26-digit lhs."""
     REGISTRY["ALWAYS_OFF"] = RegistryEntry(
-        check=lambda order: Discrepancy(exponent=3, lhs=BIG, rhs=7),
+        check=lambda order: (monomial(BIG, 3, order), monomial(7, 3, order)),
         default_grid=(dict(),),
         independence="test-only mutant",
     )

@@ -25,7 +25,6 @@ from qident.identities import (
     _check_euler_alternating,
     _check_euler_direct,
     _eta_quotient,
-    _first_discrepancy,
     _one_sided,
     _weighted_theta_sum,
     divisor_sum_series,
@@ -62,6 +61,9 @@ def test_every_entry_documents_independence_and_grid():
         assert len(entry.default_grid) >= 1
         for params in entry.default_grid:
             assert set(params) == set(entry.required)
+        sides = entry.check(3, **entry.default_grid[0])
+        assert isinstance(sides, tuple) and len(sides) == 2
+        assert all(isinstance(side, series.ExactSeries) for side in sides)
 
 
 def test_required_names_are_the_checks_keyword_only_parameters():
@@ -164,8 +166,7 @@ def test_negative_order_rejected():
 def test_perturbed_comparison_reports_first_discrepancy():
     def perturbed_check(order):
         base = _one_sided(1, False, order)
-        wrong = add(base, monomial(10 ** 30, 7, order))
-        return _first_discrepancy(base, wrong)
+        return base, add(base, monomial(10 ** 30, 7, order))
 
     REGISTRY["PERTURBED"] = RegistryEntry(
         check=perturbed_check,
@@ -286,18 +287,9 @@ SIGNS = (1, -1)
 
 
 def _captured_sides(check, **params):
-    """Both series a check hands to _first_discrepancy, for each golden
-    order: the Cauchy and Euler sums live only inside their checks."""
-    sides = []
-
-    def recorder(lhs, rhs):
-        sides.extend((lhs, rhs))
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(identities, "_first_discrepancy", recorder)
-        for order in GOLDEN_ORDERS:
-            check(order, **params)
-    return sides
+    """Both series a check returns, for each golden order: the Cauchy and
+    Euler sums are built only inside their checks."""
+    return [side for order in GOLDEN_ORDERS for side in check(order, **params)]
 
 
 # Each builder's outputs over GOLDEN_ORDERS and a small parameter grid;

@@ -401,23 +401,35 @@ def test_big_coefficients_survive_inversion():
 # One arithmetic core
 # ---------------------------------------------------------------------------
 
-def _exact_series_calls(path):
-    """Line numbers of the ExactSeries(...) calls in one source file."""
+def _calls(path, name):
+    """(innermost enclosing function, line) of each call to ``name`` in one
+    source file, with "<module>" for a call outside every function."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and (
-            (isinstance(node.func, ast.Name) and node.func.id == "ExactSeries")
-            or (isinstance(node.func, ast.Attribute) and node.func.attr == "ExactSeries")
-        )
-    ]
+    sites = {}
+    # ast.walk visits a scope before the scopes nested in it, so the
+    # innermost one is recorded last
+    for scope in ast.walk(tree):
+        if isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    sites[node.lineno, node.col_offset] = getattr(scope, "name", "<module>")
+    return sorted((scope, line) for (line, _), scope in sites.items())
 
 
 def test_only_series_module_constructs_exact_series():
     package = Path(qident.__file__).parent
-    calls = {path.name: _exact_series_calls(path) for path in sorted(package.glob("*.py"))}
+    calls = {path.name: _calls(path, "ExactSeries") for path in sorted(package.glob("*.py"))}
     assert calls.pop("series.py"), "the guard found no constructor call at all"
-    assert {name: lines for name, lines in calls.items() if lines} == {}
+    assert {name: sites for name, sites in calls.items() if sites} == {}
+
+
+def test_only_verify_compares_the_two_sides():
+    # a check returns its two series; verify is the one place comparing them
+    package = Path(qident.__file__).parent
+    sites = [(path.name, scope) for path in sorted(package.glob("*.py"))
+             for scope, _ in _calls(path, "_first_discrepancy")]
+    assert sites == [("identities.py", "verify")]
 
 
 def _unused_imports(path):

@@ -149,10 +149,9 @@ _tables: Dict[_TableKey, Tuple[List[ExactSeries], List[ExactSeries]]] = {}
 _tables_lock = threading.Lock()
 
 
-def _family_prefix(
-    family: str, sign: int, m_eff: int, order: int, k_max: int
-) -> List[ExactSeries]:
-    """S_0 .. S_k_max for the given family at the effective bound.
+def _family_prefix(family: str, sign: int, m_eff: int, order: int, k: int) -> ExactSeries:
+    """S_k for the given family at the effective bound, extending the
+    table's rows up to k first.
 
     Weak chains:   S_i(n) = S_i(n-1) + atom(n) * S_{i-1}(n)
     Strict chains: S_i(n) = S_i(n-1) + atom(n) * S_{i-1}(n-1)
@@ -161,7 +160,7 @@ def _family_prefix(
     value is S_i(m_eff).  The atom product is never multiplied out: the
     cell shifts the predecessor by q^e and divides it twice by
     (1 - sign*q^e) with divide_binomial, O(order) work per cell.  Every
-    row up to k_max must be visible (_min_valuation(family, k_max) <= order);
+    row up to k must be visible (_min_valuation(family, k) <= order);
     family_series answers the invisible ones without a table.
 
     The predecessor is an (i-1)-chain sum, of valuation at least
@@ -181,7 +180,7 @@ def _family_prefix(
             _tables[key] = entry = (series_by_k, last_row)
         series_by_k, last_row = entry
         strict = family not in _WEAK
-        while len(series_by_k) <= k_max:
+        while len(series_by_k) <= k:
             i = len(series_by_k)
             cap = _m_eff(family, m_eff, order - _min_valuation(family, i - 1))
             row: List[ExactSeries] = [zero(order)]
@@ -194,7 +193,7 @@ def _family_prefix(
             series_by_k.append(row[-1])
             last_row = row
             _tables[key] = (series_by_k, last_row)
-        return list(series_by_k[: k_max + 1])
+        return series_by_k[k]
 
 
 def family_series(spec: FamilySpec, order: int) -> ExactSeries:
@@ -208,7 +207,7 @@ def family_series(spec: FamilySpec, order: int) -> ExactSeries:
     if _min_valuation(spec.family, spec.k) > order:
         return zero(order)
     m_eff = _m_eff(spec.family, spec.m, order)
-    return _family_prefix(spec.family, spec.sign, m_eff, order, spec.k)[spec.k]
+    return _family_prefix(spec.family, spec.sign, m_eff, order, spec.k)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +246,9 @@ def binomial_combination(
     """
     if family not in _WEAK:
         raise InvalidSpec(f"combination is defined for V and W, got {family!r}")
-    spec0 = FamilySpec(family, sign, k, m)  # validates sign/k/m
-    if k > order:
-        return zero(order)
-    m_eff = _m_eff(family, spec0.m, order)
-    table = _family_prefix(family, sign, m_eff, order, order)
-    terms = ((0, (-sign) ** (j - k) * comb(2 * j, j - k), table[j])
+    FamilySpec(family, sign, k, m)  # validates sign/k/m, also for k > order
+    terms = ((0, (-sign) ** (j - k) * comb(2 * j, j - k),
+              family_series(FamilySpec(family, sign, j, m), order))
              for j in range(k, order + 1))
     return weighted_sum(terms, order)
 

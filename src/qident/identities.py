@@ -36,6 +36,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Uni
 
 from .families import (
     FamilySpec,
+    InvalidSpec,
     b_coefficient,
     binomial_combination,
     family_series,
@@ -188,10 +189,17 @@ def _kernel_product_check(family: str) -> Callable[..., _Sides]:
     return check
 
 
+def _family_j(family: str, sign: int, j: int, m: Union[int, float], order: int) -> ExactSeries:
+    """F_{j,m} for the j-indexed checks, which name a negative j as j, not k."""
+    if not isinstance(j, int) or j < 0:
+        raise InvalidSpec(f"j must be a non-negative integer, got {j}")
+    return family_series(FamilySpec(family=family, sign=sign, k=j, m=m), order)
+
+
 def _reconstruction_check(family: str) -> Callable[..., _Sides]:
     def check(order: int, *, sign: int, j: int,
               m: Union[int, float]) -> _Sides:
-        return (family_series(FamilySpec(family=family, sign=sign, k=j, m=m), order),
+        return (_family_j(family, sign, j, m, order),
                 reconstruct_family(family, sign, j, m, order))
 
     return check
@@ -227,7 +235,7 @@ def _unbounded_expansion_check(family: str) -> Callable[..., _Sides]:
     odd = family == "W"
 
     def check(order: int, *, sign: int, j: int) -> _Sides:
-        return (family_series(FamilySpec(family=family, sign=sign, k=j, m=INFINITE), order),
+        return (_family_j(family, sign, j, INFINITE, order),
                 mul(_eta_quotient(sign, odd, order), _weighted_theta_sum(sign, j, odd, order)))
 
     return check

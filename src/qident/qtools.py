@@ -167,6 +167,8 @@ def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactS
     1, so the binomials become 1/(Q; Q)_j and 1/(Q; Q)_(k+j).  At m = 0
     every binomial [-1+j, j] vanishes: the result is zero for every k.
     """
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
     if k < 0:
         raise ValueError(f"index must be non-negative, got {k}")
     _check_bound("m", m)
@@ -277,6 +279,8 @@ def alt_triangular_sum(k: int, order: int) -> ExactSeries:
     Only finitely many j contribute at any order.  The sum starts at
     1 - q^(k+1) + q^(2k+3) - ..., so its valuation is 0.
     """
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
     if k < 0:
         raise ValueError(f"index must be non-negative, got {k}")
     # Term j needs j^2 <= j(j+1) <= 2*order + k(k+1); from_terms drops the

@@ -13,7 +13,9 @@ Conventions
 * Operations on operands of different orders silently truncate to the
   smaller order (identity checks naturally mix series built at different
   provisional orders).
-* Equality compares coefficients up to the common (minimum) order.
+* Two series are equal exactly when their coefficient tuples are, orders
+  included, and equal series hash alike.  Comparing two series up to the
+  shorter order is a verification step, made by identities.verify.
 * All values are immutable; every operation is a pure function, so series
   may be freely shared between threads.
 
@@ -52,13 +54,13 @@ class ExponentOutOfOrder(IndexError):
     """Raised by coeff() when the requested exponent exceeds the order."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExactSeries:
     """A truncated power series: coeffs[n] is the coefficient of q^n.
 
     The series is known exactly modulo q^(order+1); len(coeffs) == order+1.
-    Equality truncates to the shorter order, so no hash can agree with it:
-    the type is unhashable.
+    A plain value: == and hash compare the coefficient tuples, so series of
+    different orders are never equal.
     """
 
     coeffs: Tuple[int, ...]
@@ -73,18 +75,6 @@ class ExactSeries:
     def order(self) -> int:
         """Largest exponent with a stored coefficient."""
         return len(self.coeffs) - 1
-
-    def valuation(self) -> int | None:
-        """Smallest exponent with a nonzero coefficient, or None if zero."""
-        return _valuation(self.coeffs)
-
-    # -- operators ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactSeries):
-            return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return self.coeffs[:n] == other.coeffs[:n]
 
     def __repr__(self) -> str:
         terms = [f"{c}*q^{n}" for n, c in enumerate(self.coeffs) if c]
@@ -115,7 +105,7 @@ def one(order: int) -> ExactSeries:
 
 def zero(order: int) -> ExactSeries:
     """The zero series at the given order."""
-    return ExactSeries((0,) * (order + 1))
+    return from_terms((), order)
 
 
 def from_coeffs(values: Iterable[int]) -> ExactSeries:

@@ -114,6 +114,15 @@ def test_verify_quotient_sum_rejects_negative_index(capsys, identity):
     assert captured.err == "error: index must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("args", [["--id", "T2_V", "--j", "-1", "--m", "1"],
+                                  ["--id", "TT4_V", "--j", "-1"]])
+def test_verify_j_indexed_checks_reject_negative_j(capsys, args):
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: j must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("identity, sign, k, order", [
     ("T1_W", "minus", 2, 30), ("T1_V", "plus", 1, 20), ("T1_V", "plus", 5, 3),
     ("T1_V", "minus", 0, 0),

@@ -32,6 +32,12 @@ from qident.series import (
     zero,
 )
 
+
+def _valuation(s):
+    """Smallest exponent with a nonzero coefficient, or None if s is zero."""
+    return next((n for n, c in enumerate(s.coeffs) if c), None)
+
+
 # ---------------------------------------------------------------------------
 # Spec validation
 # ---------------------------------------------------------------------------
@@ -118,7 +124,7 @@ def test_weak_family_valuations(k):
     order = 30
     for family in ("V", "W"):
         series = family_series(FamilySpec(family=family, sign=1, k=k, m=INFINITE), order)
-        assert (series.valuation() or 0) == k
+        assert (_valuation(series) or 0) == k
         assert series.coeffs[k] == 1
 
 
@@ -126,9 +132,9 @@ def test_weak_family_valuations(k):
 def test_strict_family_valuations(k):
     order = 30
     a = family_series(FamilySpec(family="A", sign=1, k=k), order)
-    assert (a.valuation() or 0) == triangular(k)
+    assert (_valuation(a) or 0) == triangular(k)
     c = family_series(FamilySpec(family="C", sign=1, k=k), order)
-    assert (c.valuation() or 0) == k * k
+    assert (_valuation(c) or 0) == k * k
 
 
 def test_strict_chains_are_subset_of_weak_ones():

@@ -4,10 +4,12 @@ builders, and the resolved reading of the bipartition difference
 predicate."""
 
 import hashlib
+import inspect
 import time
 
 import pytest
 
+import qident
 from qident import identities, qtools, series
 from qident.families import binomial_combination, reconstruct_family
 from qident.identities import (
@@ -25,6 +27,7 @@ from qident.identities import (
     _check_euler_alternating,
     _check_euler_direct,
     _eta_quotient,
+    _first_discrepancy,
     _one_sided,
     _weighted_theta_sum,
     divisor_sum_series,
@@ -159,6 +162,47 @@ def test_negative_order_rejected():
         verify(IdentityCase(id="L1", params=dict(k=0), order=-1))
 
 
+# Every public name that takes an order, called with that order and every
+# other argument valid.
+_ORDER_CALLS = [
+    ("from_terms", lambda order: qident.from_terms((), order)),
+    ("weighted_sum", lambda order: qident.weighted_sum((), order)),
+    ("monomial", lambda order: qident.monomial(1, 0, order)),
+    ("one", qident.one),
+    ("zero", qident.zero),
+    ("pochhammer", lambda order: qident.pochhammer(1, 1, 1, 3, order)),
+    ("pochhammer", lambda order: qident.pochhammer(1, 1, 1, INFINITE, order)),
+    ("gaussian_binomial", lambda order: qident.gaussian_binomial(4, 2, 1, order)),
+    ("kernel_H", lambda order: qident.kernel_H(1, 2, 1, 2, order)),
+    ("kernel_H", lambda order: qident.kernel_H(1, INFINITE, 2, 2, order)),
+    ("kernel_H", lambda order: qident.kernel_H(1, 0, 1, 2, order)),
+    ("theta_phi_neg", qident.theta_phi_neg),
+    ("theta_psi", qident.theta_psi),
+    ("alt_triangular_sum", lambda order: qident.alt_triangular_sum(0, order)),
+    ("family_series", lambda order: qident.family_series(qident.FamilySpec("V", 1, 1, 2), order)),
+    ("binomial_combination", lambda order: qident.binomial_combination("V", 1, 0, 2, order)),
+    ("reconstruct_family", lambda order: qident.reconstruct_family("V", 1, 0, 2, order)),
+    ("verify_suite", qident.verify_suite),
+    ("overpartition_pair_series", qident.overpartition_pair_series),
+    ("pod_bipartition_series", qident.pod_bipartition_series),
+    ("divisor_sum_series", qident.divisor_sum_series),
+]
+
+
+def test_order_calls_cover_every_public_builder():
+    takes_order = {name for name in qident.__all__
+                   if inspect.isfunction(inspect.unwrap(getattr(qident, name)))
+                   and "order" in inspect.signature(getattr(qident, name)).parameters}
+    assert takes_order == {name for name, _ in _ORDER_CALLS}
+
+
+@pytest.mark.parametrize("name, call", _ORDER_CALLS,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(_ORDER_CALLS)])
+def test_every_builder_names_a_negative_order(name, call):
+    with pytest.raises(ValueError, match="^order must be non-negative, got -1$"):
+        call(-1)
+
+
 # ---------------------------------------------------------------------------
 # Discrepancy reporting (harness self-test with a perturbed entry)
 # ---------------------------------------------------------------------------
@@ -179,6 +223,17 @@ def test_perturbed_comparison_reports_first_discrepancy():
             exponent=7, lhs=0, rhs=10 ** 30)
     finally:
         del REGISTRY["PERTURBED"]
+
+
+def test_first_discrepancy_compares_up_to_the_shorter_order():
+    # the oracle- and predicate-capped checks return sides of different
+    # orders; only their common prefix is compared
+    short, long_ = series.from_coeffs([1, 2]), series.from_coeffs([1, 2, 9])
+    assert short != long_
+    assert _first_discrepancy(short, long_) is None
+    assert _first_discrepancy(long_, short) is None
+    assert _first_discrepancy(long_, series.from_coeffs([1, 5])) == Discrepancy(
+        exponent=1, lhs=2, rhs=5)
 
 
 def test_holds_iff_no_discrepancy():

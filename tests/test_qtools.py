@@ -20,6 +20,12 @@ from qident.qtools import (
 )
 from qident.series import from_terms, mul, one, substitute_power, weighted_sum, zero
 
+
+def _valuation(s):
+    """Smallest exponent with a nonzero coefficient, or None if s is zero."""
+    return next((n for n, c in enumerate(s.coeffs) if c), None)
+
+
 # ---------------------------------------------------------------------------
 # Pochhammer argument validation
 # ---------------------------------------------------------------------------
@@ -350,7 +356,7 @@ def test_odd_one_sided_reference_values():
 def test_alt_triangular_sum_starts_at_one(k):
     # leading term q^(T_k - T_k) = 1, next term -q^(k+1)
     series = alt_triangular_sum(k, 25)
-    assert series.valuation() == 0
+    assert _valuation(series) == 0
     assert series.coeffs[0] == 1
     assert series.coeffs[k + 1] == -1
 
@@ -359,7 +365,7 @@ def test_alt_triangular_sum_starts_at_one(k):
 def test_odd_one_sided_starts_at_exponent_k(k):
     # leading term q^(k(k+1) - k^2) = q^k
     series = _one_sided(k, True, 25)
-    assert series.valuation() == k
+    assert _valuation(series) == k
     assert series.coeffs[k] == 1
 
 

@@ -26,6 +26,7 @@ from qident.series import (
     one,
     scale,
     shift,
+    _valuation,
     substitute_power,
     weighted_sum,
     zero,
@@ -69,11 +70,12 @@ def test_immutable():
 
 
 def test_valuation_and_is_zero():
-    assert zero(5).valuation() is None
+    # divide_binomial starts its pass from this private valuation
+    assert _valuation(zero(5).coeffs) is None
     assert zero(5).coeffs == (0,) * 6
-    assert monomial(7, 3, 6).valuation() == 3
+    assert _valuation(monomial(7, 3, 6).coeffs) == 3
     assert one(0) != zero(0)
-    assert one(0).valuation() == 0
+    assert _valuation(one(0).coeffs) == 0
 
 
 def test_from_terms_adds_repeated_exponents_and_drops_high_ones():
@@ -109,20 +111,40 @@ def test_repr_mentions_truncation():
 
 
 # ---------------------------------------------------------------------------
-# Equality truncates to the common order
+# Equality and hashing compare whole coefficient tuples
 # ---------------------------------------------------------------------------
 
-def test_equality_compares_common_prefix():
-    assert from_coeffs([1, 2, 3]) == from_coeffs([1, 2])
-    assert from_coeffs([1, 2]) == from_coeffs([1, 2, 99])
-    assert from_coeffs([1, 2, 3]) != from_coeffs([1, 3])
+def test_equality_compares_whole_coefficient_tuples():
+    # a shorter order is never equal, even where the common prefix agrees;
+    # verify compares prefixes, == does not
+    assert from_coeffs([1, 2]) == from_coeffs([1, 2])
+    assert from_coeffs([1, 2, 3]) != from_coeffs([1, 2])
+    assert from_coeffs([1, 2]) != from_coeffs([1, 2, 0])
+    assert from_coeffs([1, 2, 3]) != from_coeffs([1, 3, 3])
     assert from_coeffs([1]) != 1
 
 
-def test_series_are_unhashable():
-    # truncating == makes (1,) equal to (1, 0); no hash could agree with it
-    with pytest.raises(TypeError):
-        hash(ExactSeries((1,)))
+def test_series_are_hashable_values():
+    assert hash(from_coeffs([1, 2])) == hash(from_coeffs([1, 2]))
+    assert len({one(3), one(3), zero(3), one(4)}) == 3
+    assert {from_coeffs([1, 2]): "a"}[from_coeffs((1, 2))] == "a"
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.integers(-1, 1), min_size=1, max_size=3), min_size=3, max_size=3))
+def test_equality_and_hash_obey_the_value_contract(rows):
+    # tiny coefficients and orders 0..2, so equal and mixed-order pairs
+    # both come up often
+    a, b, c = map(from_coeffs, rows)
+    assert (a == b) == (a.coeffs == b.coeffs)
+    if a == b:
+        assert hash(a) == hash(b)
+    if a == b and b == c:
+        assert a == c
+    assert len({a, b, c}) == len({a.coeffs, b.coeffs, c.coeffs})
+    keyed = {a: "a", b: "b"}
+    assert keyed[b] == "b"
+    assert keyed[a] == ("b" if a.coeffs == b.coeffs else "a")
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +332,10 @@ def test_shift_extends_order():
 
 @given(series_st, st.integers(0, 5))
 def test_shift_matches_monomial_multiplication(a, e):
-    # truncating equality compares the common prefix, where both agree even
-    # when e exceeds the order (both sides are then all zeros there)
-    assert shift(a, e) == mul(a, monomial(1, e, a.order))
+    # shift keeps order a.order + e, the product a.order: compare the
+    # product's range, all zeros there when e exceeds the order
+    product = mul(a, monomial(1, e, a.order))
+    assert shift(a, e).coeffs[: a.order + 1] == product.coeffs
 
 
 def test_scale_identity_returns_same_object():

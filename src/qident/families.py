@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Tuple, Union
 
-from .qtools import INFINITE, kernel_H, squared_pochhammer
+from .qtools import INFINITE, _check_bound, _check_sign, kernel_H, squared_pochhammer
 from .series import (
     ExactSeries,
+    _check_int,
     add,
     divide_binomial,
     from_terms,
@@ -66,19 +67,13 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise InvalidSpec(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.sign not in (1, -1):
-            raise InvalidSpec(f"sign must be +1 or -1, got {self.sign}")
-        if not isinstance(self.k, int) or self.k < 0:
-            raise InvalidSpec(f"k must be a non-negative integer, got {self.k}")
-        if self.m != INFINITE:
-            if not isinstance(self.m, int) or self.m < 1:
-                raise InvalidSpec(
-                    f"m must be a positive integer or INFINITE, got {self.m}"
-                )
-            if self.family in ("A", "C"):
-                raise InvalidSpec(
-                    f"family {self.family} takes only m = INFINITE, got m={self.m}"
-                )
+        _check_sign(self.sign, InvalidSpec)
+        _check_int("k", self.k, 0, InvalidSpec)
+        _check_bound("m", self.m, 1, InvalidSpec)
+        if self.m != INFINITE and self.family in ("A", "C"):
+            raise InvalidSpec(
+                f"family {self.family} takes only m = INFINITE, got m={self.m}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +95,8 @@ def atom(family: str, sign: int, n: int, order: int) -> ExactSeries:
     The tests check this closed form against that cell form and against
     q^e * invert((1 -+ q^e)^2).
     """
-    if family not in FAMILIES:
-        raise InvalidSpec(f"family must be one of {FAMILIES}, got {family!r}")
-    if sign not in (1, -1):
-        raise InvalidSpec(f"sign must be +1 or -1, got {sign}")
-    if n < 1:
-        raise InvalidSpec(f"magnitude must be >= 1, got {n}")
+    FamilySpec(family, sign, 0)  # validates family and sign
+    _check_int("n", n, 1, InvalidSpec)
     e = _atom_exponent(family, n)
     terms = ((e * t, t * sign ** (t + 1)) for t in range(1, order // e + 1))
     return from_terms(terms, order)
@@ -202,8 +193,7 @@ def family_series(spec: FamilySpec, order: int) -> ExactSeries:
     A k-chain has valuation at least _min_valuation(family, k), so when
     that exceeds the order the series is zero there and no DP row is built.
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    _check_int("order", order)
     if _min_valuation(spec.family, spec.k) > order:
         return zero(order)
     m_eff = _m_eff(spec.family, spec.m, order)
@@ -221,8 +211,8 @@ def b_coefficient(k: int, j: int) -> int:
     B_{k,j} = 2*C(j+k-1, 2j) + C(j+k-1, 2j-1), which equals the quotient
     form 2k/(k+j) * C(k+j, 2j) (tested for 0 <= j <= k <= 30).
     """
-    if k < 0 or j < 0:
-        raise ValueError(f"indices must be non-negative, got k={k}, j={j}")
+    _check_int("k", k)
+    _check_int("j", j)
     if k < j:
         return 0
     if j == 0:
@@ -247,6 +237,7 @@ def binomial_combination(
     if family not in _WEAK:
         raise InvalidSpec(f"combination is defined for V and W, got {family!r}")
     FamilySpec(family, sign, k, m)  # validates sign/k/m, also for k > order
+    _check_int("order", order)
     terms = ((0, (-sign) ** (j - k) * comb(2 * j, j - k),
               family_series(FamilySpec(family, sign, j, m), order))
              for j in range(k, order + 1))
@@ -268,7 +259,8 @@ def reconstruct_family(
     """
     if family not in _WEAK:
         raise InvalidSpec(f"reconstruction is defined for V and W, got {family!r}")
-    FamilySpec(family, sign, j, m)  # validate
+    _check_int("j", j, 0, InvalidSpec)
+    FamilySpec(family, sign, j, m)  # validates sign and m
     d = 2 if family in _ODD else 1
     prefactor = squared_pochhammer(sign, 1, d, m, order)
     terms = ((k, sign ** (k - j) * b_coefficient(k, j), kernel_H(k, m, d, 2, order - k))

@@ -63,6 +63,7 @@ from .qtools import (
 )
 from .series import (
     ExactSeries,
+    _check_int,
     from_coeffs,
     from_terms,
     invert,
@@ -191,8 +192,7 @@ def _kernel_product_check(family: str) -> Callable[..., _Sides]:
 
 def _family_j(family: str, sign: int, j: int, m: Union[int, float], order: int) -> ExactSeries:
     """F_{j,m} for the j-indexed checks, which name a negative j as j, not k."""
-    if not isinstance(j, int) or j < 0:
-        raise InvalidSpec(f"j must be a non-negative integer, got {j}")
+    _check_int("j", j, 0, InvalidSpec)
     return family_series(FamilySpec(family=family, sign=sign, k=j, m=m), order)
 
 
@@ -292,18 +292,15 @@ def _check_divisor_sum(order: int) -> _Sides:
 
 
 def _check_cauchy(order: int, *, n: int, s: int) -> _Sides:
-    if n < 1:
-        raise ValueError(f"the bounded-product expansion needs n >= 1, got {n}")
-    if s < 1:
-        raise ValueError(f"exponent stride must be >= 1, got {s}")
+    _check_int("n", n, 1)
+    _check_int("s", s, 1)
     lhs = weighted_sum(((s * k, 1, gaussian_binomial(n - 1 + k, k, 1, order - s * k))
                         for k in range(order // s + 1)), order)
     return lhs, invert(pochhammer(1, s, 1, n, order))
 
 
 def _check_euler_alternating(order: int, *, e: int) -> _Sides:
-    if e < 1:
-        raise ValueError(f"starting exponent must be >= 1, got {e}")
+    _check_int("e", e, 1)
     terms = hypergeometric_terms(one(order), (), (1,), 1, e, order)
     rhs = weighted_sum(((j * (j - 1) // 2 + e * j, (-1) ** j, u)
                         for j, u in enumerate(terms)), order)
@@ -311,8 +308,7 @@ def _check_euler_alternating(order: int, *, e: int) -> _Sides:
 
 
 def _check_euler_direct(order: int, *, e: int) -> _Sides:
-    if e < 1:
-        raise ValueError(f"starting exponent must be >= 1, got {e}")
+    _check_int("e", e, 1)
     terms = hypergeometric_terms(one(order), (), (1,), 1, e, order)
     lhs = weighted_sum(((e * j, 1, u) for j, u in enumerate(terms)), order)
     return lhs, invert(pochhammer(1, e, 1, INFINITE, order))
@@ -596,8 +592,7 @@ def verify(case: IdentityCase) -> VerifyReport:
         raise MissingParam(
             f"{case.id} binds exactly {sorted(want)}: " + ", ".join(problems)
         )
-    if case.order < 0:
-        raise ValueError(f"order must be non-negative, got {case.order}")
+    _check_int("order", case.order)
     start = time.perf_counter()
     disc = _first_discrepancy(*entry.check(case.order, **dict(case.params)))
     elapsed = time.perf_counter() - start

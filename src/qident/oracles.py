@@ -9,12 +9,14 @@ The chain oracles enumerate terms (lambda_1 <= ... <= lambda_k with
 multiplicities t_1..t_k >= 1) directly from the defining sums; terms with
 any t_i = 0 would carry weight 0, so restricting to t_i >= 1 is an
 optimization, not a semantic choice.
+It imports nothing from the engine, so it checks its own arguments and
+raises DomainError.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Union
+from typing import Callable, Iterator, List, Union
 
 
 class DomainError(ValueError):
@@ -174,8 +176,9 @@ def w_oracle(sign: int, k: int, m: Union[int, float], n: int) -> int:
 PAIR_COUNT_CAP = 50
 
 
-def _check_pair_target(n: int) -> None:
-    """Reject a pair-count target outside 0..PAIR_COUNT_CAP."""
+def _ordered_pairs(single: Callable[[int], int], n: int) -> int:
+    """sum_j single(j) * single(n - j): the ordered pairs of objects counted
+    by single with sizes summing to n, for 0 <= n <= PAIR_COUNT_CAP."""
     if n < 0:
         raise DomainError(f"target must be non-negative, got {n}")
     if n > PAIR_COUNT_CAP:
@@ -183,6 +186,7 @@ def _check_pair_target(n: int) -> None:
             f"target {n} is above {PAIR_COUNT_CAP}, the largest n the "
             "brute-force pair counts enumerate"
         )
+    return sum(single(j) * single(n - j) for j in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -199,8 +203,7 @@ def _overpartition_single(n: int) -> int:
 def overpartition_pairs(n: int) -> int:
     """Number of ordered pairs of overpartitions with sizes summing to n,
     for 0 <= n <= PAIR_COUNT_CAP."""
-    _check_pair_target(n)
-    return sum(_overpartition_single(j) * _overpartition_single(n - j) for j in range(n + 1))
+    return _ordered_pairs(_overpartition_single, n)
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +220,7 @@ def _pod_single(n: int) -> int:
 def pod_bipartitions(n: int) -> int:
     """Number of ordered bipartitions of n, each component with distinct
     odd parts and unrestricted even parts, for 0 <= n <= PAIR_COUNT_CAP."""
-    _check_pair_target(n)
-    return sum(_pod_single(j) * _pod_single(n - j) for j in range(n + 1))
+    return _ordered_pairs(_pod_single, n)
 
 
 # ---------------------------------------------------------------------------

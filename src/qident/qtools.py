@@ -31,10 +31,10 @@ from collections import Counter
 from functools import lru_cache
 from itertools import cycle, islice
 from math import isqrt
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Type, Union
 
-from .series import (ExactSeries, divide_binomial, from_coeffs, from_terms, mul, one,
-                     weighted_sum, zero)
+from .series import (ExactSeries, _check_int, divide_binomial, from_coeffs, from_terms,
+                     mul, one, weighted_sum, zero)
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
@@ -42,10 +42,17 @@ from .series import (ExactSeries, divide_binomial, from_coeffs, from_terms, mul,
 INFINITE: float = math.inf
 
 
-def _check_bound(name: str, value: Union[int, float]) -> None:
-    """Raise ValueError unless value is a non-negative integer or INFINITE."""
-    if value != INFINITE and (not isinstance(value, int) or value < 0):
-        raise ValueError(f"{name} must be a non-negative integer or INFINITE, got {value}")
+def _check_bound(name: str, value: Union[int, float], low: int = 0,
+                 error: Type[ValueError] = ValueError) -> None:
+    """Raise error unless value is INFINITE or an int >= low."""
+    if value != INFINITE:
+        _check_int(name, value, low, error)
+
+
+def _check_sign(sign: int, error: Type[ValueError] = ValueError) -> None:
+    """Raise error unless sign is +1 or -1."""
+    if sign not in (1, -1):
+        raise error(f"sign must be +1 or -1, got {sign}")
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +69,11 @@ def pochhammer(sign: int, offset: int, step: int, length: Union[int, float],
     exponent exceeds the order contribute nothing modulo q^(order+1) and
     are skipped, which realizes INFINITE length with finitely many factors.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if offset < 1:
-        raise ValueError(f"offset must be >= 1, got {offset}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
+    _check_sign(sign)
+    _check_int("offset", offset, 1)
+    _check_int("step", step, 1)
     _check_bound("length", length)
+    _check_int("order", order)
     visible = (order - offset) // step + 1  # factors with x <= order
     p = one(order)
     for r in range(min(length, visible)):
@@ -133,8 +138,8 @@ def gaussian_binomial(m: int, k: int, d: int, order: int) -> ExactSeries:
     [min(k, c) + min(m-k, c), min(k, c)]: the q-Pascal memo holds no
     polynomial beyond that box.  Out-of-range (m, k) stay out of range.
     """
-    if d < 1:
-        raise ValueError(f"base power must be >= 1, got {d}")
+    _check_int("d", d, 1)
+    _check_int("order", order)
     c = order // d
     m, k = min(k, c) + min(m - k, c), min(k, c)
     # [m, k] recurses into [top, j] for every j >= 1 in this range, so
@@ -167,13 +172,11 @@ def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactS
     1, so the binomials become 1/(Q; Q)_j and 1/(Q; Q)_(k+j).  At m = 0
     every binomial [-1+j, j] vanishes: the result is zero for every k.
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    if k < 0:
-        raise ValueError(f"index must be non-negative, got {k}")
+    _check_int("k", k)
     _check_bound("m", m)
-    if d < 1 or s < 1:
-        raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")
+    _check_int("d", d, 1)
+    _check_int("s", s, 1)
+    _check_int("order", order)
     if m == 0:
         return zero(order)
     n = min(k, m - 1, order // d)
@@ -232,10 +235,9 @@ def phi2_1(
     The terms come from hypergeometric_terms with top (a_exp, b_exp) and
     bottom (1, c_exp), without their q^(s*n), which the sum shifts back.
     """
-    if min(a_exp, b_exp, c_exp) < 1:
-        raise ValueError("parameter exponents must be >= 1")
-    if d < 1 or s < 1:
-        raise ValueError(f"base and z powers must be >= 1, got d={d}, s={s}")
+    for name, value in (("a_exp", a_exp), ("b_exp", b_exp), ("c_exp", c_exp),
+                        ("d", d), ("s", s)):
+        _check_int(name, value, 1)
     terms = hypergeometric_terms(one(order), (a_exp, b_exp), (1, c_exp), d, s, order)
     return weighted_sum(((s * n, 1, u) for n, u in enumerate(terms)), order)
 
@@ -251,8 +253,7 @@ def theta_phi_neg(order: int) -> ExactSeries:
     against this sum in the tests, not used to build it (the sum has
     O(sqrt(N)) terms and is exact by construction).
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    _check_int("order", order)
     squares = [(k * k, 2 * (-1) ** k) for k in range(1, isqrt(order) + 1)]
     return from_terms([(0, 1)] + squares, order)
 
@@ -262,8 +263,7 @@ def theta_psi(order: int) -> ExactSeries:
 
     Equal to the product (q^2;q^2)inf / (q;q^2)inf (checked in tests).
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    _check_int("order", order)
     # k(k+1)/2 <= order forces k <= sqrt(2*order); from_terms drops the rest.
     triangles = ((k * (k + 1) // 2, 1) for k in range(isqrt(2 * order) + 1))
     return from_terms(triangles, order)
@@ -279,10 +279,8 @@ def alt_triangular_sum(k: int, order: int) -> ExactSeries:
     Only finitely many j contribute at any order.  The sum starts at
     1 - q^(k+1) + q^(2k+3) - ..., so its valuation is 0.
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    if k < 0:
-        raise ValueError(f"index must be non-negative, got {k}")
+    _check_int("k", k)
+    _check_int("order", order)
     # Term j needs j^2 <= j(j+1) <= 2*order + k(k+1); from_terms drops the
     # few beyond the order.
     top = isqrt(2 * order + k * (k + 1))

@@ -30,6 +30,11 @@ the basic hypergeometric term ratios behind the kernel, 2phi1, divisor
 and Euler sums) goes through :func:`divide_binomial`;
 :func:`invert` is kept for inverting whole products.
 
+Every builder in series, qtools, families and identities checks its
+integer arguments with :func:`_check_int`: a float or an out-of-range value
+raises ValueError (InvalidSpec for a family spec) naming the argument as
+its signature spells it, e.g. "k must be non-negative, got -1".
+
 Multiplication is schoolbook convolution, O(N^2) coefficient operations;
 at the working orders of this package (N <= a few hundred) that is faster
 and simpler than any asymptotic trick, and exactness is free because
@@ -43,7 +48,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from typing import Iterable, Tuple
+from typing import Iterable, Tuple, Type
 
 
 class NonUnitConstantTerm(ValueError):
@@ -84,6 +89,16 @@ class ExactSeries:
         return f"ExactSeries({body} + O(q^{self.order + 1}))"
 
 
+def _check_int(name: str, value: object, low: int = 0,
+               error: Type[ValueError] = ValueError) -> None:
+    """Raise error, naming the argument, unless value is an int >= low."""
+    if not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be non-negative, got {value}" if low == 0
+                    else f"{name} must be >= {low}, got {value}")
+
+
 def _valuation(coeffs: Tuple[int, ...]) -> int | None:
     """Index of the first nonzero entry of coeffs, or None if all are zero."""
     return next(compress(count(), coeffs), None)
@@ -95,6 +110,7 @@ def _valuation(coeffs: Tuple[int, ...]) -> int | None:
 
 def monomial(c: int, e: int, order: int) -> ExactSeries:
     """The series c*q^e at the given order (zero if e > order)."""
+    _check_int("e", e)
     return from_terms([(e, c)], order)
 
 
@@ -119,12 +135,11 @@ def from_terms(terms: Iterable[Tuple[int, int]], order: int) -> ExactSeries:
     Repeated exponents add; exponents above the order are dropped, so a
     caller may bound its terms loosely.
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    _check_int("order", order)
     coeffs = [0] * (order + 1)
     for e, c in terms:
         if e < 0:
-            raise ValueError(f"exponent must be non-negative, got {e}")
+            _check_int("exponent", e)
         if e <= order:
             coeffs[e] += c
     return ExactSeries(tuple(coeffs))
@@ -141,13 +156,12 @@ def weighted_sum(terms: Iterable[Tuple[int, int, ExactSeries]], order: int) -> E
     such order, or at the given order if that is smaller.  Terms with e
     above the order add nothing; no terms give zero(order).
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    _check_int("order", order)
     out = [0] * (order + 1)
     top = order
     for e, c, s in terms:
         if e < 0:
-            raise ValueError(f"exponent must be non-negative, got {e}")
+            _check_int("exponent", e)
         top = min(top, e + s.order)
         out[e : e + s.order + 1] = [x + c * y for x, y in zip(out[e:], s.coeffs)]
     return ExactSeries(tuple(out[: top + 1]))
@@ -171,8 +185,7 @@ def shift(a: ExactSeries, e: int) -> ExactSeries:
     If a is exact mod q^(N+1) then q^e * a is exact mod q^(N+e+1), so the
     order legitimately grows: no information is invented.
     """
-    if e < 0:
-        raise ValueError(f"shift exponent must be non-negative, got {e}")
+    _check_int("e", e)
     if e == 0:
         return a
     return ExactSeries((0,) * e + a.coeffs)
@@ -229,8 +242,7 @@ def divide_binomial(a: ExactSeries, x: int, c: int) -> ExactSeries:
     b - c*q^x*b = a.  Entries below a's valuation plus x equal a's, so the
     pass starts there; O(order) work for any x and c.
     """
-    if x < 1:
-        raise ValueError(f"binomial exponent must be >= 1, got {x}")
+    _check_int("x", x, 1)
     b = list(a.coeffs)
     v = _valuation(a.coeffs)
     if v is not None:
@@ -245,8 +257,7 @@ def substitute_power(a: ExactSeries, d: int) -> ExactSeries:
     The coefficient of q^(d*n) is a.coeffs[n] when d*n <= order; exponents
     that are not multiples of d get 0.
     """
-    if d < 1:
-        raise ValueError(f"substitution power must be >= 1, got {d}")
+    _check_int("d", d, 1)
     if d == 1:
         return a
     return from_terms(zip(range(0, a.order + 1, d), a.coeffs), a.order)

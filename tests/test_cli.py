@@ -111,7 +111,7 @@ def test_verify_quotient_sum_rejects_negative_index(capsys, identity):
     assert main(["verify", "--id", identity, "--k", "-1", "--order", "10"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: index must be non-negative, got -1\n"
+    assert captured.err == "error: k must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("args", [["--id", "T2_V", "--j", "-1", "--m", "1"],
@@ -120,7 +120,7 @@ def test_verify_j_indexed_checks_reject_negative_j(capsys, args):
     assert main(["verify", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: j must be a non-negative integer, got -1\n"
+    assert captured.err == "error: j must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("identity, sign, k, order", [

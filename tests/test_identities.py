@@ -203,6 +203,66 @@ def test_every_builder_names_a_negative_order(name, call):
         call(-1)
 
 
+def _registry_arg(identity, arg, low, **params):
+    """The _INT_ARG_CALLS entry of one registry parameter, verified at order 10."""
+    return identity, arg, low, lambda v: verify(IdentityCase(identity, {**params, arg: v}, 10))
+
+
+# Every checked integer argument of a public builder or registry check, as
+# (builder, argument, lowest valid value, call with that argument and every
+# other argument valid); the orders come from _ORDER_CALLS.
+_INT_ARG_CALLS = [
+    ("monomial", "e", 0, lambda v: qident.monomial(1, v, 5)),
+    ("divide_binomial", "x", 1, lambda v: qident.divide_binomial(one(5), v, 1)),
+    ("pochhammer", "offset", 1, lambda v: qident.pochhammer(1, v, 1, 3, 10)),
+    ("pochhammer", "step", 1, lambda v: qident.pochhammer(1, 1, v, 3, 10)),
+    ("pochhammer", "length", 0, lambda v: qident.pochhammer(1, 1, 1, v, 10)),
+    ("gaussian_binomial", "d", 1, lambda v: qident.gaussian_binomial(4, 2, v, 10)),
+    ("kernel_H", "k", 0, lambda v: qident.kernel_H(v, 2, 1, 2, 10)),
+    ("kernel_H", "m", 0, lambda v: qident.kernel_H(1, v, 1, 2, 10)),
+    ("kernel_H", "d", 1, lambda v: qident.kernel_H(1, 2, v, 2, 10)),
+    ("kernel_H", "s", 1, lambda v: qident.kernel_H(1, 2, 1, v, 10)),
+    ("alt_triangular_sum", "k", 0, lambda v: qident.alt_triangular_sum(v, 10)),
+    ("FamilySpec", "k", 0, lambda v: qident.FamilySpec("V", 1, v, 2)),
+    ("FamilySpec", "m", 1, lambda v: qident.FamilySpec("V", 1, 1, v)),
+    ("b_coefficient", "k", 0, lambda v: qident.b_coefficient(v, 0)),
+    ("b_coefficient", "j", 0, lambda v: qident.b_coefficient(2, v)),
+    ("binomial_combination", "k", 0, lambda v: binomial_combination("V", 1, v, 2, 10)),
+    ("binomial_combination", "m", 1, lambda v: binomial_combination("V", 1, 1, v, 10)),
+    ("reconstruct_family", "j", 0, lambda v: reconstruct_family("V", 1, v, 2, 5)),
+    ("reconstruct_family", "m", 1, lambda v: reconstruct_family("V", 1, 1, v, 5)),
+    ("verify", "order", 0, lambda v: verify(IdentityCase("L1", {"k": 1}, v))),
+    _registry_arg("T1_V", "k", 0, sign=1, m=2),
+    _registry_arg("T1_V", "m", 1, sign=1, k=1),
+    _registry_arg("T2_V", "j", 0, sign=1, m=2),
+    _registry_arg("T2_V", "m", 1, sign=1, j=1),
+    _registry_arg("T4_V", "k", 0, sign=1),
+    _registry_arg("L1", "k", 0),
+    _registry_arg("L2", "k", 0),
+    _registry_arg("TT4_V", "j", 0, sign=1),
+    _registry_arg("CAUCHY", "n", 1, s=1),
+    _registry_arg("CAUCHY", "s", 1, n=2),
+    _registry_arg("EULER1", "e", 1),
+    _registry_arg("EULER2", "e", 1),
+    _registry_arg("PARITY_W", "k", 0),
+    _registry_arg("POS_V", "k", 0),
+    _registry_arg("POS_W", "k", 0),
+    _registry_arg("ORACLE_V", "k", 0, sign=1, m=2),
+    _registry_arg("ORACLE_V", "m", 1, sign=1, k=1),
+] + [(name, "order", 0, call) for name, call in _ORDER_CALLS]
+
+
+@pytest.mark.parametrize("name, arg, low, call", _INT_ARG_CALLS,
+                         ids=[f"{name}-{arg}-{i}" for i, (name, arg, _, _)
+                              in enumerate(_INT_ARG_CALLS)])
+def test_every_builder_names_a_bad_integer_argument(name, arg, low, call):
+    with pytest.raises(ValueError, match=rf"^{arg} must be an integer, got {low + 0.5}$"):
+        call(low + 0.5)
+    rule = "non-negative" if low == 0 else f">= {low}"
+    with pytest.raises(ValueError, match=f"^{arg} must be {rule}, got {low - 1}$"):
+        call(low - 1)
+
+
 # ---------------------------------------------------------------------------
 # Discrepancy reporting (harness self-test with a perturbed entry)
 # ---------------------------------------------------------------------------

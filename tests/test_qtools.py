@@ -225,8 +225,10 @@ def test_kernel_validates_arguments():
 
 @pytest.mark.parametrize("m", (2.5, -1, -INFINITE, "2"))
 def test_kernel_rejects_a_bad_bound(m):
-    # m is a non-negative integer or INFINITE, as pochhammer's length is
-    with pytest.raises(ValueError, match="m must be a non-negative integer or INFINITE"):
+    # m is a non-negative integer or INFINITE, as pochhammer's length is;
+    # the error names m and the rule it breaks
+    rule = "non-negative" if m == -1 else "an integer"
+    with pytest.raises(ValueError, match=f"^m must be {rule}, got "):
         kernel_H(1, m, 1, 2, 10)
 
 

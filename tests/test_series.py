@@ -3,6 +3,7 @@ inversion, and exactness on coefficients far beyond machine-word range."""
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -312,7 +313,7 @@ def test_divide_binomial_matches_inverted_binomial_product(case):
 
 def test_divide_binomial_rejects_exponents_below_one():
     for x in (0, -1):
-        with pytest.raises(ValueError, match="binomial exponent must be >= 1"):
+        with pytest.raises(ValueError, match=f"^x must be >= 1, got {x}$"):
             divide_binomial(one(4), x, 1)
 
 
@@ -424,9 +425,10 @@ def test_big_coefficients_survive_inversion():
 # One arithmetic core
 # ---------------------------------------------------------------------------
 
-def _calls(path, name):
-    """(innermost enclosing function, line) of each call to ``name`` in one
-    source file, with "<module>" for a call outside every function."""
+def _sites(path, hit):
+    """(innermost enclosing function, line) of each node of one source file
+    for which ``hit`` holds, with "<module>" for a node outside every
+    function."""
     tree = ast.parse(path.read_text(), filename=str(path))
     sites = {}
     # ast.walk visits a scope before the scopes nested in it, so the
@@ -434,10 +436,15 @@ def _calls(path, name):
     for scope in ast.walk(tree):
         if isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(scope):
-                if isinstance(node, ast.Call) and name in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                if hit(node):
                     sites[node.lineno, node.col_offset] = getattr(scope, "name", "<module>")
     return sorted((scope, line) for (line, _), scope in sites.items())
+
+
+def _calls(path, name):
+    """(innermost enclosing function, line) of each call to ``name``."""
+    return _sites(path, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_only_series_module_constructs_exact_series():
@@ -453,6 +460,22 @@ def test_only_verify_compares_the_two_sides():
     sites = [(path.name, scope) for path in sorted(package.glob("*.py"))
              for scope, _ in _calls(path, "_first_discrepancy")]
     assert sites == [("identities.py", "verify")]
+
+
+def _raises_a_range_message(node):
+    """A raise whose message text states a lower bound on an argument."""
+    return isinstance(node, ast.Raise) and any(
+        isinstance(part, ast.Constant) and isinstance(part.value, str)
+        and re.search(r"non-negative|positive|>=", part.value)
+        for part in ast.walk(node))
+
+
+def test_one_helper_states_every_argument_range():
+    # every engine builder checks its integer arguments through _check_int
+    package = Path(qident.__file__).parent
+    sites = [(name, scope) for name in ("series.py", "qtools.py", "families.py", "identities.py")
+             for scope, _ in _sites(package / name, _raises_a_range_message)]
+    assert sites == [("series.py", "_check_int")]
 
 
 def _unused_imports(path):

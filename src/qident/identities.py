@@ -8,10 +8,10 @@ series; ``verify`` compares their exact integer coefficients with
 else compares them.  A report either holds outright or carries the first
 discrepancy — exponent plus both coefficients, exact, never a tolerance.
 
-The oracle- and predicate-backed checks compare fewer exponents than the
+The brute-force sides (``_counts``) compare fewer exponents than the
 requested order N: ORACLE_V/ORACLE_W compare q^0..q^15 (``_ORACLE_CAP``),
-GF_PP/GF_POD q^0..q^24 (``_GF_CAP``), and POS_V/POS_W compare the
-difference predicate on q^0..q^30 (``_EQUIV_CAP``) and nonnegativity on
+GF_PP/GF_POD q^0..q^24 (``_GF_CAP``), and POS_V/POS_W compare counts times
+the one-sided theta sum on q^0..q^30 (``_EQUIV_CAP``) and nonnegativity on
 q^0..q^N.  Every other check compares q^0..q^N.
 
 Formally infinite sums on right-hand sides truncate by valuation: a term
@@ -46,7 +46,6 @@ from .oracles import (
     divisor_sigma,
     overpartition_pairs,
     pod_bipartitions,
-    triangular,
     v_oracle,
     w_oracle,
 )
@@ -318,12 +317,16 @@ def _check_euler_direct(order: int, *, e: int) -> _Sides:
 # Checks: combinatorial oracles and coefficient predicates
 # ---------------------------------------------------------------------------
 
+def _counts(count: Callable[[int], int], upto: int) -> ExactSeries:
+    """The series sum_n count(n) q^n on q^0..q^upto: a brute-force side."""
+    return from_coeffs([count(n) for n in range(upto + 1)])
+
+
 def _gf_check(series: Callable[[int], ExactSeries],
               count: Callable[[int], int]) -> Callable[..., _Sides]:
     """A generating series against its brute-force counts on q^0..q^_GF_CAP."""
     def check(order: int) -> _Sides:
-        counts = [count(n) for n in range(min(order, _GF_CAP) + 1)]
-        return series(order), from_coeffs(counts)
+        return series(order), _counts(count, min(order, _GF_CAP))
 
     return check
 
@@ -335,53 +338,26 @@ def _check_parity_flip(order: int, *, k: int) -> _Sides:
     return minus, from_coeffs(flipped)
 
 
-def _overpartition_predicate(k: int, n: int) -> int:
-    """-pp(n) + sum_{j>=k} (-1)^(j-k) (pp(n - T_j + T_k) + pp(n - T_j + T_{k-1}))
-    with pp vanishing on negative arguments and T_{-1} = 0."""
-    predicted = -overpartition_pairs(n)
-    j = k
-    while triangular(j) - triangular(k) <= n:
-        term_sign = -1 if (j - k) % 2 else 1
-        x1 = n - triangular(j) + triangular(k)
-        x2 = n - triangular(j) + triangular(k - 1)
-        predicted += term_sign * overpartition_pairs(x1)
-        if x2 >= 0:
-            predicted += term_sign * overpartition_pairs(x2)
-        j += 1
-    return predicted
-
-
-def _bipartition_predicate(k: int, n: int) -> int:
-    """sum_{j>=k} (-1)^(j-k) pod2(n - j(j+1) + k^2), negative arguments
-    contributing 0.  (The exponent j(j+1) is twice a triangular number;
-    the halved reading fails already at k=0, n=1.)"""
-    predicted = 0
-    j = k
-    while j * (j + 1) - k * k <= n:
-        term_sign = -1 if (j - k) % 2 else 1
-        predicted += term_sign * pod_bipartitions(n - j * (j + 1) + k * k)
-        j += 1
-    return predicted
-
-
 def _positivity_check(family: str) -> Callable[..., _Sides]:
     """Nonnegativity of the signed-product expansion to the full order, plus
-    agreement with the family's difference predicate up to q^_EQUIV_CAP.
+    agreement up to q^_EQUIV_CAP with the difference predicate: the
+    brute-force counts times the product's own one-sided theta sum.
 
-    Both conditions are one expected series: 0 where the product is
-    negative, else the predicate value up to q^_EQUIV_CAP and the product's
-    own coefficient above it.  The first exponent where the product and
-    that series differ is the earlier of the two faults; where both fail
-    at once, the nonnegativity fault (rhs 0) is the one reported.
+    One expected series holds both conditions: 0 where the product is
+    negative, else the predicate up to q^_EQUIV_CAP and the product's own
+    coefficient above it.  The first exponent where the two differ is the
+    earlier fault; where both fail at once, the nonnegativity fault (rhs 0)
+    is the one reported.
     """
     odd = family == "W"
 
     def check(order: int, *, k: int) -> _Sides:
-        prod = mul(_eta_quotient(-1, odd, order), _one_sided(k, odd, order))
-        predicate = _bipartition_predicate if odd else _overpartition_predicate
-        expected = (0 if c < 0 else predicate(k, n) if n <= _EQUIV_CAP else c
-                    for n, c in enumerate(prod.coeffs))
-        return prod, from_coeffs(expected)
+        one_sided = _one_sided(k, odd, order)
+        prod = mul(_eta_quotient(-1, odd, order), one_sided)
+        count = pod_bipartitions if odd else overpartition_pairs  # read per run, not bound
+        predicate = mul(_counts(count, min(order, _EQUIV_CAP)), one_sided)
+        return prod, from_coeffs(0 if c < 0 else predicate.coeffs[n] if n <= _EQUIV_CAP else c
+                                 for n, c in enumerate(prod.coeffs))
 
     return check
 
@@ -392,8 +368,7 @@ def _oracle_check(family: str) -> Callable[..., _Sides]:
     def check(order: int, *, sign: int, k: int,
               m: Union[int, float]) -> _Sides:
         series = family_series(FamilySpec(family=family, sign=sign, k=k, m=m), order)
-        counts = [enumerate_fn(sign, k, m, n) for n in range(min(order, _ORACLE_CAP) + 1)]
-        return series, from_coeffs(counts)
+        return series, _counts(lambda n: enumerate_fn(sign, k, m, n), min(order, _ORACLE_CAP))
 
     return check
 
@@ -546,14 +521,14 @@ REGISTRY: Dict[str, RegistryEntry] = {
     "POS_V": RegistryEntry(
         check=_positivity_check("V"),
         default_grid=_grid(k=(0, 1, 2, 3)),
-        independence="Series side: product quotient times one-sided theta "
-                     "sum; predicate side: signed overpartition-pair counts.",
+        independence="Series side: product quotient times one-sided theta sum; "
+                     "predicate side: brute-force pair counts times the same sum; "
+                     "compared: the count identity on q^0..q^30, nonnegativity to q^N.",
     ),
     "POS_W": RegistryEntry(
         check=_positivity_check("W"),
         default_grid=_grid(k=(0, 1, 2, 3)),
-        independence="Series side: odd-part product quotient times "
-                     "whole-exponent sum; predicate side: signed bipartition counts.",
+        independence="As POS_V with odd parts: bipartition counts, whole-exponent sum.",
     ),
     "ORACLE_V": RegistryEntry(
         check=_oracle_check("V"),

@@ -59,7 +59,9 @@ def _check_sign(sign: int, error: Type[ValueError] = ValueError) -> None:
 # Pochhammer products
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# The caches of pochhammer and kernel_H are typed: 1.0 never hits the
+# entry of 1, so a float argument always reaches the argument checks.
+@lru_cache(maxsize=None, typed=True)
 def pochhammer(sign: int, offset: int, step: int, length: Union[int, float],
                order: int) -> ExactSeries:
     """prod_r (1 - sign*q^(offset + r*step)) over r = 0..length-1, at the order.
@@ -138,6 +140,9 @@ def gaussian_binomial(m: int, k: int, d: int, order: int) -> ExactSeries:
     [min(k, c) + min(m-k, c), min(k, c)]: the q-Pascal memo holds no
     polynomial beyond that box.  Out-of-range (m, k) stay out of range.
     """
+    for name, value in (("m", m), ("k", k)):
+        if not isinstance(value, int):
+            _check_int(name, value)
     _check_int("d", d, 1)
     _check_int("order", order)
     c = order // d
@@ -155,7 +160,7 @@ def gaussian_binomial(m: int, k: int, d: int, order: int) -> ExactSeries:
 # The two-binomial kernel sum
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactSeries:
     """sum_j [m-1+j, j] * [m-1+k+j, k+j] * q^(s*j), binomials in base Q = q^d.
 
@@ -209,6 +214,8 @@ def hypergeometric_terms(first: ExactSeries, top: Iterable[float], bottom: Itera
     top parameter may be INFINITE.  Every c in bottom must be >= 1.
     """
     top, bottom = Counter(top), Counter(bottom)
+    for c in bottom:
+        _check_int("bottom", c, 1)
     top, bottom = list((top - bottom).elements()), list((bottom - top).elements())
     u = first
     yield u

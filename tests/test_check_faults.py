@@ -2,8 +2,9 @@
 
 Each test injects one fault into an input the check reads through the
 ``qident.identities`` module (an oracle count, a predicate count, a divisor
-sum, the chain DP, or the one-sided theta sum under the positivity product)
-and pins the exact Discrepancy between the check's two sides at order 40.
+sum, the chain DP, or the one-sided theta sum under the positivity product
+and in L1) and pins the exact Discrepancy between the check's two sides at
+order 40.
 """
 
 import pytest
@@ -152,3 +153,12 @@ def test_pos_reports_the_earlier_of_its_two_discrepancies(monkeypatch):
     _bump(monkeypatch, "overpartition_pairs", 7)
     _fault_one_sided(monkeypatch, 35, -10 ** 12)
     assert _first("POS_V", k=1) == Discrepancy(exponent=8, lhs=228, rhs=229)
+
+
+def test_a_nonnegative_one_sided_fault_shows_in_l1_not_in_pos(monkeypatch):
+    # POS multiplies the counts and the quotient by the same one-sided sum,
+    # so a fault there that keeps the product nonnegative is invisible to
+    # POS; L1 compares that sum against the kernel_H quotient sum
+    _fault_one_sided(monkeypatch, 12, 1)
+    assert _first("L1", k=1) == Discrepancy(exponent=12, lhs=0, rhs=1)
+    assert _first("POS_V", k=1) is None

@@ -1,7 +1,7 @@
 """The verification registry: dispatch, parameter binding, discrepancy
 reporting, suite aggregation, golden coefficients of the weighted-sum
-builders, and the resolved reading of the bipartition difference
-predicate."""
+builders and the positivity sides, and the difference predicates summed
+term by term, with the resolved reading of the bipartition one."""
 
 import hashlib
 import inspect
@@ -32,7 +32,7 @@ from qident.identities import (
     _weighted_theta_sum,
     divisor_sum_series,
 )
-from qident.oracles import pod_bipartitions
+from qident.oracles import overpartition_pairs, pod_bipartitions, triangular
 from qident.qtools import (
     INFINITE,
     hypergeometric_terms,
@@ -449,6 +449,9 @@ GOLDEN_BUILDS = {
     "euler_direct": lambda: [
         side for e in (1, 2, 3)
         for side in _captured_sides(_check_euler_direct, e=e)],
+    "positivity": lambda: [
+        side for family in ("V", "W") for k in range(6)
+        for side in _captured_sides(REGISTRY[f"POS_{family}"].check, k=k)],
 }
 
 GOLDEN_SHA256 = {
@@ -463,6 +466,7 @@ GOLDEN_SHA256 = {
     "kernel_H": "757ba5f23bec6c119804534759bd2b216c14b43161214e9564573fe5f98beb79",
     "phi2_1": "28b2754bf1eb6a93cd7685c66bfcbc8ec643a3a79730d4840d618fa3365c0ead",
     "pochhammer": "3b0c1f2c934a5d76332b553e1fed072e74028e06565c8ddba3759498d48e00e5",
+    "positivity": "da8b86fcac290354f4fe83a89d6d37801e2fb7676c166f6bf7536193760dd274",
     "reconstruct_family": "bea1b60e655062c9e1bcf7d56da0fdaaead02097d9daa936db30af97cce2dd12",
 }
 
@@ -517,6 +521,45 @@ def test_bipartition_predicate_reading_is_the_doubled_exponent():
            [predicted(n, halved=False) for n in range(order + 1)]
     assert series.coeffs[1] == 2
     assert predicted(1, halved=True) == 1  # the rejected reading disagrees
+
+
+def _overpartition_predicate(k, n):
+    """-pp(n) + sum_{j>=k} (-1)^(j-k) (pp(n - T_j + T_k) + pp(n - T_j + T_{k-1}))
+    with pp vanishing on negative arguments and T_{-1} = 0, summed term by
+    term."""
+    predicted = -overpartition_pairs(n)
+    j = k
+    while triangular(j) - triangular(k) <= n:
+        term_sign = -1 if (j - k) % 2 else 1
+        x1 = n - triangular(j) + triangular(k)
+        x2 = n - triangular(j) + triangular(k - 1)
+        predicted += term_sign * overpartition_pairs(x1)
+        if x2 >= 0:
+            predicted += term_sign * overpartition_pairs(x2)
+        j += 1
+    return predicted
+
+
+def _bipartition_predicate(k, n):
+    """sum_{j>=k} (-1)^(j-k) pod2(n - j(j+1) + k^2), negative arguments
+    contributing 0, summed term by term."""
+    predicted = 0
+    j = k
+    while j * (j + 1) - k * k <= n:
+        term_sign = -1 if (j - k) % 2 else 1
+        predicted += term_sign * pod_bipartitions(n - j * (j + 1) + k * k)
+        j += 1
+    return predicted
+
+
+@pytest.mark.parametrize("identity, reference", [
+    ("POS_V", _overpartition_predicate), ("POS_W", _bipartition_predicate)])
+@pytest.mark.parametrize("k", range(6))
+def test_positivity_predicate_matches_the_term_by_term_sum(identity, reference, k):
+    # every product coefficient is nonnegative, so on q^0..q^30 the
+    # expected side is the predicate series, counts times the one-sided sum
+    _, expected = REGISTRY[identity].check(30, k=k)
+    assert expected.coeffs == tuple(reference(k, n) for n in range(31))
 
 
 def test_overpartition_predicate_spot_values():

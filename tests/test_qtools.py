@@ -12,6 +12,7 @@ from qident.qtools import (
     _gauss_poly,
     alt_triangular_sum,
     gaussian_binomial,
+    hypergeometric_terms,
     kernel_H,
     phi2_1,
     pochhammer,
@@ -119,6 +120,15 @@ def test_gaussian_binomial_classic_value():
 def test_gaussian_binomial_out_of_range_is_zero():
     assert gaussian_binomial(3, 5, 1, 4) == zero(4)
     assert gaussian_binomial(3, -1, 1, 4) == zero(4)
+    assert gaussian_binomial(-2, 1, 1, 4) == zero(4)
+
+
+@pytest.mark.parametrize("m, k, message", [(2.5, 1, "m must be an integer, got 2.5"),
+                                            (3, 1.5, "k must be an integer, got 1.5")])
+def test_gaussian_binomial_names_a_non_integer_m_or_k(m, k, message):
+    # any integer m, k is valid (out of range gives zero), a float is not
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gaussian_binomial(m, k, 1, 10)
 
 
 def test_gaussian_binomial_edge_columns():
@@ -230,6 +240,22 @@ def test_kernel_rejects_a_bad_bound(m):
     rule = "non-negative" if m == -1 else "an integer"
     with pytest.raises(ValueError, match=f"^m must be {rule}, got "):
         kernel_H(1, m, 1, 2, 10)
+
+
+@pytest.mark.parametrize("builder, ints, floats, name", [
+    (pochhammer, (1, 1, 1, 3, 10), (1, 1.0, 1, 3, 10), "offset"),
+    (kernel_H, (1, 2, 1, 2, 10), (1, 2.0, 1, 2, 10), "m"),
+])
+def test_cached_builders_reject_a_float_on_a_warm_cache(builder, ints, floats, name):
+    # the cache keys 1 and 1.0 apart, so the equal float is checked, not served
+    builder(*ints)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        builder(*floats)
+
+
+def test_hypergeometric_terms_names_a_bottom_parameter_below_one():
+    with pytest.raises(ValueError, match="^bottom must be >= 1, got 0$"):
+        list(hypergeometric_terms(one(5), (), (0,), 1, 1, 5))
 
 
 @pytest.mark.parametrize("d", (1, 2))

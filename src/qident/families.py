@@ -31,8 +31,7 @@ from .qtools import INFINITE, _check_bound, _check_sign, kernel_H, squared_pochh
 from .series import (
     ExactSeries,
     _check_int,
-    add,
-    divide_binomial,
+    add_cell,
     from_terms,
     mul,
     one,
@@ -91,9 +90,10 @@ def atom(family: str, sign: int, n: int, order: int) -> ExactSeries:
     Written down from the closed form
     q^e/(1 -+ q^e)^2 = sum_{t>=1} sign^(t+1) * t * q^(e*t)
     (geometric-squared expansion).  The chain DP does not use it: each of
-    its cells divides q^e times the predecessor by (1 - sign*q^e) twice.
-    The tests check this closed form against that cell form and against
-    q^e * invert((1 -+ q^e)^2).
+    its cells adds q^e times the predecessor over (1 - sign*q^e)^2 with
+    series.add_cell.  The tests check this closed form against that cell
+    with predecessor 1, against two divisions of q^e by (1 - sign*q^e)
+    and against q^e * invert((1 -+ q^e)^2).
     """
     FamilySpec(family, sign, 0)  # validates family and sign
     _check_int("n", n, 1, InvalidSpec)
@@ -148,9 +148,10 @@ def _family_prefix(family: str, sign: int, m_eff: int, order: int, k: int) -> Ex
     Strict chains: S_i(n) = S_i(n-1) + atom(n) * S_{i-1}(n-1)
 
     where S_i(n) sums over chains confined to magnitudes <= n; the family
-    value is S_i(m_eff).  The atom product is never multiplied out: the
-    cell shifts the predecessor by q^e and divides it twice by
-    (1 - sign*q^e) with divide_binomial, O(order) work per cell.  Every
+    value is S_i(m_eff).  The atom product is never multiplied out: each
+    cell is one add_cell pass, S_i(n-1) + q^e * predecessor /
+    (1 - sign*q^e)^2, which leaves S_i(n-1) as it is below e plus the
+    predecessor's valuation and does O(order) work past it.  Every
     row up to k must be visible (_min_valuation(family, k) <= order);
     family_series answers the invisible ones without a table.
 
@@ -178,9 +179,7 @@ def _family_prefix(family: str, sign: int, m_eff: int, order: int, k: int) -> Ex
             for n in range(1, cap + 1):
                 e = _atom_exponent(family, n)
                 predecessor = last_row[n - 1] if strict else last_row[n]
-                shifted = weighted_sum([(e, 1, predecessor)], order)
-                cell = divide_binomial(divide_binomial(shifted, e, sign), e, sign)
-                row.append(add(row[n - 1], cell))
+                row.append(add_cell(row[n - 1], predecessor, e, sign))
             series_by_k.append(row[-1])
             last_row = row
             _tables[key] = (series_by_k, last_row)

@@ -25,10 +25,12 @@ terms for :func:`from_terms` (binomial factors, theta sums) or a sum of
 shifted multiples c*q^e*s as its (e, c, s) triples for
 :func:`weighted_sum`, divide by a binomial (1 - c*q^x) with
 :func:`divide_binomial`, or combine series with the operations below.
-Every quotient by a binomial (the chain DP's cells, the denominators of
-the basic hypergeometric term ratios behind the kernel, 2phi1, divisor
-and Euler sums) goes through :func:`divide_binomial`;
-:func:`invert` is kept for inverting whole products.
+The chain DP's cell, acc + q^e*s/(1 - c*q^e)^2, is one pass of
+:func:`add_cell` that starts at the valuation of q^e*s.  Every other
+quotient by a binomial (the denominators of the basic hypergeometric term
+ratios behind the kernel, 2phi1, divisor and Euler sums) goes through
+:func:`divide_binomial`; :func:`invert` is kept for inverting whole
+products.
 
 Every builder in series, qtools, families and identities checks its
 integer arguments with :func:`_check_int`: a float or an out-of-range value
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from typing import Iterable, Tuple, Type
 
 
@@ -249,6 +251,38 @@ def divide_binomial(a: ExactSeries, x: int, c: int) -> ExactSeries:
         for n in range(v + x, len(b)):
             b[n] += c * b[n - x]
     return ExactSeries(tuple(b))
+
+
+def add_cell(acc: ExactSeries, s: ExactSeries, e: int, c: int) -> ExactSeries:
+    """acc + q^e*s / (1 - c*q^e)^2 in one pass, for e >= 1.
+
+    The order is min(acc.order, s.order + e), as for the composition of
+    weighted_sum, two divide_binomial calls and add.  The quotient b
+    satisfies b - 2c*q^e*b + c^2*q^(2e)*b = q^e*s, so
+    b[t] = s[t-e] + 2c*b[t-e] - c^2*b[t-2e]; b vanishes below
+    t0 = e + valuation(s), so the result equals acc there.  From t0 on, b
+    is filled in blocks of e entries, each block reading only the two
+    before it, and added into acc: O(order) work for any e and c.  The
+    blocks and the sum are lists, with one tuple at the end, because
+    short tuple slices are kept on the interpreter's free lists and raise
+    peak memory.
+    """
+    _check_int("e", e, 1)
+    ac = acc.coeffs
+    order = min(len(ac) - 1, len(s.coeffs) - 1 + e)
+    v = _valuation(s.coeffs)
+    if v is None or v + e > order:
+        return acc if len(ac) == order + 1 else ExactSeries(ac[: order + 1])
+    start = v + e
+    b = list(islice(s.coeffs, v, order + 1 - e))
+    c2, cc = 2 * c, c * c
+    b[e : 2 * e] = [x + c2 * y for x, y in zip(b[e : 2 * e], b)]
+    for j in range(2 * e, len(b), e):
+        b[j : j + e] = [x + c2 * y - cc * z for x, y, z
+                        in zip(b[j : j + e], b[j - e : j], b[j - 2 * e : j - e])]
+    out = list(ac[: order + 1])
+    out[start:] = map(operator.add, out[start:], b)
+    return ExactSeries(tuple(out))
 
 
 def substitute_power(a: ExactSeries, d: int) -> ExactSeries:

@@ -22,6 +22,7 @@ from qident.oracles import b_extraction, triangular, v_oracle, w_oracle
 from qident.qtools import INFINITE
 from qident.series import (
     add,
+    add_cell,
     divide_binomial,
     invert,
     monomial,
@@ -80,10 +81,12 @@ def test_atom_matches_rational_closed_form(family, exponent, sign):
     factor = add(one(order), monomial(-sign, exponent, order))
     closed = mul(monomial(1, exponent, order), invert(mul(factor, factor)))
     assert atom(family, sign, 3, order) == closed
-    # The chain DP's cell form: q^e divided twice by (1 - sign q^e).
+    # The cell form: q^e divided twice by (1 - sign q^e).
     q_e = weighted_sum([(exponent, 1, one(order))], order)
     cell = divide_binomial(divide_binomial(q_e, exponent, sign), exponent, sign)
     assert atom(family, sign, 3, order).coeffs == cell.coeffs
+    # The chain DP's one-pass cell with a zero accumulator and predecessor 1.
+    assert add_cell(zero(order), one(order), exponent, sign) == atom(family, sign, 3, order)
 
 
 def test_atom_validates_index():
@@ -268,17 +271,17 @@ def test_dp_rows_match_chain_enumeration(family, m, sign):
 def test_cold_dp_skips_cells_beyond_the_order(monkeypatch, family, cells, sign):
     # A cell atom(n) * S_{i-1} with e(n) + _min_valuation(i-1) > order is
     # zero at the truncation and must not be computed; every computed cell
-    # divides by (1 - sign*q^e) twice (1640/840/472/188 divisions).
+    # is one add_cell call.
     calls = []
 
-    def counting_divide_binomial(a, x, c):
+    def counting_add_cell(acc, s, e, c):
         calls.append(None)
-        return divide_binomial(a, x, c)
+        return add_cell(acc, s, e, c)
 
     monkeypatch.setattr(families, "_tables", {})
-    monkeypatch.setattr(families, "divide_binomial", counting_divide_binomial)
+    monkeypatch.setattr(families, "add_cell", counting_add_cell)
     family_series(FamilySpec(family=family, sign=sign, k=_last_visible_row(family, 40)), 40)
-    assert len(calls) == 2 * cells
+    assert len(calls) == cells
 
 
 # ---------------------------------------------------------------------------

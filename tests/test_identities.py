@@ -11,7 +11,14 @@ import pytest
 
 import qident
 from qident import identities, qtools, series
-from qident.families import binomial_combination, reconstruct_family
+from qident.families import (
+    FAMILIES,
+    FamilySpec,
+    _min_valuation,
+    binomial_combination,
+    family_series,
+    reconstruct_family,
+)
 from qident.identities import (
     REGISTRY,
     Discrepancy,
@@ -418,6 +425,11 @@ GOLDEN_BUILDS = {
         reconstruct_family(family, sign, j, m, order)
         for order in GOLDEN_ORDERS for family in ("V", "W") for sign in SIGNS
         for j in (0, 1, 2) for m in (1, 2, 3)],
+    "family_series": lambda: [
+        family_series(FamilySpec(family, sign, k, m), order)
+        for order in GOLDEN_ORDERS for family in FAMILIES for sign in SIGNS
+        for m in ((1, 3, INFINITE) if family in ("V", "W") else (INFINITE,))
+        for k in range(order + 1) if _min_valuation(family, k) <= order],
     "kernel_H": lambda: [
         kernel_H(k, m, d, s, order)
         for order in GOLDEN_ORDERS for k in (0, 1, 2) for m in (0, 1, 2)
@@ -463,6 +475,7 @@ GOLDEN_SHA256 = {
     "divisor_sum_series": "b3e15ea83d5950b031c6886b8eccd468cad134f00dd685fdd948cd0d3a700005",
     "euler_alternating": "bdaf4d399f27621ef271fc9828de9551d3deadc24d0437d60062c8915c28bb01",
     "euler_direct": "d12a2ea193cf6d2f0004cbcedb08e550a6c6190e3dc452a80df9eee2f9e75876",
+    "family_series": "ecf72f1bbfcf7905e9c83df8b16243914d955b2939313cf01017c379c66307b5",
     "kernel_H": "757ba5f23bec6c119804534759bd2b216c14b43161214e9564573fe5f98beb79",
     "phi2_1": "28b2754bf1eb6a93cd7685c66bfcbc8ec643a3a79730d4840d618fa3365c0ead",
     "pochhammer": "3b0c1f2c934a5d76332b553e1fed072e74028e06565c8ddba3759498d48e00e5",

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qident
@@ -17,6 +17,7 @@ from qident.series import (
     ExponentOutOfOrder,
     NonUnitConstantTerm,
     add,
+    add_cell,
     coeff,
     divide_binomial,
     from_coeffs,
@@ -315,6 +316,41 @@ def test_divide_binomial_rejects_exponents_below_one():
     for x in (0, -1):
         with pytest.raises(ValueError, match=f"^x must be >= 1, got {x}$"):
             divide_binomial(one(4), x, 1)
+
+
+# ---------------------------------------------------------------------------
+# The chain-DP cell
+# ---------------------------------------------------------------------------
+
+@st.composite
+def add_cell_case(draw):
+    acc = draw(st.lists(big_st, min_size=1, max_size=25).map(from_coeffs))
+    s = draw(mul_operand_st)
+    e = draw(st.one_of(st.just(1), st.integers(1, acc.order + 3)))
+    c = draw(st.integers(-2, 2))
+    return acc, s, e, c
+
+
+@settings(max_examples=300)
+@given(add_cell_case())
+@example((from_coeffs(range(1, 9)), zero(5), 2, 1))  # s = 0
+@example((from_coeffs(range(1, 9)), zero(12), 3, -2))  # s = 0, s longer than acc
+@example((from_coeffs(range(1, 8)), monomial(3, 5, 10), 2, 1))  # valuation above N - e
+@example((from_coeffs(range(1, 8)), monomial(3, 4, 10), 2, -1))  # first term at q^N
+@example((from_coeffs([1, 2, 3, 4]), one(6), 5, 2))  # e > N
+@example((from_coeffs([0] * 25), from_coeffs(range(1, 20)), 1, 2))  # e = 1, s shorter
+@example((from_coeffs(range(30)), from_coeffs([0, 0, 7, -1]), 1, -2))  # e = 1, short s
+def test_add_cell_matches_shift_divide_twice_add(case):
+    acc, s, e, c = case
+    shifted = weighted_sum([(e, 1, s)], acc.order)
+    expected = add(acc, divide_binomial(divide_binomial(shifted, e, c), e, c))
+    assert add_cell(acc, s, e, c) == expected
+
+
+def test_add_cell_rejects_exponents_below_one():
+    for e in (0, -1):
+        with pytest.raises(ValueError, match=f"^e must be >= 1, got {e}$"):
+            add_cell(one(4), one(4), e, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .oracles import (
     overpartition_pairs,
     partitions,
     pod_bipartitions,
-    triangular,
     v_oracle,
     w_oracle,
 )
@@ -51,7 +50,6 @@ from .qtools import (
 from .series import (
     ExactSeries,
     NonUnitConstantTerm,
-    add,
     divide_binomial,
     from_coeffs,
     from_terms,
@@ -67,7 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactSeries", "NonUnitConstantTerm",
-    "add", "from_coeffs", "from_terms", "weighted_sum",
+    "from_coeffs", "from_terms", "weighted_sum",
     "divide_binomial", "invert", "monomial", "mul", "one", "zero",
     "INFINITE",
     "pochhammer", "gaussian_binomial", "kernel_H",
@@ -77,7 +75,7 @@ __all__ = [
     "binomial_combination", "reconstruct_family",
     "DomainError", "partitions",
     "v_oracle", "w_oracle", "overpartition_pairs", "pod_bipartitions",
-    "divisor_sigma", "triangular",
+    "divisor_sigma",
     "Discrepancy", "IdentityCase", "VerifyReport",
     "UnknownIdentity", "MissingParam", "REGISTRY",
     "verify", "verify_suite",

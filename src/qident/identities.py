@@ -19,7 +19,7 @@ whose minimal exponent exceeds the order is dropped.  Each sum runs its
 index only as far as some term can still reach the order, and
 ``weighted_sum`` drops the terms in that range whose shift lies above it.
 The basic hypergeometric sums (the two-binomial kernel, the x_i of the
-divisor sum, the Euler sums) take their terms from
+divisor sum, the Cauchy and Euler sums) take their terms from
 ``qtools.hypergeometric_terms``, each term from the one before by its
 term ratio and without its z-power q^(s*n), which each sum puts into
 its weighted_sum shift.  The L1/L2 quotient sums are q^k times
@@ -52,7 +52,6 @@ from .oracles import (
 from .qtools import (
     INFINITE,
     alt_triangular_sum,
-    gaussian_binomial,
     hypergeometric_terms,
     kernel_H,
     pochhammer,
@@ -290,12 +289,19 @@ def _check_divisor_sum(order: int) -> _Sides:
     return lhs, divisor_sum_series(order)
 
 
+def _q_binomial_sides(n: Union[int, float], s: int, order: int) -> _Sides:
+    """sum_k [n-1+k, k] q^(s*k) and 1/(q^s; q)_n, the sides of the
+    q-binomial theorem.  The left side is summed from its term ratio
+    (1 - q^(n-1+k)) / (1 - q^k); at n = INFINITE term k is 1/(q; q)_k."""
+    terms = hypergeometric_terms(one(order), (n,), (1,), 1, s, order)
+    lhs = weighted_sum(((s * k, 1, u) for k, u in enumerate(terms)), order)
+    return lhs, invert(pochhammer(1, s, 1, n, order))
+
+
 def _check_cauchy(order: int, *, n: int, s: int) -> _Sides:
     _check_int("n", n, 1)
     _check_int("s", s, 1)
-    lhs = weighted_sum(((s * k, 1, gaussian_binomial(n - 1 + k, k, 1, order - s * k))
-                        for k in range(order // s + 1)), order)
-    return lhs, invert(pochhammer(1, s, 1, n, order))
+    return _q_binomial_sides(n, s, order)
 
 
 def _check_euler_alternating(order: int, *, e: int) -> _Sides:
@@ -308,9 +314,7 @@ def _check_euler_alternating(order: int, *, e: int) -> _Sides:
 
 def _check_euler_direct(order: int, *, e: int) -> _Sides:
     _check_int("e", e, 1)
-    terms = hypergeometric_terms(one(order), (), (1,), 1, e, order)
-    lhs = weighted_sum(((e * j, 1, u) for j, u in enumerate(terms)), order)
-    return lhs, invert(pochhammer(1, e, 1, INFINITE, order))
+    return _q_binomial_sides(INFINITE, e, order)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +489,9 @@ REGISTRY: Dict[str, RegistryEntry] = {
     "CAUCHY": RegistryEntry(
         check=_check_cauchy,
         default_grid=_grid(n=(1, 2, 3, 4), s=(1, 2)),
-        independence="LHS: Gaussian-binomial sum from the q-Pascal recurrence; "
-                     "RHS: inverted finite product.",
+        independence="LHS: Gaussian-binomial sum, each term from the one "
+                     "before by its term ratio with divide_binomial; RHS: inverted "
+                     "finite product; neither uses the identity.",
     ),
     "EULER1": RegistryEntry(
         check=_check_euler_alternating,
@@ -497,8 +502,9 @@ REGISTRY: Dict[str, RegistryEntry] = {
     "EULER2": RegistryEntry(
         check=_check_euler_direct,
         default_grid=_grid(e=(1, 2)),
-        independence="LHS: shifted inverse-Pochhammer sum; RHS: inverted "
-                     "infinite product.",
+        independence="CAUCHY at n = inf: LHS: shifted inverse-Pochhammer sum, "
+                     "each term from the one before with divide_binomial; RHS: "
+                     "inverted infinite product; neither uses the identity.",
     ),
     "GF_PP": RegistryEntry(
         check=_gf_check(overpartition_pair_series, overpartition_pairs),

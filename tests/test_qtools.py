@@ -2,6 +2,8 @@
 basic hypergeometric evaluation, theta sums, and the one-sided triangular
 sum with the two one-sided theta sums built on it."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,7 +21,12 @@ from qident.qtools import (
     theta_phi_neg,
     theta_psi,
 )
-from qident.series import from_terms, mul, one, substitute_power, weighted_sum, zero
+from qident.series import from_terms, invert, mul, one, substitute_power, weighted_sum, zero
+
+
+def _pascal(m, k, d, order):
+    """[m, k] in base q^d at the order, from the q-Pascal reference."""
+    return from_terms(zip(range(0, order + 1, d), _gauss_poly(m, k)), order)
 
 
 def _valuation(s):
@@ -121,12 +128,17 @@ def test_gaussian_binomial_out_of_range_is_zero():
     assert gaussian_binomial(3, 5, 1, 4) == zero(4)
     assert gaussian_binomial(3, -1, 1, 4) == zero(4)
     assert gaussian_binomial(-2, 1, 1, 4) == zero(4)
+    assert gaussian_binomial(-1, 0, 2, 0) == zero(0)
+    assert gaussian_binomial(INFINITE, -1, 1, 4) == zero(4)
 
 
 @pytest.mark.parametrize("m, k, message", [(2.5, 1, "m must be an integer, got 2.5"),
-                                            (3, 1.5, "k must be an integer, got 1.5")])
+                                            (3, 1.5, "k must be an integer, got 1.5"),
+                                            (INFINITE, 1.5, "k must be an integer, got 1.5"),
+                                            (INFINITE, INFINITE, "k must be an integer, got inf")])
 def test_gaussian_binomial_names_a_non_integer_m_or_k(m, k, message):
-    # any integer m, k is valid (out of range gives zero), a float is not
+    # any integer m, k is valid (out of range gives zero), and so is an
+    # unbounded m; any other float is not
     with pytest.raises(ValueError, match=f"^{message}$"):
         gaussian_binomial(m, k, 1, 10)
 
@@ -175,39 +187,64 @@ def test_gaussian_binomial_degree_and_unit_constant(m, k):
 
 @pytest.mark.parametrize("m, k", [(1500, 1), (1300, 1299)])
 def test_gaussian_binomial_from_a_cold_cache_stays_shallow(m, k):
-    # At order m the order sees the whole box, so [m, k] is built as it
-    # stands and recurses m levels deep through _gauss_poly; filled level by
-    # level it stays under the default recursion limit.  The memo then holds
-    # exactly the recursion's own entries [m - a, k - b], 0 <= b <= a, with
-    # k - b <= m - a, plus the zero leaves [j - 1, j] for j = 1..k.
+    # [m, k] with min(k, m - k) = 1 is term 1 of its term-ratio series:
+    # no recursion at all, and the q-Pascal memo is never filled
     _gauss_poly.cache_clear()
     try:
         assert gaussian_binomial(m, k, 1, m).coeffs == (1,) * m + (0,)
-        assert _gauss_poly.cache_info().currsize == (m - k + 1) * (k + 1) + k
+        assert _gauss_poly.cache_info().currsize == 0
     finally:
         _gauss_poly.cache_clear()
 
 
 def test_gaussian_binomial_matches_the_whole_polynomial_on_a_grid():
-    # the clamp to the box the order can see changes no visible coefficient
+    # term n = min(h, order // d) of the term-ratio series changes no
+    # visible coefficient of the whole q-Pascal polynomial
     for m in range(15):
         for k in range(-1, m + 2):
             for d in range(1, 4):
                 for order in range(41):
-                    whole = from_terms(zip(range(0, order + 1, d), _gauss_poly(m, k)), order)
-                    assert gaussian_binomial(m, k, d, order) == whole, (m, k, d, order)
+                    assert gaussian_binomial(m, k, d, order) == _pascal(m, k, d, order), (
+                        m, k, d, order)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_gaussian_binomial_at_an_unbounded_top_is_the_limit_of_large_tops(d):
+    # [M, k]_Q = 1/(Q; Q)_k mod Q^(M-k+1), so once M - k exceeds order // d
+    # a finite top agrees with the unbounded one
+    order = 24
+    for k in range(8):
+        want = gaussian_binomial(INFINITE, k, d, order)
+        assert want == invert(pochhammer(1, d, d, k, order)), k
+        for top in (k + order // d + 1, k + order // d + 5, 10 ** 6):
+            assert gaussian_binomial(top, k, d, order) == want, (k, top)
 
 
 def test_cauchy_builds_only_the_binomials_the_order_can_see():
-    # at order 10 every [n - 1 + j, j] is built inside the box b <= 10,
-    # a - b <= 10, so the memo holds at most its 11 * 11 entries [a, b]
-    # and the zero leaves [j - 1, j] beside it: 11 * 12 in all
+    # the left side comes from its term ratio, not from whole polynomials
     _gauss_poly.cache_clear()
     try:
         assert verify(IdentityCase("CAUCHY", {"n": 60, "s": 1}, 10)).holds
-        assert _gauss_poly.cache_info().currsize <= 11 * 12
+        assert _gauss_poly.cache_info().currsize == 0
     finally:
         _gauss_poly.cache_clear()
+
+
+def test_cauchy_at_a_large_n_stays_small_from_a_cold_cache():
+    # built from q-Pascal polynomials, [n - 1 + k, k] for k <= 100 would
+    # fill thousands of memo entries; the term-ratio sum holds
+    # order // s + 1 terms of at most order + 1 coefficients
+    _gauss_poly.cache_clear()
+    pochhammer.cache_clear()
+    tracemalloc.start()
+    try:
+        assert verify(IdentityCase("CAUCHY", {"n": 1000, "s": 1}, 100)).holds
+        peak = tracemalloc.get_traced_memory()[1]
+        assert _gauss_poly.cache_info().currsize == 0
+    finally:
+        tracemalloc.stop()
+        _gauss_poly.cache_clear()
+    assert peak < 20 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +310,7 @@ def test_kernel_at_an_unbounded_m_is_the_limit_of_large_bounds(d, s):
             assert kernel_H(k, order // d, d, s, order) != want, k
 
 
-def test_kernel_builds_no_gaussian_binomial_polynomial():
+def test_kernel_never_fills_the_q_pascal_memo():
     # the first term [m-1+k, k] is a product quotient truncated at the
     # order, not a whole q-Pascal polynomial of degree k*(m-1)
     kernel_H.cache_clear()
@@ -298,15 +335,16 @@ def test_kernel_equals_binomial_times_hypergeometric(d, m, k):
     # H_{k,m}(Q, q^s) = [m-1+k, k]_Q * 2phi1(Q^m, Q^(m+k); Q^(k+1); Q, q^s)
     order = 20
     lhs = kernel_H(k, m, d, 2, order)
-    rhs = mul(gaussian_binomial(m - 1 + k, k, d, order),
+    rhs = mul(_pascal(m - 1 + k, k, d, order),
               phi2_1(m, m + k, k + 1, d, 2, order))
     assert lhs == rhs
 
 
 def _kernel_reference(k, m, d, s, order):
-    """sum_j [m-1+j, j] * [m-1+k+j, k+j] * q^(s*j), one product per j."""
-    terms = ((s * j, 1, mul(gaussian_binomial(m - 1 + j, j, d, order),
-                            gaussian_binomial(m - 1 + k + j, k + j, d, order)))
+    """sum_j [m-1+j, j] * [m-1+k+j, k+j] * q^(s*j), one product per j, with
+    the binomials from the q-Pascal reference."""
+    terms = ((s * j, 1, mul(_pascal(m - 1 + j, j, d, order),
+                            _pascal(m - 1 + k + j, k + j, d, order)))
              for j in range(order // s + 1))
     return weighted_sum(terms, order)
 

@@ -498,6 +498,15 @@ def test_only_verify_compares_the_two_sides():
     assert sites == [("identities.py", "verify")]
 
 
+def test_no_build_path_calls_the_q_pascal_reference():
+    # _gauss_poly is the reference the tests compare gaussian_binomial
+    # against; only its own recursion calls it
+    package = Path(qident.__file__).parent
+    sites = {(path.name, scope) for path in sorted(package.glob("*.py"))
+             for scope, _ in _calls(path, "_gauss_poly")}
+    assert sites == {("qtools.py", "_gauss_poly")}
+
+
 def _raises_a_range_message(node):
     """A raise whose message text states a lower bound on an argument."""
     return isinstance(node, ast.Raise) and any(

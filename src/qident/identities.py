@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -120,11 +121,11 @@ class VerifyReport:
 def _first_discrepancy(lhs: ExactSeries, rhs: ExactSeries) -> Optional[Discrepancy]:
     """Earliest exponent at which the two series disagree, up to the
     shorter order, or None if the compared prefixes match."""
-    upto = min(lhs.order, rhs.order)
-    for n in range(upto + 1):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return Discrepancy(exponent=n, lhs=lhs.coeffs[n], rhs=rhs.coeffs[n])
-    return None
+    unequal = map(operator.ne, lhs.coeffs, rhs.coeffs)  # stops at the shorter
+    n = next(itertools.compress(itertools.count(), unequal), None)
+    if n is None:
+        return None
+    return Discrepancy(exponent=n, lhs=lhs.coeffs[n], rhs=rhs.coeffs[n])
 
 
 # A check's two independently computed series, in (lhs, rhs) order.

@@ -32,6 +32,15 @@ ratios behind the kernel, 2phi1, divisor and Euler sums) goes through
 :func:`divide_binomial`; :func:`invert` is kept for inverting whole
 products.
 
+One private kernel, :func:`_divide`, divides a coefficient list by
+(1 - c*q^x): :func:`divide_binomial` calls it once, :func:`add_cell`
+twice over, adding the quotient into its accumulator as it goes.  It does
+its per-coefficient work in C iterators (itertools.accumulate over each
+residue class mod x when x*x is below the length, one map per block of x
+coefficients otherwise), so a division takes about 2*sqrt(length)
+interpreter steps.  :func:`weighted_sum` likewise adds each term with one
+map, from the term's valuation on.
+
 Every builder in series, qtools, families and identities checks its
 integer arguments with :func:`_check_int`: a float or an out-of-range value
 raises ValueError (InvalidSpec for a family spec) naming the argument as
@@ -49,8 +58,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat
-from typing import Iterable, Tuple, Type
+from itertools import accumulate, compress, count, islice, repeat
+from typing import Iterable, List, Tuple, Type
 
 
 class NonUnitConstantTerm(ValueError):
@@ -151,12 +160,19 @@ def from_terms(terms: Iterable[Tuple[int, int]], order: int) -> ExactSeries:
 # Arithmetic
 # ---------------------------------------------------------------------------
 
+# x + y and x - y are x + c*y for c = 1 and c = -1, done by map in C.
+_SIGNED_ADD = {1: operator.add, -1: operator.sub}
+
+
 def weighted_sum(terms: Iterable[Tuple[int, int, ExactSeries]], order: int) -> ExactSeries:
     """The sum of c*q^e*s over the (e, c, s) triples in terms.
 
     q^e*s is exact to q^(e + s.order), so the result stops at the smallest
     such order, or at the given order if that is smaller.  Terms with e
-    above the order add nothing; no terms give zero(order).
+    above the order add nothing; no terms give zero(order).  Each term is
+    added from e + valuation(s) on by one map: operator.add for c = 1,
+    operator.sub for c = -1, and the products c*y otherwise; a term with
+    c = 0 or s = 0 adds nothing but still bounds the order.
     """
     _check_int("order", order)
     out = [0] * (order + 1)
@@ -164,8 +180,17 @@ def weighted_sum(terms: Iterable[Tuple[int, int, ExactSeries]], order: int) -> E
     for e, c, s in terms:
         if e < 0:
             _check_int("exponent", e)
-        top = min(top, e + s.order)
-        out[e : e + s.order + 1] = [x + c * y for x, y in zip(out[e:], s.coeffs)]
+        sc = s.coeffs
+        top = min(top, e + len(sc) - 1)
+        v = _valuation(sc) if c else None
+        if v is None:
+            continue
+        seg = islice(sc, v, None)
+        op = _SIGNED_ADD.get(c)
+        if op is None:
+            seg, op = map(operator.mul, seg, repeat(c)), operator.add
+        lo, hi = e + v, e + len(sc)
+        out[lo:hi] = map(op, out[lo:hi], seg)
     return ExactSeries(tuple(out[: top + 1]))
 
 
@@ -237,19 +262,71 @@ def invert(a: ExactSeries) -> ExactSeries:
     return ExactSeries(tuple(b))
 
 
+def _divide(out: List[int], start: int, src: List[int], lo: int,
+            x: int, c: int, times: int, add: bool) -> None:
+    """The binomial-division kernel: src[lo:] / (1 - c*q^x)^times into out.
+
+    With n = len(out) - start, the first n coefficients of the quotient
+    of src[lo:], read as a series from q^0, replace out[start:], or are
+    added to it when add is true.  src must hold lo + n entries and may
+    be out itself.  One division's quotient b satisfies
+    b[t] = a[t] + c*b[t-x]: each residue class t = r (mod x) is a
+    first-order recurrence, and each block of x entries is the input plus
+    c times the block before it.
+
+    The per-coefficient work runs in C iterators, in at most about
+    2*sqrt(n) interpreter steps per division.  When x*x < n the x residue
+    classes are divided one by one: for c = 1 a division is
+    itertools.accumulate, for c = -1 the same between two sign
+    alternations (q^x -> -q^x), and any other c passes accumulate a
+    callable.  Otherwise each of the n/x blocks is one map over the
+    block before it.  The choice depends only on x and n.
+    """
+    n = len(out) - start
+    stop = lo + n
+    if x * x < n:
+        alternate = c == -1
+        step = None if c in _SIGNED_ADD else (lambda y, a: a + c * y)
+        for r in range(x):
+            col: Iterable[int] = src[lo + r : stop : x]
+            if alternate:
+                col[1::2] = map(operator.neg, col[1::2])
+            for _ in range(times):
+                col = accumulate(col, step)
+            if alternate:
+                col = list(col)
+                col[1::2] = map(operator.neg, col[1::2])
+            if add:
+                col = map(operator.add, out[start + r :: x], col)
+            out[start + r :: x] = col
+        return
+    op = _SIGNED_ADD.get(c)
+    block = src[lo : min(lo + x, stop)]
+    stages = [block] * times
+    for j in range(0, n, x):
+        if j:
+            block = src[lo + j : min(lo + j + x, stop)]
+            for i in range(times):
+                block = stages[i] = list(
+                    map(op, block, stages[i]) if op else
+                    map(operator.add, block, map(operator.mul, stages[i], repeat(c))))
+        if add:
+            block = map(operator.add, out[start + j : start + j + x], block)
+        out[start + j : start + j + x] = block
+
+
 def divide_binomial(a: ExactSeries, x: int, c: int) -> ExactSeries:
     """The quotient a / (1 - c*q^x) at a's order, for x >= 1.
 
-    One forward pass of b[n] += c*b[n-x]: the quotient b satisfies
-    b - c*q^x*b = a.  Entries below a's valuation plus x equal a's, so the
-    pass starts there; O(order) work for any x and c.
+    One call of the binomial-division kernel _divide on a's coefficients
+    from its valuation v on: the quotient equals a below v + x and
+    vanishes below v.  O(order) coefficient operations for any x and c.
     """
     _check_int("x", x, 1)
     b = list(a.coeffs)
     v = _valuation(a.coeffs)
     if v is not None:
-        for n in range(v + x, len(b)):
-            b[n] += c * b[n - x]
+        _divide(b, v, b, v, x, c, 1, False)
     return ExactSeries(tuple(b))
 
 
@@ -257,15 +334,14 @@ def add_cell(acc: ExactSeries, s: ExactSeries, e: int, c: int) -> ExactSeries:
     """acc + q^e*s / (1 - c*q^e)^2 in one pass, for e >= 1.
 
     The order is min(acc.order, s.order + e), as for the composition of
-    weighted_sum, two divide_binomial calls and add.  The quotient b
-    satisfies b - 2c*q^e*b + c^2*q^(2e)*b = q^e*s, so
-    b[t] = s[t-e] + 2c*b[t-e] - c^2*b[t-2e]; b vanishes below
-    t0 = e + valuation(s), so the result equals acc there.  From t0 on, b
-    is filled in blocks of e entries, each block reading only the two
-    before it, and added into acc: O(order) work for any e and c.  The
-    blocks and the sum are lists, with one tuple at the end, because
-    short tuple slices are kept on the interpreter's free lists and raise
-    peak memory.
+    weighted_sum, two divide_binomial calls and add.  The quotient
+    vanishes below t0 = e + valuation(s), so the result equals acc there.
+    From t0 on, the kernel _divide divides s twice by (1 - c*q^e) and
+    adds the quotient into acc in the same pass over each residue class
+    or block: O(order) coefficient operations for any e and c.  s is
+    sliced as a list and the sum built as one, with one tuple at the end,
+    because short tuple slices are kept on the interpreter's free lists
+    and raise peak memory.
     """
     _check_int("e", e, 1)
     ac = acc.coeffs
@@ -273,15 +349,9 @@ def add_cell(acc: ExactSeries, s: ExactSeries, e: int, c: int) -> ExactSeries:
     v = _valuation(s.coeffs)
     if v is None or v + e > order:
         return acc if len(ac) == order + 1 else ExactSeries(ac[: order + 1])
-    start = v + e
-    b = list(islice(s.coeffs, v, order + 1 - e))
-    c2, cc = 2 * c, c * c
-    b[e : 2 * e] = [x + c2 * y for x, y in zip(b[e : 2 * e], b)]
-    for j in range(2 * e, len(b), e):
-        b[j : j + e] = [x + c2 * y - cc * z for x, y, z
-                        in zip(b[j : j + e], b[j - e : j], b[j - 2 * e : j - e])]
-    out = list(ac[: order + 1])
-    out[start:] = map(operator.add, out[start:], b)
+    out = list(ac)
+    del out[order + 1 :]
+    _divide(out, v + e, list(s.coeffs), v, e, c, 2, True)
     return ExactSeries(tuple(out))
 
 

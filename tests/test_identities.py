@@ -406,6 +406,9 @@ def test_kernel_product_of_a_huge_bound_or_index_stays_cheap(k, m):
 
 GOLDEN_ORDERS = (0, 1, 2, 5, 17, 40)
 SIGNS = (1, -1)
+# The chain DP at a high order: rows 1, 2, 7 and the last visible one of
+# each table, where the binomial divisions run on long coefficient lists.
+HIGH_ORDER = 120
 
 
 def _captured_sides(check, **params):
@@ -430,6 +433,13 @@ GOLDEN_BUILDS = {
         for order in GOLDEN_ORDERS for family in FAMILIES for sign in SIGNS
         for m in ((1, 3, INFINITE) if family in ("V", "W") else (INFINITE,))
         for k in range(order + 1) if _min_valuation(family, k) <= order],
+    "family_series_order_120": lambda: [
+        family_series(FamilySpec(family, sign, k, m), HIGH_ORDER)
+        for family, m in (("V", 3), ("V", INFINITE), ("W", 3), ("W", INFINITE),
+                          ("A", INFINITE), ("C", INFINITE))
+        for sign in SIGNS
+        for k in (1, 2, 7, max(k for k in range(HIGH_ORDER + 1)
+                               if _min_valuation(family, k) <= HIGH_ORDER))],
     "kernel_H": lambda: [
         kernel_H(k, m, d, s, order)
         for order in GOLDEN_ORDERS for k in (0, 1, 2) for m in (0, 1, 2)
@@ -476,6 +486,7 @@ GOLDEN_SHA256 = {
     "euler_alternating": "bdaf4d399f27621ef271fc9828de9551d3deadc24d0437d60062c8915c28bb01",
     "euler_direct": "d12a2ea193cf6d2f0004cbcedb08e550a6c6190e3dc452a80df9eee2f9e75876",
     "family_series": "ecf72f1bbfcf7905e9c83df8b16243914d955b2939313cf01017c379c66307b5",
+    "family_series_order_120": "5585c9c5e26d7204da93aad811e7ee7468ff0d9d9c508fd7130ea8ab7f565bb0",
     "kernel_H": "757ba5f23bec6c119804534759bd2b216c14b43161214e9564573fe5f98beb79",
     "phi2_1": "28b2754bf1eb6a93cd7685c66bfcbc8ec643a3a79730d4840d618fa3365c0ead",
     "pochhammer": "3b0c1f2c934a5d76332b553e1fed072e74028e06565c8ddba3759498d48e00e5",

@@ -3,6 +3,7 @@ inversion, and exactness on coefficients far beyond machine-word range."""
 
 import ast
 import dataclasses
+import operator
 import re
 from pathlib import Path
 
@@ -312,6 +313,63 @@ def test_divide_binomial_matches_inverted_binomial_product(case):
     assert divide_binomial(a, x, c).coeffs == expected.coeffs
 
 
+def _divided(coeffs, x, c):
+    """Test-local quotient by (1 - c*q^x): one forward pass of
+    b[n] += c*b[n-x], shared with neither divide_binomial nor add_cell."""
+    b = list(coeffs)
+    for n in range(x, len(b)):
+        b[n] += c * b[n - x]
+    return tuple(b)
+
+
+# Order 200 makes 201 coefficients, so the residue/block switch at
+# x*x < n falls between x = 14 and 15 for divide_binomial on a dense
+# series and between e = 13 and 14 for add_cell (n = 201 - e).
+LONG_ORDER = 200
+LONG_EXPONENTS = (1, 2, 13, 14, 15, 100, 199)
+LONG_WEIGHTS = (-2, -1, 0, 1, 2, 10 ** 30 + 7)
+
+
+def _long_series(seed, lead=0):
+    """A dense order-200 series with big coefficients after lead zeros."""
+    return from_coeffs([0] * lead + [(seed * 7919 * n + 13) % 1000003 * (-1) ** (n % 3)
+                                     * 10 ** (n % 25) + n + 1
+                                     for n in range(LONG_ORDER + 1 - lead)])
+
+
+@pytest.mark.parametrize("x", LONG_EXPONENTS)
+@pytest.mark.parametrize("c", LONG_WEIGHTS)
+def test_divide_binomial_matches_forward_pass_at_order_200(x, c):
+    for a in (_long_series(1), _long_series(2, lead=3)):
+        assert divide_binomial(a, x, c).coeffs == _divided(a.coeffs, x, c)
+
+
+@settings(max_examples=200)
+@given(divide_binomial_case())
+def test_divide_binomial_matches_forward_pass(case):
+    a, x, c = case
+    assert divide_binomial(a, x, c).coeffs == _divided(a.coeffs, x, c)
+
+
+@pytest.mark.parametrize("x, residue_classes", [(14, 14), (15, 0)])
+def test_binomial_division_switches_from_residues_to_blocks_at_the_square_root(
+        monkeypatch, x, residue_classes):
+    # a dense order-200 series: n = 201 entries from the valuation on, so
+    # x = 14 divides each of its 14 residue classes with accumulate and
+    # x = 15 (225 >= 201) goes block by block without it
+    calls = []
+    real = qident.series.accumulate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qident.series, "accumulate", counting)
+    a = _long_series(3)
+    assert divide_binomial(a, x, 1).coeffs == _divided(a.coeffs, x, 1)
+    assert len(calls) == residue_classes
+
+
 def test_divide_binomial_rejects_exponents_below_one():
     for x in (0, -1):
         with pytest.raises(ValueError, match=f"^x must be >= 1, got {x}$"):
@@ -342,9 +400,22 @@ def add_cell_case(draw):
 @example((from_coeffs(range(30)), from_coeffs([0, 0, 7, -1]), 1, -2))  # e = 1, short s
 def test_add_cell_matches_shift_divide_twice_add(case):
     acc, s, e, c = case
-    shifted = weighted_sum([(e, 1, s)], acc.order)
-    expected = add(acc, divide_binomial(divide_binomial(shifted, e, c), e, c))
-    assert add_cell(acc, s, e, c) == expected
+    order = min(acc.order, s.order + e)
+    shifted = ((0,) * e + s.coeffs)[: order + 1]
+    quotient = _divided(_divided(shifted, e, c), e, c)
+    expected = tuple(map(operator.add, acc.coeffs, quotient))
+    assert add_cell(acc, s, e, c).coeffs == expected
+
+
+@pytest.mark.parametrize("e", LONG_EXPONENTS)
+@pytest.mark.parametrize("c", LONG_WEIGHTS)
+def test_add_cell_matches_forward_passes_at_order_200(e, c):
+    acc = _long_series(4)
+    for s in (_long_series(5), _long_series(6, lead=2), _long_series(7, lead=LONG_ORDER)):
+        shifted = ((0,) * e + s.coeffs)[: LONG_ORDER + 1]
+        quotient = _divided(_divided(shifted, e, c), e, c)
+        expected = tuple(map(operator.add, acc.coeffs, quotient))
+        assert add_cell(acc, s, e, c).coeffs == expected
 
 
 def test_add_cell_rejects_exponents_below_one():

@@ -49,11 +49,9 @@ from .qtools import (
 )
 from .series import (
     ExactSeries,
-    NonUnitConstantTerm,
     divide_binomial,
     from_coeffs,
     from_terms,
-    invert,
     monomial,
     mul,
     one,
@@ -64,9 +62,8 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactSeries", "NonUnitConstantTerm",
-    "from_coeffs", "from_terms", "weighted_sum",
-    "divide_binomial", "invert", "monomial", "mul", "one", "zero",
+    "ExactSeries", "from_coeffs", "from_terms", "weighted_sum",
+    "divide_binomial", "monomial", "mul", "one", "zero",
     "INFINITE",
     "pochhammer", "gaussian_binomial", "kernel_H",
     "theta_phi_neg", "theta_psi", "alt_triangular_sum",

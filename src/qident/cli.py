@@ -251,16 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "nested-divisor q-series families.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=20,
-                        help="truncation order N (series known mod q^(N+1))")
     common.add_argument("--format", choices=("plain", "json", "csv"),
                         default="plain", help="output format")
     common.add_argument("--deterministic", action="store_true",
                         help="omit timing fields; output depends only on flags")
+    ordered = argparse.ArgumentParser(add_help=False, parents=[common])
+    ordered.add_argument("--order", type=int, default=20,
+                         help="truncation order N (series known mod q^(N+1))")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_coeffs = sub.add_parser("coeffs", parents=[common],
+    p_coeffs = sub.add_parser("coeffs", parents=[ordered],
                               help="coefficient table of one family series")
     p_coeffs.add_argument("--family", choices=("A", "C", "V", "W"), required=True)
     p_coeffs.add_argument("--sign", choices=("plus", "minus"), required=True)
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="magnitude bound, a positive integer or 'inf'")
     p_coeffs.set_defaults(handler=cmd_coeffs)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[ordered],
                               help="check one registry identity")
     p_verify.add_argument("--id", choices=sorted(REGISTRY), required=True,
                           metavar="ID", help="registry id, one of: "
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--e", type=int)
     p_verify.set_defaults(handler=cmd_verify)
 
-    p_suite = sub.add_parser("suite", parents=[common],
+    p_suite = sub.add_parser("suite", parents=[ordered],
                              help="run the full registry over default grids")
     p_suite.set_defaults(handler=cmd_suite)
 

@@ -52,6 +52,8 @@ from .oracles import (
 )
 from .qtools import (
     INFINITE,
+    _binomial_quotient,
+    _factors,
     alt_triangular_sum,
     hypergeometric_terms,
     kernel_H,
@@ -65,7 +67,6 @@ from .series import (
     _check_int,
     from_coeffs,
     from_terms,
-    invert,
     mul,
     one,
     weighted_sum,
@@ -137,12 +138,13 @@ _Sides = Tuple[ExactSeries, ExactSeries]
 # ---------------------------------------------------------------------------
 
 def _eta_quotient(sign: int, odd: bool, order: int) -> ExactSeries:
-    """(sign q; q^step)_inf^2 / (q^step; q^step)_inf^2 with step 2 for the
-    odd-part families and 1 otherwise."""
+    """(sign q; q^step)_inf^2 / (q^step; q^step)_inf^2, step 2 for the
+    odd-part families, else 1: the square of the numerator product
+    divided by each binomial of the denominator one."""
     step = 2 if odd else 1
-    num = squared_pochhammer(sign, 1, step, INFINITE, order)
-    den = squared_pochhammer(1, step, step, INFINITE, order)
-    return mul(num, invert(den))
+    num = pochhammer(sign, 1, step, INFINITE, order)  # checks the order
+    root = _binomial_quotient(num, (), _factors(1, step, step, INFINITE, order), order)
+    return mul(root, root)
 
 
 def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
@@ -292,11 +294,12 @@ def _check_divisor_sum(order: int) -> _Sides:
 
 def _q_binomial_sides(n: Union[int, float], s: int, order: int) -> _Sides:
     """sum_k [n-1+k, k] q^(s*k) and 1/(q^s; q)_n, the sides of the
-    q-binomial theorem.  The left side is summed from its term ratio
-    (1 - q^(n-1+k)) / (1 - q^k); at n = INFINITE term k is 1/(q; q)_k."""
+    q-binomial theorem: the left from its term ratio (1 - q^(n-1+k)) /
+    (1 - q^k), so term k is 1/(q; q)_k at n = INFINITE, the right by
+    dividing one by each binomial of (q^s; q)_n."""
     terms = hypergeometric_terms(one(order), (n,), (1,), 1, s, order)
     lhs = weighted_sum(((s * k, 1, u) for k, u in enumerate(terms)), order)
-    return lhs, invert(pochhammer(1, s, 1, n, order))
+    return lhs, _binomial_quotient(one(order), (), _factors(1, s, 1, n, order), order)
 
 
 def _check_cauchy(order: int, *, n: int, s: int) -> _Sides:
@@ -490,9 +493,9 @@ REGISTRY: Dict[str, RegistryEntry] = {
     "CAUCHY": RegistryEntry(
         check=_check_cauchy,
         default_grid=_grid(n=(1, 2, 3, 4), s=(1, 2)),
-        independence="LHS: Gaussian-binomial sum, each term from the one "
-                     "before by its term ratio with divide_binomial; RHS: inverted "
-                     "finite product; neither uses the identity.",
+        independence="LHS: Gaussian-binomial sum from its term ratio; RHS: one "
+                     "divided by each binomial of the finite product; they share "
+                     "divide_binomial, never the identity.",
     ),
     "EULER1": RegistryEntry(
         check=_check_euler_alternating,
@@ -503,9 +506,10 @@ REGISTRY: Dict[str, RegistryEntry] = {
     "EULER2": RegistryEntry(
         check=_check_euler_direct,
         default_grid=_grid(e=(1, 2)),
-        independence="CAUCHY at n = inf: LHS: shifted inverse-Pochhammer sum, "
-                     "each term from the one before with divide_binomial; RHS: "
-                     "inverted infinite product; neither uses the identity.",
+        independence="CAUCHY at n = inf: LHS: shifted inverse-Pochhammer sum "
+                     "from its term ratio; RHS: one divided by each binomial of "
+                     "the infinite product; they share divide_binomial, never "
+                     "the identity.",
     ),
     "GF_PP": RegistryEntry(
         check=_gf_check(overpartition_pair_series, overpartition_pairs),

@@ -1,25 +1,21 @@
 """q-calculus building blocks on top of :mod:`qident.series`.
 
-Pochhammer products (finite and truncated-infinite), the terms of a
-basic hypergeometric series built from its term ratio, one numerator
-factor and one divisor at a time (``hypergeometric_terms``), what is
-built on them (Gaussian binomials, each one such term, for every top m
-including INFINITE; the two-binomial kernel, whose first binomial is one
-of them; 2phi1 with monomial arguments), lacunary theta sums, and the
-one-sided alternating triangular sum S_k behind every one-sided theta
-sum (``identities`` turns it into the linear-part and odd-part flavours).
+Pochhammer products, the terms of a basic hypergeometric series from its
+term ratio (``hypergeometric_terms``) and what is built on them (Gaussian
+binomials, the two-binomial kernel, 2phi1), lacunary theta sums, and the
+one-sided alternating triangular sum S_k behind every one-sided theta sum.
 
 Truncation rule for formally infinite objects: a factor or term whose
 minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
 modulo q^(N+1) and is simply skipped, so every result is exact at order N.
 
-Every series here is built with :mod:`qident.series`: sparse sums through
-``from_terms``, sums of shifted multiples of series (products with a
-binomial (1 - q^x) included) through ``weighted_sum``, quotients by a
-binomial through ``divide_binomial``; the one product of two series is
-the square in ``squared_pochhammer``, through ``mul``.  ``_gauss_poly``
-keeps its own integer arithmetic, but it is a reference only: no build
-path calls it.
+Every product or quotient of binomials (1 - c*q^x) that the package
+builds (a Pochhammer product, a hypergeometric step, the quotients of
+products in the checks) is one ``_binomial_quotient``: a two-term
+``weighted_sum`` per numerator factor and a ``divide_binomial`` per
+denominator factor, so no build path inverts a series.  Here the one
+product of two series is the square in ``squared_pochhammer``.
+``_gauss_poly`` is a reference only: no build path calls it.
 """
 
 from __future__ import annotations
@@ -65,20 +61,37 @@ def pochhammer(sign: int, offset: int, step: int, length: Union[int, float],
     """prod_r (1 - sign*q^(offset + r*step)) over r = 0..length-1, at the order.
 
     sign +1 gives factors (1 - q^x), sign -1 gives (1 + q^x).  length 0
-    gives the empty product 1; length may be INFINITE.  Factors whose
-    exponent exceeds the order contribute nothing modulo q^(order+1) and
-    are skipped, which realizes INFINITE length with finitely many factors.
+    gives 1, and length may be INFINITE: _factors lists the visible ones.
     """
     _check_sign(sign)
     _check_int("offset", offset, 1)
     _check_int("step", step, 1)
     _check_bound("length", length)
     _check_int("order", order)
-    visible = (order - offset) // step + 1  # factors with x <= order
-    p = one(order)
-    for r in range(min(length, visible)):
-        p = weighted_sum([(0, 1, p), (offset + r * step, -sign, p)], order)
-    return p
+    return _binomial_quotient(one(order), _factors(sign, offset, step, length, order), (),
+                              order)
+
+
+def _factors(sign: int, offset: int, step: int, length: Union[int, float],
+             order: int) -> Iterator[Tuple[int, int]]:
+    """The (x, sign) pairs of pochhammer's factors with x <= order."""
+    return ((x, sign) for x in range(offset, min(offset + step * length, order + 1), step))
+
+
+def _binomial_quotient(first: ExactSeries, top: Iterable[Tuple[int, int]],
+                       bottom: Iterable[Tuple[int, int]], order: int) -> ExactSeries:
+    """first * prod_top (1 - c*q^x) / prod_bottom (1 - c*q^x) over (x, c)
+    pairs, x >= 1, at the order: each numerator factor one two-term
+    weighted_sum, each denominator factor one divide_binomial.  A factor
+    with x above the order is 1 there and is skipped."""
+    u = first if len(first.coeffs) <= order + 1 else from_coeffs(first.coeffs[: order + 1])
+    for x, c in top:
+        if x <= order:
+            u = weighted_sum([(0, 1, u), (x, -c, u)], order)
+    for x, c in bottom:
+        if x <= order:
+            u = divide_binomial(u, x, c)
+    return u
 
 
 def squared_pochhammer(sign: int, offset: int, step: int,
@@ -194,11 +207,9 @@ def hypergeometric_terms(first: ExactSeries, top: Iterable[float], bottom: Itera
 
     for n = 1..order//s.  u_n is truncated at q^(order - s*n), all that
     q^(s*n) * u_n can reach, so callers put s*n into the exponent they
-    hand weighted_sum.  Parameters in both top and bottom cancel first.
-    Each numerator factor is a two-term weighted_sum, as in pochhammer,
-    and each divisor a divide_binomial, so no step multiplies two series.
-    A numerator factor above u_n's order is 1 there and is skipped, so a
-    top parameter may be INFINITE.  Every c in bottom must be >= 1.
+    hand weighted_sum.  Parameters in both top and bottom cancel first;
+    each step is one _binomial_quotient, so no step multiplies two series
+    and a top parameter may be INFINITE.  Every c in bottom must be >= 1.
     """
     top, bottom = Counter(top), Counter(bottom)
     for c in bottom:
@@ -207,13 +218,8 @@ def hypergeometric_terms(first: ExactSeries, top: Iterable[float], bottom: Itera
     u = first
     yield u
     for n in range(1, order // s + 1):
-        cut = order - s * n
-        u = from_coeffs(u.coeffs[: cut + 1])
-        for x in (d * (a + n - 1) for a in top):
-            if x <= cut:
-                u = weighted_sum([(0, 1, u), (x, -1, u)], cut)
-        for c in bottom:
-            u = divide_binomial(u, d * (c + n - 1), 1)
+        u = _binomial_quotient(u, [(d * (a + n - 1), 1) for a in top],
+                               [(d * (c + n - 1), 1) for c in bottom], order - s * n)
         yield u
 
 

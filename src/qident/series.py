@@ -20,26 +20,18 @@ Conventions
   may be freely shared between threads.
 
 This is the package's one arithmetic core: no other module constructs an
-ExactSeries.  The others state a series as its (exponent, coefficient)
-terms for :func:`from_terms` (binomial factors, theta sums) or a sum of
-shifted multiples c*q^e*s as its (e, c, s) triples for
-:func:`weighted_sum`, divide by a binomial (1 - c*q^x) with
-:func:`divide_binomial`, or combine series with the operations below.
-The chain DP's cell, acc + q^e*s/(1 - c*q^e)^2, is one pass of
-:func:`add_cell` that starts at the valuation of q^e*s.  Every other
-quotient by a binomial (the denominators of the basic hypergeometric term
-ratios behind the kernel, 2phi1, divisor and Euler sums) goes through
-:func:`divide_binomial`; :func:`invert` is kept for inverting whole
-products.
+ExactSeries.  The others build with five operations: :func:`from_terms`
+sums (exponent, coefficient) terms, :func:`weighted_sum` shifted multiples
+c*q^e*s given as (e, c, s) triples, :func:`mul` multiplies,
+:func:`divide_binomial` divides by a binomial (1 - c*q^x), and
+:func:`add_cell` adds the chain DP's cell acc + q^e*s/(1 - c*q^e)^2 in one
+pass from the valuation of q^e*s.  Every reciprocal is a run of binomial
+divisions; :func:`invert` is only the reference the tests check them by.
 
 One private kernel, :func:`_divide`, divides a coefficient list by
-(1 - c*q^x): :func:`divide_binomial` calls it once, :func:`add_cell`
-twice over, adding the quotient into its accumulator as it goes.  It does
-its per-coefficient work in C iterators (itertools.accumulate over each
-residue class mod x when x*x is below the length, one map per block of x
-coefficients otherwise), so a division takes about 2*sqrt(length)
-interpreter steps.  :func:`weighted_sum` likewise adds each term with one
-map, from the term's valuation on.
+(1 - c*q^x) in about 2*sqrt(length) interpreter steps:
+:func:`divide_binomial` calls it once, :func:`add_cell` twice over,
+adding the quotient into its accumulator as it goes.
 
 Every builder in series, qtools, families and identities checks its
 integer arguments with :func:`_check_int`: a float or an out-of-range value

@@ -261,6 +261,15 @@ def test_oracle_chain_cap_is_usage_error(capsys, which):
                             "brute-force chain sums enumerate\n")
 
 
+def test_oracle_takes_no_order(capsys):
+    # the oracle checks the coefficient of q^n; an --order it ignored
+    # would let a caller believe a deeper check ran
+    with pytest.raises(SystemExit) as excinfo:
+        main(["oracle", "--which", "pp", "--n", "5", "--order", "999999"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --order 999999" in capsys.readouterr().err
+
+
 def test_oracle_missing_chain_flags(capsys):
     assert main(["oracle", "--which", "v", "--n", "5"]) == 2
     assert "error:" in capsys.readouterr().err

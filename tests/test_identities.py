@@ -326,6 +326,17 @@ def test_inverse_pochhammer_table_inverts_the_products(step, order):
             assert mul(term, product).coeffs == one(term.order).coeffs
 
 
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("order", [0, 1, 7, 60])
+def test_eta_quotient_matches_the_inverted_product(sign, odd, order):
+    step = 2 if odd else 1
+    num = pochhammer(sign, 1, step, INFINITE, order)
+    den = pochhammer(1, step, step, INFINITE, order)
+    want = mul(mul(num, num), invert(mul(den, den)))
+    assert _eta_quotient(sign, odd, order) == want
+
+
 def _quotient_sum(step, k, order):
     """The L1/L2 quotient sum sum_j q^(2j+k) / ((Q;Q)_j (Q;Q)_(j+k)),
     Q = q^step, as their checks build it: q^k times kernel_H at m = inf."""

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from qident.identities import IdentityCase, _one_sided, verify
 from qident.qtools import (
     INFINITE,
+    _binomial_quotient,
+    _factors,
     _gauss_poly,
     alt_triangular_sum,
     gaussian_binomial,
@@ -114,6 +116,56 @@ def test_pochhammer_matches_in_place_product(sign, offset, step, length, order):
 
 def test_pochhammer_results_are_cached():
     assert pochhammer(-1, 1, 2, INFINITE, 10) is pochhammer(-1, 1, 2, INFINITE, 10)
+
+
+# ---------------------------------------------------------------------------
+# The binomial-quotient builder
+# ---------------------------------------------------------------------------
+
+def _binomial_product(factors, order):
+    """prod (1 - c*q^x) over the (x, c) pairs, one explicit mul per factor."""
+    p = one(order)
+    for x, c in factors:
+        p = mul(p, from_terms([(0, 1), (x, -c)], order))
+    return p
+
+
+QUOTIENT_ORDER = 12
+# c = -1, 1, 2 at the smallest exponent, at the order and just above it
+QUOTIENT_GRID = [(x, c) for c in (-1, 1, 2)
+                 for x in (1, QUOTIENT_ORDER, QUOTIENT_ORDER + 1)]
+
+
+@pytest.mark.parametrize("first", [
+    one(QUOTIENT_ORDER),
+    from_terms([(3, 5), (4, -2), (11, 7)], QUOTIENT_ORDER),  # valuation 3
+    from_terms([(2, 1), (9, -4), (15, 3)], QUOTIENT_ORDER + 5),  # cut to the order
+], ids=["one", "valuation-3", "longer"])
+@pytest.mark.parametrize("top, bottom", [
+    ((), ()),
+    *(((f,), ()) for f in QUOTIENT_GRID),
+    *(((), (f,)) for f in QUOTIENT_GRID),
+    (QUOTIENT_GRID, ()),
+    ((), QUOTIENT_GRID),
+    (QUOTIENT_GRID[:5], QUOTIENT_GRID[4:] + [(2, 1), (2, 1)]),
+])
+def test_binomial_quotient_matches_products_and_inverses(first, top, bottom):
+    want = mul(mul(first, _binomial_product(top, QUOTIENT_ORDER)),
+               invert(_binomial_product(bottom, QUOTIENT_ORDER)))
+    got = _binomial_quotient(first, top, bottom, QUOTIENT_ORDER)
+    assert got.order == QUOTIENT_ORDER
+    assert got == want
+
+
+@pytest.mark.parametrize("args, xs", [
+    ((1, 3, 2, INFINITE, 10), [3, 5, 7, 9]),
+    ((-1, 2, 3, 2, 100), [2, 5]),
+    ((1, 1, 1, 0, 10), []),
+    ((1, 11, 1, INFINITE, 10), []),
+    ((1, 1, 5, INFINITE, 11), [1, 6, 11]),
+])
+def test_factors_lists_the_visible_pochhammer_factors(args, xs):
+    assert list(_factors(*args)) == [(x, args[0]) for x in xs]
 
 
 # ---------------------------------------------------------------------------

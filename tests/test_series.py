@@ -569,13 +569,19 @@ def test_only_verify_compares_the_two_sides():
     assert sites == [("identities.py", "verify")]
 
 
-def test_no_build_path_calls_the_q_pascal_reference():
-    # _gauss_poly is the reference the tests compare gaussian_binomial
-    # against; only its own recursion calls it
+@pytest.mark.parametrize("reference, own", [
+    # the q-Pascal recurrence the tests compare gaussian_binomial against;
+    # only its own recursion calls it
+    ("_gauss_poly", {("qtools.py", "_gauss_poly")}),
+    # the whole-series inverse the tests compare every binomial division
+    # against; every reciprocal is built by binomial divisions instead
+    ("invert", set()),
+])
+def test_no_build_path_calls_a_reference(reference, own):
     package = Path(qident.__file__).parent
     sites = {(path.name, scope) for path in sorted(package.glob("*.py"))
-             for scope, _ in _calls(path, "_gauss_poly")}
-    assert sites == {("qtools.py", "_gauss_poly")}
+             for scope, _ in _calls(path, reference)}
+    assert sites == own
 
 
 def _raises_a_range_message(node):

@@ -14,6 +14,17 @@ sigma(n); higher k generalize that to weighted chain counts.  Sign -1
 flips the atom denominators to (1 + q^e)^2, which weights each chain
 term by (-1)^(t1+...+tk+k).
 
+The family values S_k are the complete (weak chains) or elementary
+(strict chains) symmetric functions of the atoms: the t^k coefficients of
+prod_n 1/(1 - t*atom(n)) or prod_n (1 + t*atom(n)).  series.chain_sums
+builds S_0..S_top in one sweep per atom, every chain length packed into
+one integer per exponent m, sum_j S_j[m] * 2^(W*j), truncated mod
+2^(W*(top+1)).  The slot width W is the smallest multiple of 8 at least
+one bit longer than the largest coefficient of the sign +1 sweep over all
+chain lengths, which bounds every |S_j[m]|.  Each (family, sign, m, order)
+keeps one table of S_0..S_top and its W; a request for k above top
+rebuilds the table from scratch to top = k.
+
 Two index transforms are provided: the central-binomial combination
 sum_j w(j) * F_{j,m} that collapses to a Pochhammer-squared times kernel
 product, and its inverse, which reconstructs F_{j,m} from the kernel
@@ -31,10 +42,10 @@ from .qtools import INFINITE, _check_bound, _check_sign, kernel_H, squared_pochh
 from .series import (
     ExactSeries,
     _check_int,
-    add_cell,
+    chain_sums,
+    chain_width,
     from_terms,
     mul,
-    one,
     weighted_sum,
     zero,
 )
@@ -89,11 +100,11 @@ def atom(family: str, sign: int, n: int, order: int) -> ExactSeries:
 
     Written down from the closed form
     q^e/(1 -+ q^e)^2 = sum_{t>=1} sign^(t+1) * t * q^(e*t)
-    (geometric-squared expansion).  The chain DP does not use it: each of
-    its cells adds q^e times the predecessor over (1 - sign*q^e)^2 with
-    series.add_cell.  The tests check this closed form against that cell
-    with predecessor 1, against two divisions of q^e by (1 - sign*q^e)
-    and against q^e * invert((1 -+ q^e)^2).
+    (geometric-squared expansion).  The chain sums do not use it:
+    series.chain_sums divides by (1 - sign*q^e)^2 inside its packed sweep.
+    The tests check this closed form against that kernel's S_1 over the
+    one exponent e, against two divisions of q^e by (1 - sign*q^e) and
+    against q^e * invert((1 -+ q^e)^2).
     """
     FamilySpec(family, sign, 0)  # validates family and sign
     _check_int("n", n, 1, InvalidSpec)
@@ -103,7 +114,7 @@ def atom(family: str, sign: int, n: int, order: int) -> ExactSeries:
 
 
 # ---------------------------------------------------------------------------
-# Family series via chain dynamic programming
+# Family series via packed chain sums
 # ---------------------------------------------------------------------------
 
 def _m_eff(family: str, m: Union[int, float], order: int) -> int:
@@ -131,66 +142,55 @@ def _min_valuation(family: str, k: int) -> int:
     return k * k  # C
 
 
-# DP tables keyed by (family, sign, m_eff, order); each entry holds the
-# series S_k for k = 0..built so far plus the last DP row, so later calls
-# extend in k instead of recomputing.  The lock makes concurrent use safe;
-# all stored values are immutable ExactSeries.
+# Chain-sum tables keyed by (family, sign, m_eff, order); each entry holds
+# the series S_j for j = 0..top, top the largest k asked for so far, and
+# the slot width of the key's packed sweep.  The lock makes concurrent use
+# safe; all stored values are immutable ExactSeries.
 _TableKey = Tuple[str, int, int, int]
-_tables: Dict[_TableKey, Tuple[List[ExactSeries], List[ExactSeries]]] = {}
+_tables: Dict[_TableKey, Tuple[List[ExactSeries], int]] = {}
 _tables_lock = threading.Lock()
 
 
 def _family_prefix(family: str, sign: int, m_eff: int, order: int, k: int) -> ExactSeries:
-    """S_k for the given family at the effective bound, extending the
-    table's rows up to k first.
+    """S_k for the given family at the effective bound, from the key's
+    table, built or rebuilt to top = k first if it stops below k.
 
-    Weak chains:   S_i(n) = S_i(n-1) + atom(n) * S_{i-1}(n)
-    Strict chains: S_i(n) = S_i(n-1) + atom(n) * S_{i-1}(n-1)
-
-    where S_i(n) sums over chains confined to magnitudes <= n; the family
-    value is S_i(m_eff).  The atom product is never multiplied out: each
-    cell is one add_cell pass, S_i(n-1) + q^e * predecessor /
-    (1 - sign*q^e)^2, which leaves S_i(n-1) as it is below e plus the
-    predecessor's valuation and does O(order) work past it.  Every
-    row up to k must be visible (_min_valuation(family, k) <= order);
-    family_series answers the invisible ones without a table.
-
-    The predecessor is an (i-1)-chain sum, of valuation at least
-    v = _min_valuation(family, i-1), so the cell term atom(n) * S_{i-1}
-    vanishes modulo q^(order+1) once the atom exponent of n exceeds
-    order - v.  Row i therefore stops at the last magnitude visible at
-    order - v, and its last cell already equals S_i(m_eff).  The cap
-    shrinks as i grows, so the (shorter) last row kept in the table still
-    holds every predecessor the next row reads.
+    S_k is the complete (weak chains) or elementary (strict chains)
+    symmetric function of degree k in the atoms q^e/(1 - sign*q^e)^2 of
+    the magnitudes 1..m_eff: the t^k coefficient of prod_n 1/(1 - t*atom(n))
+    or prod_n (1 + t*atom(n)).  series.chain_sums builds S_0..S_top in one
+    sweep per atom, with every chain length packed into one integer per
+    exponent, B[m] = sum_j S_j[m] * 2^(W*j) truncated mod 2^(W*(top+1)),
+    so rows above top cost nothing.  The slot width W is the smallest
+    multiple of 8 at least one bit longer than the largest coefficient of
+    the sign +1 sweep over all chain lengths (series.chain_width), which
+    bounds every |S_j[m]| of either sign; it does not depend on the sign,
+    so it is computed once for the two tables of a family, m_eff and order
+    and kept in each.  A request above the
+    table's top rebuilds the table from scratch to the new top, so callers
+    that need many rows ask for the largest first.  k must be visible
+    (_min_valuation(family, k) <= order); family_series answers the
+    invisible ones without a table.
     """
     key = (family, sign, m_eff, order)
     with _tables_lock:
         entry = _tables.get(key)
-        if entry is None:
-            series_by_k = [one(order)]
-            last_row = [one(order)] * (m_eff + 1)
-            _tables[key] = entry = (series_by_k, last_row)
-        series_by_k, last_row = entry
-        strict = family not in _WEAK
-        while len(series_by_k) <= k:
-            i = len(series_by_k)
-            cap = _m_eff(family, m_eff, order - _min_valuation(family, i - 1))
-            row: List[ExactSeries] = [zero(order)]
-            for n in range(1, cap + 1):
-                e = _atom_exponent(family, n)
-                predecessor = last_row[n - 1] if strict else last_row[n]
-                row.append(add_cell(row[n - 1], predecessor, e, sign))
-            series_by_k.append(row[-1])
-            last_row = row
-            _tables[key] = (series_by_k, last_row)
-        return series_by_k[k]
+        if entry is None or len(entry[0]) <= k:
+            exponents = [_atom_exponent(family, n) for n in range(1, m_eff + 1)]
+            strict = family not in _WEAK
+            # W does not depend on the sign, so a key takes its twin's
+            known = entry or _tables.get((family, -sign, m_eff, order))
+            width = known[1] if known else chain_width(exponents, strict, order)
+            entry = _tables[key] = (
+                chain_sums(exponents, sign, strict, k, order, width), width)
+        return entry[0][k]
 
 
 def family_series(spec: FamilySpec, order: int) -> ExactSeries:
     """The family series for spec, exact modulo q^(order+1).
 
     A k-chain has valuation at least _min_valuation(family, k), so when
-    that exceeds the order the series is zero there and no DP row is built.
+    that exceeds the order the series is zero there and no table is built.
     """
     _check_int("order", order)
     if _min_valuation(spec.family, spec.k) > order:
@@ -231,7 +231,9 @@ def binomial_combination(
     The + families take alternating weights (-1)^(j-k) * C(2j, j-k); the
     - families take them unsigned.  F_{j,m} has valuation >= j, so the sum
     truncates at j <= order.  Collapses to the Pochhammer-squared times
-    kernel product (a registry identity); only V and W participate.
+    kernel product (a registry identity); only V and W participate.  The
+    terms run from j = order down, so the first builds the chain-sum table
+    to its last row and every later one reads it.
     """
     if family not in _WEAK:
         raise InvalidSpec(f"combination is defined for V and W, got {family!r}")
@@ -239,7 +241,7 @@ def binomial_combination(
     _check_int("order", order)
     terms = ((0, (-sign) ** (j - k) * comb(2 * j, j - k),
               family_series(FamilySpec(family, sign, j, m), order))
-             for j in range(k, order + 1))
+             for j in range(order, k - 1, -1))
     return weighted_sum(terms, order)
 
 

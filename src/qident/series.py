@@ -24,14 +24,21 @@ ExactSeries.  The others build with five operations: :func:`from_terms`
 sums (exponent, coefficient) terms, :func:`weighted_sum` shifted multiples
 c*q^e*s given as (e, c, s) triples, :func:`mul` multiplies,
 :func:`divide_binomial` divides by a binomial (1 - c*q^x), and
-:func:`add_cell` adds the chain DP's cell acc + q^e*s/(1 - c*q^e)^2 in one
-pass from the valuation of q^e*s.  Every reciprocal is a run of binomial
+:func:`chain_sums` builds the chain sums S_0 .. S_top of the families
+module, the t-rows of prod_e 1/(1 - t*a_e) or prod_e (1 + t*a_e) over
+the atoms a_e = q^e/(1 - c*q^e)^2.  Every reciprocal is a run of binomial
 divisions; :func:`invert` is only the reference the tests check them by.
 
-One private kernel, :func:`_divide`, divides a coefficient list by
-(1 - c*q^x) in about 2*sqrt(length) interpreter steps:
-:func:`divide_binomial` calls it once, :func:`add_cell` twice over,
-adding the quotient into its accumulator as it goes.
+:func:`divide_binomial` runs the private kernel :func:`_divide`, which
+divides a coefficient list by (1 - c*q^x) in place in about
+2*sqrt(length) interpreter steps.  :func:`chain_sums` packs every chain
+length j <= top into one integer per exponent m,
+B[m] = sum_j S_j[m] * 2^(W*j) truncated mod 2^(W*(top+1)), so an atom
+is one pass of O(1) integer operations per m whatever top is.  The slot
+width W is the smallest multiple of 8 at least one bit longer than the
+largest coefficient of the same sweep at sign +1 with W = 0
+(:func:`chain_width`): that sum over all j of S_j^+[m] bounds every
+|S_j[m]| of either sign, so each B[m] decodes exactly.
 
 Every builder in series, qtools, families and identities checks its
 integer arguments with :func:`_check_int`: a float or an out-of-range value
@@ -49,8 +56,9 @@ N + 1 - i multiply-adds for each of them.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat, zip_longest
 from typing import Iterable, List, Tuple, Type
 
 
@@ -254,57 +262,42 @@ def invert(a: ExactSeries) -> ExactSeries:
     return ExactSeries(tuple(b))
 
 
-def _divide(out: List[int], start: int, src: List[int], lo: int,
-            x: int, c: int, times: int, add: bool) -> None:
-    """The binomial-division kernel: src[lo:] / (1 - c*q^x)^times into out.
+def _divide(b: List[int], v: int, x: int, c: int) -> None:
+    """The binomial-division kernel: b[v:] / (1 - c*q^x) in place.
 
-    With n = len(out) - start, the first n coefficients of the quotient
-    of src[lo:], read as a series from q^0, replace out[start:], or are
-    added to it when add is true.  src must hold lo + n entries and may
-    be out itself.  One division's quotient b satisfies
-    b[t] = a[t] + c*b[t-x]: each residue class t = r (mod x) is a
-    first-order recurrence, and each block of x entries is the input plus
-    c times the block before it.
+    The quotient of b[v:], read as a series from q^0, replaces b[v:].
+    Its coefficients satisfy b[t] = a[t] + c*b[t-x]: each residue class
+    t = r (mod x) is a first-order recurrence, and each block of x
+    entries is the input plus c times the block before it.
 
     The per-coefficient work runs in C iterators, in at most about
-    2*sqrt(n) interpreter steps per division.  When x*x < n the x residue
-    classes are divided one by one: for c = 1 a division is
+    2*sqrt(n) interpreter steps for n = len(b) - v.  When x*x < n the x
+    residue classes are divided one by one: for c = 1 a division is
     itertools.accumulate, for c = -1 the same between two sign
     alternations (q^x -> -q^x), and any other c passes accumulate a
     callable.  Otherwise each of the n/x blocks is one map over the
     block before it.  The choice depends only on x and n.
     """
-    n = len(out) - start
-    stop = lo + n
+    n = len(b) - v
     if x * x < n:
         alternate = c == -1
         step = None if c in _SIGNED_ADD else (lambda y, a: a + c * y)
-        for r in range(x):
-            col: Iterable[int] = src[lo + r : stop : x]
+        for r in range(v, v + x):
+            col: Iterable[int] = b[r::x]
             if alternate:
                 col[1::2] = map(operator.neg, col[1::2])
-            for _ in range(times):
-                col = accumulate(col, step)
+            col = accumulate(col, step)
             if alternate:
                 col = list(col)
                 col[1::2] = map(operator.neg, col[1::2])
-            if add:
-                col = map(operator.add, out[start + r :: x], col)
-            out[start + r :: x] = col
+            b[r::x] = col
         return
     op = _SIGNED_ADD.get(c)
-    block = src[lo : min(lo + x, stop)]
-    stages = [block] * times
-    for j in range(0, n, x):
-        if j:
-            block = src[lo + j : min(lo + j + x, stop)]
-            for i in range(times):
-                block = stages[i] = list(
-                    map(op, block, stages[i]) if op else
-                    map(operator.add, block, map(operator.mul, stages[i], repeat(c))))
-        if add:
-            block = map(operator.add, out[start + j : start + j + x], block)
-        out[start + j : start + j + x] = block
+    block = b[v : v + x]
+    for j in range(v + x, len(b), x):
+        block = b[j : j + x] = list(
+            map(op, b[j : j + x], block) if op else
+            map(operator.add, b[j : j + x], map(operator.mul, block, repeat(c))))
 
 
 def divide_binomial(a: ExactSeries, x: int, c: int) -> ExactSeries:
@@ -318,33 +311,123 @@ def divide_binomial(a: ExactSeries, x: int, c: int) -> ExactSeries:
     b = list(a.coeffs)
     v = _valuation(a.coeffs)
     if v is not None:
-        _divide(b, v, b, v, x, c, 1, False)
+        _divide(b, v, x, c)
     return ExactSeries(tuple(b))
 
 
-def add_cell(acc: ExactSeries, s: ExactSeries, e: int, c: int) -> ExactSeries:
-    """acc + q^e*s / (1 - c*q^e)^2 in one pass, for e >= 1.
+# ---------------------------------------------------------------------------
+# Chain sums: every chain length packed into one integer per exponent
+# ---------------------------------------------------------------------------
 
-    The order is min(acc.order, s.order + e), as for the composition of
-    weighted_sum, two divide_binomial calls and add.  The quotient
-    vanishes below t0 = e + valuation(s), so the result equals acc there.
-    From t0 on, the kernel _divide divides s twice by (1 - c*q^e) and
-    adds the quotient into acc in the same pass over each residue class
-    or block: O(order) coefficient operations for any e and c.  s is
-    sliced as a list and the sum built as one, with one tuple at the end,
-    because short tuple slices are kept on the interpreter's free lists
-    and raise peak memory.
+# The residues mod e that one map chain of _chain_sweep takes together.
+# Fewer, larger chunks cost fewer interpreter steps, and a chunk's H and G
+# are all the big integers a pass holds besides B.  At 32 the sweep ran as
+# fast as with H and G kept for whole passes (V and W at orders 150 to 360,
+# 2-core Xeon, Python 3.11), and its peak memory for W at order 180 was
+# 0.6 MB lower.
+_CHUNK = 32
+
+
+def _chain_sweep(exponents: List[int], c: int, strict: bool, width: int,
+                 mask: int, order: int) -> List[int]:
+    """B[0..order] for prod_e 1/(1 - t*a_e) (weak) or prod_e (1 + t*a_e)
+    (strict), a_e = q^e/(1 - c*q^e)^2, c = +-1, t = 2^width, mod mask + 1
+    (mask = -1 keeps every value whole).
+
+    One pass per exponent e adds G = t*a_e*P into B, where P is the
+    product after the pass (weak) or before it (strict).  G is two
+    first-order divisions by (1 - c*q^e):
+    H[m] = t*P[m-e] + c*H[m-e] and G[m] = H[m] + c*G[m-e], where P[m-e]
+    is B[m-e] after the pass (weak) or that minus G[m-e] (strict).  A
+    pass splits the residues mod e into chunks of at most _CHUNK and walks
+    each chunk up the blocks of e exponents m.  A chunk reads only its
+    copy in the block below, so it is one chain of maps in C, and the pass
+    keeps H and G of that one copy.  Only G is reduced mod mask + 1: H and
+    B stay within a few bits of one slot above it.
     """
-    _check_int("e", e, 1)
-    ac = acc.coeffs
-    order = min(len(ac) - 1, len(s.coeffs) - 1 + e)
-    v = _valuation(s.coeffs)
-    if v is None or v + e > order:
-        return acc if len(ac) == order + 1 else ExactSeries(ac[: order + 1])
-    out = list(ac)
-    del out[order + 1 :]
-    _divide(out, v + e, list(s.coeffs), v, e, c, 2, True)
-    return ExactSeries(tuple(out))
+    op = _SIGNED_ADD[c]
+    acc = [1] + [0] * order
+    for e in exponents:
+        for start in range(e, 2 * e, _CHUNK):
+            n = min(_CHUNK, 2 * e - start)
+            h = g = [0] * n
+            for lo in range(start, order + 1, e):
+                p = acc[lo - e : lo - e + n]
+                if strict:
+                    p = map(operator.sub, p, g)
+                h = list(map(op, map(operator.lshift, p, repeat(width)), h))
+                g = list(map(operator.and_, map(op, h, g), repeat(mask)))
+                acc[lo : lo + n] = map(operator.add, acc[lo : lo + n], g)
+    return acc
+
+
+def _visible(exponents: Iterable[int], order: int) -> List[int]:
+    """The exponents that reach q^0..q^order, checked and ascending."""
+    exponents = list(exponents)
+    for e in exponents:
+        _check_int("exponent", e, 1)
+    return sorted(e for e in exponents if e <= order)
+
+
+def chain_width(exponents: Iterable[int], strict: bool, order: int) -> int:
+    """The slot width W for chain_sums over these exponents at the order.
+
+    The sweep at sign +1 with W = 0 (t = 1, nothing truncated) gives, at
+    each m, the sum over all chain lengths j of S_j^+[m] >= 0.  A sign -1
+    chain term has the same size as its sign +1 twin, so that sum bounds
+    every |S_j^(+-)[m]|; W is the smallest multiple of 8 at least one bit
+    longer than its largest value, so each S_j fits a signed W-bit slot.
+    """
+    _check_int("order", order)
+    bound = max(_chain_sweep(_visible(exponents, order), 1, strict, 0, -1, order))
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def chain_sums(exponents: Iterable[int], sign: int, strict: bool, top: int,
+               order: int, width: int) -> List[ExactSeries]:
+    """S_0 .. S_top: the coefficients of t^j in prod_e 1/(1 - t*a_e)
+    (strict false) or prod_e (1 + t*a_e) (strict true), a_e the atom
+    q^e/(1 - sign*q^e)^2, over the exponents e >= 1, at the order.
+
+    S_j is the complete (weak) or elementary (strict) symmetric function
+    of degree j in the atoms.  All j <= top share one integer per
+    exponent m, B[m] = sum_j S_j[m] * 2^(width*j) mod 2^(width*(top+1)),
+    so dividing by (1 - sign*q^e)^2 is one pass of O(1) integer
+    operations per m, whatever top is.  width must be a multiple of 8 and
+    at least chain_width(exponents, strict, order); then every S_j[m] fits
+    a signed slot and the result is exact.
+
+    Each B[m] is decoded once: adding 2^(width-1) to every slot makes
+    them all nonnegative, so its bytes split into slots without carries.
+    Only the slots that can be nonzero are read: no j-chain reaches below
+    reach[j], j times the smallest exponent (weak) or the sum of the j
+    smallest (strict).
+    """
+    if sign not in _SIGNED_ADD:
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    _check_int("top", top)
+    _check_int("order", order)
+    _check_int("width", width, 8)
+    if width % 8:
+        raise ValueError(f"width must be a multiple of 8, got {width}")
+    low = _visible(exponents, order)
+    steps = low[:top] if strict else low[:1] * top
+    reach = list(accumulate(steps, initial=0))
+    mask = (1 << width * (top + 1)) - 1
+    size, half = width // 8, 1 << (width - 1)
+    bias = mask // ((1 << width) - 1) * half
+    slots = list(map(slice, range(0, size * len(reach), size),
+                     range(size, size * (len(reach) + 1), size)))
+    rows = []
+    packed = _chain_sweep(low, sign, strict, width, mask, order)
+    for m in range(order + 1):
+        b, packed[m] = packed[m], None  # each B[m] is freed once decoded
+        n = bisect_right(reach, m)
+        raw = ((b + bias) & mask).to_bytes(size * (top + 1), "little")
+        rows.append(list(map(operator.sub, map(int.from_bytes, map(raw.__getitem__, slots[:n]),
+                                               repeat("little")), repeat(half))))
+    series = [ExactSeries(col) for col in zip_longest(*rows, fillvalue=0)]
+    return series + [zero(order)] * (top + 1 - len(series))
 
 
 def substitute_power(a: ExactSeries, d: int) -> ExactSeries:

@@ -1,6 +1,7 @@
 """Family series: chain DP against closed atom forms, valuations, parity,
 inverse-weight coefficients, and the two reconstruction directions."""
 
+import sys
 import threading
 from math import comb
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import families
+from qident import families, series
 from qident.families import (
     FamilySpec,
     InvalidSpec,
@@ -22,7 +23,8 @@ from qident.oracles import b_extraction, triangular, v_oracle, w_oracle
 from qident.qtools import INFINITE
 from qident.series import (
     add,
-    add_cell,
+    chain_sums,
+    chain_width,
     divide_binomial,
     invert,
     monomial,
@@ -85,8 +87,9 @@ def test_atom_matches_rational_closed_form(family, exponent, sign):
     q_e = weighted_sum([(exponent, 1, one(order))], order)
     cell = divide_binomial(divide_binomial(q_e, exponent, sign), exponent, sign)
     assert atom(family, sign, 3, order).coeffs == cell.coeffs
-    # The chain DP's one-pass cell with a zero accumulator and predecessor 1.
-    assert add_cell(zero(order), one(order), exponent, sign) == atom(family, sign, 3, order)
+    # The chain-sum kernel over this one exponent: S_1 is the atom itself.
+    sums = chain_sums([exponent], sign, False, 1, order, chain_width([exponent], False, order))
+    assert sums[1] == atom(family, sign, 3, order)
 
 
 def test_atom_validates_index():
@@ -197,11 +200,11 @@ BOTH_SIGNS = pytest.mark.parametrize("sign", (1, -1))
 
 
 def _table_coeffs(family, sign, order):
-    """The cached (series_by_k, last_row) entry at m = INFINITE as coefficient
-    tuples."""
+    """The cached (series_by_k, width) entry at m = INFINITE, with the
+    series as coefficient tuples."""
     key = (family, sign, families._m_eff(family, INFINITE, order), order)
-    series_by_k, last_row = families._tables[key]
-    return [s.coeffs for s in series_by_k], [s.coeffs for s in last_row]
+    series_by_k, width = families._tables[key]
+    return [s.coeffs for s in series_by_k], width
 
 
 def _last_visible_row(family, order):
@@ -213,15 +216,29 @@ def _last_visible_row(family, order):
 @ALL_FAMILIES
 @BOTH_SIGNS
 def test_extended_table_matches_fresh_build(monkeypatch, family, sign):
+    # each larger k rebuilds the table to that k with the key's width
     order = 24
     last = _last_visible_row(family, order)
     monkeypatch.setattr(families, "_tables", {})
     for k in (2, min(7, last - 1), last):
         family_series(FamilySpec(family=family, sign=sign, k=k), order)
     extended = _table_coeffs(family, sign, order)
+    assert len(extended[0]) == last + 1
     families._tables.clear()
     family_series(FamilySpec(family=family, sign=sign, k=last), order)
     assert extended == _table_coeffs(family, sign, order)
+
+
+@ALL_FAMILIES
+def test_smaller_k_reads_the_table_without_a_rebuild(monkeypatch, family):
+    order = 24
+    last = _last_visible_row(family, order)
+    key = (family, -1, families._m_eff(family, INFINITE, order), order)
+    monkeypatch.setattr(families, "_tables", {})
+    top = family_series(FamilySpec(family=family, sign=-1, k=last), order)
+    entry = families._tables[key]
+    assert family_series(FamilySpec(family=family, sign=-1, k=1), order) is entry[0][1]
+    assert families._tables[key] is entry and entry[0][last] is top
 
 
 def test_invisible_chain_rows_build_no_table_rows(monkeypatch):
@@ -229,7 +246,7 @@ def test_invisible_chain_rows_build_no_table_rows(monkeypatch):
     # must not fill the (V, 1, 20, 20) table with zero rows up to k
     monkeypatch.setattr(families, "_tables", {})
     assert family_series(FamilySpec("V", 1, 10 ** 5), 20).coeffs == zero(20).coeffs
-    series_by_k, _ = families._tables.get(("V", 1, 20, 20), ([], []))
+    series_by_k, _ = families._tables.get(("V", 1, 20, 20), ([], 0))
     assert len(series_by_k) <= 21
 
 
@@ -266,22 +283,39 @@ def test_dp_rows_match_chain_enumeration(family, m, sign):
         assert series.coeffs == tuple(expected), (family, m, sign, k)
 
 
-@pytest.mark.parametrize("family,cells", [("V", 820), ("W", 420), ("A", 236), ("C", 94)])
+@pytest.mark.parametrize("family", ("V", "W"))
+@pytest.mark.parametrize("m", (3, INFINITE))
 @BOTH_SIGNS
-def test_cold_dp_skips_cells_beyond_the_order(monkeypatch, family, cells, sign):
-    # A cell atom(n) * S_{i-1} with e(n) + _min_valuation(i-1) > order is
-    # zero at the truncation and must not be computed; every computed cell
-    # is one add_cell call.
-    calls = []
+def test_cold_binomial_combination_sweeps_once(monkeypatch, family, m, sign):
+    # binomial_combination reads F_{j,m} for j = k..order; asking for the
+    # largest j first builds the table once, with one width sweep (width 0)
+    # and one value sweep, where ascending j would rebuild it for every j
+    widths = []
+    sweep = series._chain_sweep
 
-    def counting_add_cell(acc, s, e, c):
-        calls.append(None)
-        return add_cell(acc, s, e, c)
+    def counting_sweep(exponents, c, strict, width, mask, order):
+        widths.append(width)
+        return sweep(exponents, c, strict, width, mask, order)
 
     monkeypatch.setattr(families, "_tables", {})
-    monkeypatch.setattr(families, "add_cell", counting_add_cell)
-    family_series(FamilySpec(family=family, sign=sign, k=_last_visible_row(family, 40)), 40)
-    assert len(calls) == cells
+    monkeypatch.setattr(series, "_chain_sweep", counting_sweep)
+    binomial_combination(family, sign, 1, m, 40)
+    assert len(widths) == 2 and widths[0] == 0 < widths[1]
+
+
+def test_both_signs_share_one_width_sweep(monkeypatch):
+    widths = []
+    sweep = series._chain_sweep
+
+    def counting_sweep(exponents, c, strict, width, mask, order):
+        widths.append(width)
+        return sweep(exponents, c, strict, width, mask, order)
+
+    monkeypatch.setattr(families, "_tables", {})
+    monkeypatch.setattr(series, "_chain_sweep", counting_sweep)
+    for sign in (-1, 1):
+        family_series(FamilySpec(family="W", sign=sign, k=3), 30)
+    assert len(widths) == 3 and widths[0] == 0 < widths[1] == widths[2]
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +400,40 @@ def test_family_tables_are_thread_safe():
     for t in threads:
         t.join()
     assert all(r == expected for r in results)
+
+
+@pytest.mark.parametrize("family", ("V", "C"))
+def test_concurrent_rebuilds_match_fresh_builds(monkeypatch, family):
+    # eight threads ask one cold key for k = 2, 7 (5 for C, whose last
+    # visible row at order 40 is 6) and the last visible row at once, so
+    # some requests rebuild a table that others have just built
+    order = 40
+    last = _last_visible_row(family, order)
+    ks = [(2, min(7, last - 1), last)[i % 3] for i in range(8)]
+    monkeypatch.setattr(families, "_tables", {})
+    fresh = {}
+    for k in sorted(set(ks)):
+        families._tables.clear()
+        fresh[k] = family_series(FamilySpec(family=family, sign=-1, k=k), order)
+    fresh_table = _table_coeffs(family, -1, order)  # built to k = last
+    families._tables.clear()
+    results = [None] * 8
+    start = threading.Barrier(8, timeout=60)
+
+    def worker(slot):
+        start.wait()
+        results[slot] = family_series(FamilySpec(family=family, sign=-1, k=ks[slot]), order)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [fresh[k] for k in ks]
+    assert _table_coeffs(family, -1, order) == fresh_table

@@ -18,7 +18,8 @@ from qident.series import (
     ExponentOutOfOrder,
     NonUnitConstantTerm,
     add,
-    add_cell,
+    chain_sums,
+    chain_width,
     coeff,
     divide_binomial,
     from_coeffs,
@@ -315,7 +316,7 @@ def test_divide_binomial_matches_inverted_binomial_product(case):
 
 def _divided(coeffs, x, c):
     """Test-local quotient by (1 - c*q^x): one forward pass of
-    b[n] += c*b[n-x], shared with neither divide_binomial nor add_cell."""
+    b[n] += c*b[n-x], not shared with divide_binomial."""
     b = list(coeffs)
     for n in range(x, len(b)):
         b[n] += c * b[n - x]
@@ -324,7 +325,7 @@ def _divided(coeffs, x, c):
 
 # Order 200 makes 201 coefficients, so the residue/block switch at
 # x*x < n falls between x = 14 and 15 for divide_binomial on a dense
-# series and between e = 13 and 14 for add_cell (n = 201 - e).
+# series.
 LONG_ORDER = 200
 LONG_EXPONENTS = (1, 2, 13, 14, 15, 100, 199)
 LONG_WEIGHTS = (-2, -1, 0, 1, 2, 10 ** 30 + 7)
@@ -377,8 +378,16 @@ def test_divide_binomial_rejects_exponents_below_one():
 
 
 # ---------------------------------------------------------------------------
-# The chain-DP cell
+# Chain sums
 # ---------------------------------------------------------------------------
+
+def _add_cell(acc, s, e, c):
+    """Test-local chain-DP cell acc + q^e*s/(1 - c*q^e)^2 at order
+    min(acc.order, s.order + e): two divide_binomial calls and one
+    weighted_sum."""
+    quotient = divide_binomial(divide_binomial(s, e, c), e, c)
+    return weighted_sum([(0, 1, acc), (e, 1, quotient)], acc.order)
+
 
 @st.composite
 def add_cell_case(draw):
@@ -389,6 +398,8 @@ def add_cell_case(draw):
     return acc, s, e, c
 
 
+# The reference row DP below is built from _add_cell, so the cell itself is
+# checked against forward passes that share no code with the package.
 @settings(max_examples=300)
 @given(add_cell_case())
 @example((from_coeffs(range(1, 9)), zero(5), 2, 1))  # s = 0
@@ -404,7 +415,7 @@ def test_add_cell_matches_shift_divide_twice_add(case):
     shifted = ((0,) * e + s.coeffs)[: order + 1]
     quotient = _divided(_divided(shifted, e, c), e, c)
     expected = tuple(map(operator.add, acc.coeffs, quotient))
-    assert add_cell(acc, s, e, c).coeffs == expected
+    assert _add_cell(acc, s, e, c).coeffs == expected
 
 
 @pytest.mark.parametrize("e", LONG_EXPONENTS)
@@ -415,13 +426,104 @@ def test_add_cell_matches_forward_passes_at_order_200(e, c):
         shifted = ((0,) * e + s.coeffs)[: LONG_ORDER + 1]
         quotient = _divided(_divided(shifted, e, c), e, c)
         expected = tuple(map(operator.add, acc.coeffs, quotient))
-        assert add_cell(acc, s, e, c).coeffs == expected
+        assert _add_cell(acc, s, e, c).coeffs == expected
 
 
-def test_add_cell_rejects_exponents_below_one():
-    for e in (0, -1):
-        with pytest.raises(ValueError, match=f"^e must be >= 1, got {e}$"):
-            add_cell(one(4), one(4), e, 1)
+def _row_dp(exponents, sign, strict, top, order):
+    """Test-local chain DP, row by row: S_0 .. S_top with
+    S_i(n) = S_i(n-1) + q^e(n) * S_{i-1}(n or n-1) / (1 - sign*q^e(n))^2,
+    one _add_cell per cell."""
+    out = [one(order)]
+    last_row = [one(order)] * (len(exponents) + 1)
+    for _ in range(top):
+        row = [zero(order)]
+        for n, e in enumerate(exponents, 1):
+            row.append(_add_cell(row[n - 1], last_row[n - 1] if strict else last_row[n],
+                                 e, sign))
+        out.append(row[-1])
+        last_row = row
+    return out
+
+
+# (exponent of magnitude n, strict) for the families V, W, A and C
+CHAIN_KINDS = {"V": (lambda n: n, False), "W": (lambda n: 2 * n - 1, False),
+               "A": (lambda n: n, True), "C": (lambda n: 2 * n - 1, True)}
+
+
+def _last_row(exponents, strict, order):
+    """The largest j whose j-chains reach q^order: j copies of the
+    smallest exponent (weak) or the j smallest (strict)."""
+    reach = [0]
+    while len(reach) <= len(exponents) or not strict:
+        step = exponents[len(reach) - 1] if strict else exponents[0]
+        if reach[-1] + step > order:
+            break
+        reach.append(reach[-1] + step)
+    return len(reach) - 1
+
+
+@pytest.mark.parametrize("kind", sorted(CHAIN_KINDS))
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("m", (1, 3, None))
+@pytest.mark.parametrize("order", (0, 5, 17, 40))
+def test_chain_sums_match_row_dp(kind, sign, m, order):
+    atom_exponent, strict = CHAIN_KINDS[kind]
+    exponents = [atom_exponent(n) for n in range(1, (m or order) + 1)
+                 if atom_exponent(n) <= order]
+    width = chain_width(exponents, strict, order)
+    last = _last_row(exponents, strict, order) if exponents else 0
+    reference = _row_dp(exponents, sign, strict, last + 2, order)
+    assert reference[last + 1] == reference[last + 2] == zero(order)
+    for top in sorted({0, last // 2, last, last + 2}):
+        assert chain_sums(exponents, sign, strict, top, order, width) == reference[: top + 1]
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("strict", (False, True))
+def test_chain_sums_match_row_dp_across_residue_chunks(sign, strict):
+    # an exponent e above _CHUNK splits its residues mod e into
+    # several chunks, each walked up the blocks of e exponents
+    exponents = [1, 2, 33, 40, 70, 71]
+    order = 110
+    width = chain_width(exponents, strict, order)
+    assert max(exponents) > qident.series._CHUNK
+    assert chain_sums(exponents, sign, strict, 4, order, width) == _row_dp(
+        exponents, sign, strict, 4, order)
+
+
+def test_chain_sums_exponents_above_the_order_add_nothing():
+    width = chain_width([2, 3], False, 9)
+    assert chain_width([2, 3, 10, 50], False, 9) == width
+    assert (chain_sums([50, 2, 10, 3], -1, False, 4, 9, width)
+            == chain_sums([2, 3], -1, False, 4, 9, width))
+
+
+def test_chain_sums_fill_all_but_the_sign_bit_of_a_slot():
+    # C at order 13 with sign -1: magnitudes 1..7, exponents 1, 3, .., 13.
+    # Its all-length sign +1 sum peaks below 2^7, so the slots are 8 bits
+    # wide, and the largest |S_j[m]| up to j = 2 needs all 7 value bits.
+    exponents = [1, 3, 5, 7, 9, 11, 13]
+    width = chain_width(exponents, True, 13)
+    assert width == 8
+    sums = chain_sums(exponents, -1, True, 2, 13, width)
+    assert sums == _row_dp(exponents, -1, True, 2, 13)
+    assert max(abs(c) for s in sums for c in s.coeffs).bit_length() == width - 1
+
+
+def test_chain_width_is_the_next_byte_above_the_sign_plus_sum():
+    # one atom q/(1 - q)^2: the sum over all j of S_j^+ at q^m is the
+    # coefficient of 1/(1 - q/(1 - q)^2) = (1 - q)^2/(1 - 3q + q^2):
+    # 1, then the Fibonacci numbers F(2m) = 1, 3, 8, 21, 55, 144, 377
+    assert [chain_width([1], False, n) for n in range(8)] == [8] * 6 + [16, 16]
+
+
+def test_chain_sums_reject_bad_arguments():
+    with pytest.raises(ValueError, match="^exponent must be >= 1, got 0$"):
+        chain_sums([0], 1, False, 1, 4, 8)
+    with pytest.raises(ValueError, match="^top must be non-negative, got -1$"):
+        chain_sums([1], 1, False, -1, 4, 8)
+    with pytest.raises(ValueError, match="^sign must be 1 or -1, got 2$"):
+        chain_sums([1], 2, False, 1, 4, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,9 @@ chain lengths, which bounds every |S_j[m]|.  Each (family, sign, m, order)
 keeps one table of S_0..S_top and its W; a request for k above top
 rebuilds the table from scratch to top = k.
 
+A FamilySpec names one family series; it is a named tuple that checks
+its fields on construction, through _make and _replace as well.
+
 Two index transforms are provided: the central-binomial combination
 sum_j w(j) * F_{j,m} that collapses to a Pochhammer-squared times kernel
 product, and its inverse, which reconstructs F_{j,m} from the kernel
@@ -34,9 +37,9 @@ series with the integer weights B_{k,j}.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .qtools import INFINITE, _check_bound, _check_sign, kernel_H, squared_pochhammer
 from .series import (
@@ -59,31 +62,32 @@ class InvalidSpec(ValueError):
     """Raised for malformed family specifications."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "family sign k m", defaults=(INFINITE,))):
     """Which family, which sign, how many magnitudes, which bound.
 
     m is a positive integer bound on the largest magnitude, or INFINITE.
     The strict-chain families A and C take only m = INFINITE (no truncated
     form is defined for them).  k = 0 yields the constant series 1 for
-    every family.
+    every family.  A named tuple that validates on construction; _make and
+    _replace build through the constructor, so no spec skips the checks.
     """
 
-    family: str
-    sign: int
-    k: int
-    m: Union[int, float] = INFINITE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise InvalidSpec(f"family must be one of {FAMILIES}, got {self.family!r}")
-        _check_sign(self.sign, InvalidSpec)
-        _check_int("k", self.k, 0, InvalidSpec)
-        _check_bound("m", self.m, 1, InvalidSpec)
-        if self.m != INFINITE and self.family in ("A", "C"):
-            raise InvalidSpec(
-                f"family {self.family} takes only m = INFINITE, got m={self.m}"
-            )
+    def __new__(cls, family: str, sign: int, k: int,
+                m: Union[int, float] = INFINITE) -> FamilySpec:
+        if family not in FAMILIES:
+            raise InvalidSpec(f"family must be one of {FAMILIES}, got {family!r}")
+        _check_sign(sign, InvalidSpec)
+        _check_int("k", k, 0, InvalidSpec)
+        _check_bound("m", m, 1, InvalidSpec)
+        if m != INFINITE and family in ("A", "C"):
+            raise InvalidSpec(f"family {family} takes only m = INFINITE, got m={m}")
+        return super().__new__(cls, family, sign, k, m)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> FamilySpec:
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ series; ``verify`` compares their exact integer coefficients with
 ``_first_discrepancy``, up to the shorter of the two orders, and nothing
 else compares them.  A report either holds outright or carries the first
 discrepancy — exponent plus both coefficients, exact, never a tolerance.
+The case, report and discrepancy types and the registry entries are named
+tuples; an entry's ``required`` parameter names are its check's keyword-only
+ones, read from the check's code object.
 
 The brute-force sides (``_counts``) compare fewer exponents than the
 requested order N: ORACLE_V/ORACLE_W compare q^0..q^15 (``_ORACLE_CAP``),
@@ -28,12 +31,11 @@ its weighted_sum shift.  The L1/L2 quotient sums are q^k times
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import operator
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from collections import namedtuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .families import (
     FamilySpec,
@@ -91,32 +93,17 @@ class MissingParam(ValueError):
 # Report types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Discrepancy:
-    """First point where two coefficient streams disagree."""
+Discrepancy = namedtuple("Discrepancy", "exponent lhs rhs")
+Discrepancy.__doc__ = """First point where two coefficient streams disagree:
+the exponent and both exact coefficients there."""
 
-    exponent: int
-    lhs: int
-    rhs: int
+IdentityCase = namedtuple("IdentityCase", "id params order")
+IdentityCase.__doc__ = """A registry id, a parameter binding (a mapping of
+names to values), and a truncation order."""
 
-
-@dataclass(frozen=True)
-class IdentityCase:
-    """A registry id, a parameter binding, and a truncation order."""
-
-    id: str
-    params: Mapping[str, Union[int, float]]
-    order: int
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of one case: holds iff no discrepancy was found."""
-
-    case: IdentityCase
-    holds: bool
-    first_discrepancy: Optional[Discrepancy]
-    elapsed: float
+VerifyReport = namedtuple("VerifyReport", "case holds first_discrepancy elapsed")
+VerifyReport.__doc__ = """Outcome of one case: holds iff no discrepancy was
+found; first_discrepancy is None or a Discrepancy, elapsed is in seconds."""
 
 
 def _first_discrepancy(lhs: ExactSeries, rhs: ExactSeries) -> Optional[Discrepancy]:
@@ -385,23 +372,22 @@ def _oracle_check(family: str) -> Callable[..., _Sides]:
 # The registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(namedtuple("RegistryEntry", "check default_grid independence")):
     """One verifiable statement: the check, the default parameter grid for
     suite runs, and a note documenting how the two compared computations
     stay independent.  The check takes the order and the case's params as
     keywords and returns its two series, (lhs, rhs); it never compares
     them itself."""
 
-    check: Callable[..., _Sides]
-    default_grid: Tuple[Mapping[str, Union[int, float]], ...]
-    independence: str
+    __slots__ = ()
 
     @property
     def required(self) -> Tuple[str, ...]:
-        """The parameter names a case binds: the check's keyword-only ones."""
-        params = inspect.signature(self.check).parameters.values()
-        return tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+        """The parameter names a case binds: the check's keyword-only ones,
+        which the code object lists right after the positional ones."""
+        code = self.check.__code__
+        start = code.co_argcount
+        return code.co_varnames[start:start + code.co_kwonlyargcount]
 
 
 def _grid(**axes: Iterable[Union[int, float]]) -> Tuple[Dict[str, Union[int, float]], ...]:

@@ -1,8 +1,9 @@
 """Dense truncated power series in q over exact integers.
 
-Every value in this package is an :class:`ExactSeries`: a tuple of
-arbitrary-precision integer coefficients, index n holding the coefficient
-of q^n, known exactly modulo q^(N+1) where N is the *order*.  There is no
+Every value in this package is an :class:`ExactSeries`: an immutable
+slotted object holding one tuple of arbitrary-precision integer
+coefficients, index n holding the coefficient of q^n, known exactly
+modulo q^(N+1) where N is the *order*.  There is no
 floating point anywhere; convergence conditions ("|q| < 1") are replaced
 by formal truncated arithmetic.
 
@@ -14,10 +15,13 @@ Conventions
   smaller order (identity checks naturally mix series built at different
   provisional orders).
 * Two series are equal exactly when their coefficient tuples are, orders
-  included, and equal series hash alike.  Comparing two series up to the
-  shorter order is a verification step, made by identities.verify.
-* All values are immutable; every operation is a pure function, so series
-  may be freely shared between threads.
+  included, and equal series hash alike; a series never equals a bare
+  tuple.  Comparing two series up to the shorter order is a verification
+  step, made by identities.verify.
+* All values are immutable: setting or deleting an attribute of a series
+  raises AttributeError, and pickle and copy rebuild a series through its
+  constructor.  Every operation is a pure function, so series may be
+  freely shared between threads.
 
 This is the package's one arithmetic core: no other module constructs an
 ExactSeries.  The others build with five operations: :func:`from_terms`
@@ -57,7 +61,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, repeat, zip_longest
 from typing import Iterable, List, Tuple, Type
 
@@ -70,22 +73,42 @@ class ExponentOutOfOrder(IndexError):
     """Raised by coeff() when the requested exponent exceeds the order."""
 
 
-@dataclass(frozen=True)
 class ExactSeries:
     """A truncated power series: coeffs[n] is the coefficient of q^n.
 
     The series is known exactly modulo q^(order+1); len(coeffs) == order+1.
-    A plain value: == and hash compare the coefficient tuples, so series of
-    different orders are never equal.
+    A plain immutable value: == and hash compare the coefficient tuples, so
+    series of different orders are never equal, and a series never equals
+    anything that is not a series (a bare tuple included).
     """
 
+    __slots__ = ("coeffs",)
     coeffs: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        coeffs = tuple(coeffs)  # a tuple passes through as itself
+        if not coeffs:
             raise ValueError("a series stores at least the constant term")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ExactSeries is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ExactSeries is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ExactSeries:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __reduce__(self) -> Tuple[type, Tuple[Tuple[int, ...]]]:
+        # pickle and copy rebuild through the constructor; the default
+        # protocol would restore the slot with the __setattr__ above.
+        return ExactSeries, (self.coeffs,)
 
     @property
     def order(self) -> int:

@@ -1,13 +1,29 @@
 """Command-line surface: flag parsing, the three output formats, exit
 codes, decimal-string serialization of large values, and determinism."""
 
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qident
 from qident.cli import main
 from qident.identities import REGISTRY, RegistryEntry
 from qident.series import monomial, one, zero
+
+# Checks of the test-only ALWAYS_OFF entry, whose two sides always differ.
+ALWAYS_OFF_CHECKS = {
+    "huge_rhs_at_q7": lambda order: (zero(order), monomial(10 ** 30, 7, order)),
+    "off_at_q0": lambda order: (one(order), monomial(2, 0, order)),
+}
+
+
+def _always_off(check):
+    return RegistryEntry(check=check, default_grid=(dict(),), independence="test-only mutant")
 
 # ---------------------------------------------------------------------------
 # coeffs
@@ -146,11 +162,7 @@ def test_verify_csv_has_header(capsys):
 
 
 def test_verify_failure_reports_big_integers_exactly(capsys):
-    REGISTRY["ALWAYS_OFF"] = RegistryEntry(
-        check=lambda order: (zero(order), monomial(10 ** 30, 7, order)),
-        default_grid=(dict(),),
-        independence="test-only mutant",
-    )
+    REGISTRY["ALWAYS_OFF"] = _always_off(ALWAYS_OFF_CHECKS["huge_rhs_at_q7"])
     try:
         assert main(["verify", "--id", "ALWAYS_OFF", "--order", "9",
                      "--format", "json", "--deterministic"]) == 1
@@ -160,6 +172,41 @@ def test_verify_failure_reports_big_integers_exactly(capsys):
             "exponent": 7, "lhs": "0", "rhs": str(10 ** 30)}
     finally:
         del REGISTRY["ALWAYS_OFF"]
+
+
+def _every_parameter_kind(order, /, scale=1, *rest, sign, k, **more):
+    local = order * scale
+    return local, rest, sign, k, more
+
+
+REQUIRED_CASES = {**{f"REGISTRY[{name}]": entry for name, entry in REGISTRY.items()},
+                  **{f"ALWAYS_OFF[{name}]": _always_off(check)
+                     for name, check in ALWAYS_OFF_CHECKS.items()},
+                  "every_parameter_kind": _always_off(_every_parameter_kind)}
+
+
+@pytest.mark.parametrize("name", REQUIRED_CASES)
+def test_required_is_the_keyword_only_names_of_the_signature(name):
+    entry = REQUIRED_CASES[name]
+    params = inspect.signature(entry.check).parameters.values()
+    assert entry.required == tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_ast():
+    # A fresh interpreter, since this one has imported them already.
+    package_root = str(Path(qident.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import qident.cli\n"
+            "qident.cli.build_parser()\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    added = set(result.stdout.split())
+    assert "qident.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast"}), sorted(added)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +236,7 @@ def test_suite_json_is_deterministic(capsys):
 
 
 def test_suite_reports_failures_with_exit_one(capsys):
-    REGISTRY["ALWAYS_OFF"] = RegistryEntry(
-        check=lambda order: (one(order), monomial(2, 0, order)),
-        default_grid=(dict(),),
-        independence="test-only mutant",
-    )
+    REGISTRY["ALWAYS_OFF"] = _always_off(ALWAYS_OFF_CHECKS["off_at_q0"])
     try:
         assert main(["suite", "--order", "4", "--deterministic"]) == 1
         out = capsys.readouterr().out

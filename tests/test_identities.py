@@ -3,8 +3,10 @@ reporting, suite aggregation, golden coefficients of the weighted-sum
 builders and the positivity sides, and the difference predicates summed
 term by term, with the resolved reading of the bipartition one."""
 
+import copy
 import hashlib
 import inspect
+import pickle
 import time
 
 import pytest
@@ -14,6 +16,7 @@ from qident import identities, qtools, series
 from qident.families import (
     FAMILIES,
     FamilySpec,
+    InvalidSpec,
     _min_valuation,
     binomial_combination,
     family_series,
@@ -26,6 +29,7 @@ from qident.identities import (
     MissingParam,
     RegistryEntry,
     UnknownIdentity,
+    VerifyReport,
     verify,
     verify_suite,
 )
@@ -290,6 +294,39 @@ def test_perturbed_comparison_reports_first_discrepancy():
             exponent=7, lhs=0, rhs=10 ** 30)
     finally:
         del REGISTRY["PERTURBED"]
+
+
+# ---------------------------------------------------------------------------
+# Value types: pickle and copy rebuild them, and no path skips validation
+# ---------------------------------------------------------------------------
+
+VALUES = [
+    series.from_coeffs([3, 0, -(10 ** 40)]),
+    FamilySpec("W", -1, 2, 5),
+    FamilySpec("A", 1, 3),
+    VerifyReport(case=IdentityCase("L1", {"k": 1}, 10), holds=False,
+                 first_discrepancy=Discrepancy(exponent=7, lhs=0, rhs=10 ** 30),
+                 elapsed=0.25),
+]
+
+
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy,
+                                   copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_round_trip_through_pickle_and_copy(value, clone):
+    twin = clone(value)
+    assert type(twin) is type(value)
+    assert twin == value
+
+
+def test_family_spec_make_and_replace_validate():
+    spec = FamilySpec("V", 1, 2)
+    assert spec._replace(k=3) == FamilySpec("V", 1, 3)
+    with pytest.raises(InvalidSpec):
+        spec._replace(sign=3)
+    with pytest.raises(InvalidSpec):
+        FamilySpec._make(("A", 1, 1, 2))
+    assert spec == FamilySpec._make(("V", 1, 2, INFINITE))
 
 
 def test_first_discrepancy_compares_up_to_the_shorter_order():

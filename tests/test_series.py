@@ -2,7 +2,6 @@
 inversion, and exactness on coefficients far beyond machine-word range."""
 
 import ast
-import dataclasses
 import operator
 import re
 from pathlib import Path
@@ -69,8 +68,16 @@ def test_coeffs_coerced_to_tuple():
 
 def test_immutable():
     a = one(4)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         a.coeffs = (5,)
+    with pytest.raises(AttributeError):
+        del a.coeffs
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a.coeffs == (1, 0, 0, 0, 0)
+    assert a == one(4)
+    assert not hasattr(a, "extra")
+
 
 
 def test_valuation_and_is_zero():
@@ -126,12 +133,16 @@ def test_equality_compares_whole_coefficient_tuples():
     assert from_coeffs([1, 2]) != from_coeffs([1, 2, 0])
     assert from_coeffs([1, 2, 3]) != from_coeffs([1, 3, 3])
     assert from_coeffs([1]) != 1
+    # a series is no tuple: only another series can be equal to it
+    assert from_coeffs([1, 2]) != (1, 2)
+    assert from_coeffs([1, 2]).__eq__((1, 2)) is NotImplemented
 
 
 def test_series_are_hashable_values():
     assert hash(from_coeffs([1, 2])) == hash(from_coeffs([1, 2]))
     assert len({one(3), one(3), zero(3), one(4)}) == 3
     assert {from_coeffs([1, 2]): "a"}[from_coeffs((1, 2))] == "a"
+    assert hash(from_coeffs([1, 2])) == hash(((1, 2),))
 
 
 @settings(max_examples=200)

@@ -33,7 +33,6 @@ from .oracles import (
     DomainError,
     divisor_sigma,
     overpartition_pairs,
-    partitions,
     pod_bipartitions,
     v_oracle,
     w_oracle,
@@ -70,7 +69,7 @@ __all__ = [
     "FAMILIES", "FamilySpec", "InvalidSpec",
     "family_series", "b_coefficient",
     "binomial_combination", "reconstruct_family",
-    "DomainError", "partitions",
+    "DomainError",
     "v_oracle", "w_oracle", "overpartition_pairs", "pod_bipartitions",
     "divisor_sigma",
     "Discrepancy", "IdentityCase", "VerifyReport",

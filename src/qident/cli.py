@@ -26,8 +26,6 @@ repeated invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -140,10 +138,15 @@ def _report_header(deterministic: bool) -> List[str]:
 def _emit(fmt: str, doc: Mapping[str, object], header: Sequence[str],
           rows: Iterable[Iterable[object]], lines: Iterable[str]) -> None:
     """Print one result in the chosen format: the JSON document, the CSV
-    header and rows, or the plain lines."""
+    header and rows, or the plain lines.  json and csv are imported here,
+    by the one format that needs each, so start-up loads neither."""
     if fmt == "json":
+        import json
+
         print(json.dumps(doc, indent=2))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows(rows)

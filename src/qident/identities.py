@@ -27,6 +27,12 @@ divisor sum, the Cauchy and Euler sums) take their terms from
 term ratio and without its z-power q^(s*n), which each sum puts into
 its weighted_sum shift.  The L1/L2 quotient sums are q^k times
 ``kernel_H`` at m = INFINITE, the kernel of T1 and T2.
+
+The one-sided theta sums, and the B-weighted sums of them, are one
+``from_terms`` each over the O(sqrt(N)) sparse terms of S_k
+(``qtools.alt_triangular_terms``), never dense series added together.
+The product quotient ``_eta_quotient`` is cached like ``pochhammer``, so
+a suite builds each (sign, parts, order) quotient once.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import itertools
 import operator
 import time
 from collections import namedtuple
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .families import (
@@ -56,7 +63,7 @@ from .qtools import (
     INFINITE,
     _binomial_quotient,
     _factors,
-    alt_triangular_sum,
+    alt_triangular_terms,
     hypergeometric_terms,
     kernel_H,
     pochhammer,
@@ -124,6 +131,9 @@ _Sides = Tuple[ExactSeries, ExactSeries]
 # Shared right-hand-side building blocks
 # ---------------------------------------------------------------------------
 
+# Typed like the qtools caches, so a float order always reaches the
+# argument checks.
+@lru_cache(maxsize=None, typed=True)
 def _eta_quotient(sign: int, odd: bool, order: int) -> ExactSeries:
     """(sign q; q^step)_inf^2 / (q^step; q^step)_inf^2, step 2 for the
     odd-part families, else 1: the square of the numerator product
@@ -134,31 +144,40 @@ def _eta_quotient(sign: int, odd: bool, order: int) -> ExactSeries:
     return mul(root, root)
 
 
-def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
-    """The one-sided theta sum of index k, valuation k, built from
+def _one_sided_terms(k: int, odd: bool, order: int) -> List[Tuple[int, int]]:
+    """The (exponent, coefficient) terms of the one-sided theta sum of
+    index k, valuation k, from the terms of
     S_k = alt_triangular_sum(k) = sum_{j>=k} (-1)^(j-k) q^(T_j - T_k).
 
     Linear parts: -1 + (1 + q^k) * S_k(q).  Odd parts:
     sum_{j>=k} (-1)^(j-k) q^(j(j+1) - k^2) = q^k * S_k(q^2), since
-    j(j+1) - k^2 = 2(T_j - T_k) + k.  Its term c*q^e of S_k lands at
-    q^(2e+k), so S_k is read only to q^((N-k)//2) and its few nonzero
-    terms are placed one by one.
+    j(j+1) - k^2 = 2(T_j - T_k) + k, so a term c*q^e of S_k lands at
+    q^(2e+k) and S_k is read only to q^((N-k)//2).  Either way there are
+    O(sqrt(N)) terms; exponents may repeat or pass the order, which
+    from_terms sums and drops.
     """
     if odd:
-        half = alt_triangular_sum(k, max(order - k, 0) // 2)
-        return from_terms(((2 * e + k, c) for e, c in enumerate(half.coeffs) if c), order)
-    half = alt_triangular_sum(k, order)
-    return weighted_sum([(0, -1, one(order)), (0, 1, half), (k, 1, half)], order)
+        return [(2 * e + k, c) for e, c in alt_triangular_terms(k, max(order - k, 0) // 2)]
+    half = alt_triangular_terms(k, order)
+    return [(0, -1), *half, *((e + k, c) for e, c in half)]
+
+
+def _one_sided(k: int, odd: bool, order: int) -> ExactSeries:
+    """The one-sided theta sum of index k: see _one_sided_terms."""
+    return from_terms(_one_sided_terms(k, odd, order), order)
 
 
 def _weighted_theta_sum(sign: int, j: int, odd: bool, order: int) -> ExactSeries:
-    """sum_{k>=j} sign^(k-j) B_{k,j} * _one_sided(k, odd).
+    """sum_{k>=j} sign^(k-j) B_{k,j} * _one_sided(k, odd), as one from_terms
+    over the weighted terms of every one-sided sum.
 
     The one-sided sum of index k has valuation k, so k runs to the order.
     """
-    terms = ((0, sign ** (k - j) * b_coefficient(k, j), _one_sided(k, odd, order))
-             for k in range(j, order + 1))
-    return weighted_sum(terms, order)
+    terms = []
+    for k in range(j, order + 1):
+        weight = sign ** (k - j) * b_coefficient(k, j)
+        terms += [(e, weight * c) for e, c in _one_sided_terms(k, odd, order)]
+    return from_terms(terms, order)
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +519,16 @@ REGISTRY: Dict[str, RegistryEntry] = {
     "GF_PP": RegistryEntry(
         check=_gf_check(overpartition_pair_series, overpartition_pairs),
         default_grid=(dict(),),
-        independence="LHS: infinite-product quotient; RHS: weighted "
-                     "enumeration of plain partitions, convolved.",
+        independence="LHS: infinite-product quotient; RHS: partitions "
+                     "enumerated part size by part size, each weighted by 2 per "
+                     "distinct size, convolved.",
     ),
     "GF_POD": RegistryEntry(
         check=_gf_check(pod_bipartition_series, pod_bipartitions),
         default_grid=(dict(),),
-        independence="LHS: infinite-product quotient; RHS: filtered "
-                     "enumeration of plain partitions, convolved.",
+        independence="LHS: infinite-product quotient; RHS: partitions "
+                     "with no repeated odd part, enumerated part size by part "
+                     "size, convolved.",
     ),
     "PARITY_W": RegistryEntry(
         check=_check_parity_flip,

@@ -2,13 +2,17 @@
 
 Nothing in this module touches series arithmetic: every function counts
 or sums over explicitly enumerated combinatorial objects (chains of part
-magnitudes with multiplicities, plain partitions, divisors), so the
-results are an independent check on the generating-function machinery.
+magnitudes with multiplicities, partitions built part size by part size,
+divisors), so the results are an independent check on the
+generating-function machinery.
 
 The chain oracles enumerate terms (lambda_1 <= ... <= lambda_k with
 multiplicities t_1..t_k >= 1) directly from the defining sums; terms with
 any t_i = 0 would carry weight 0, so restricting to t_i >= 1 is an
-optimization, not a semantic choice.
+optimization, not a semantic choice.  The pair counts enumerate each
+partition they count once, choosing the multiplicity of each part size
+from the largest size down, so a partition that the count excludes is
+never built.
 It imports nothing from the engine, so it checks its own arguments and
 raises DomainError.
 """
@@ -16,7 +20,7 @@ raises DomainError.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, List, Union
+from typing import Callable, Union
 
 
 class DomainError(ValueError):
@@ -26,39 +30,6 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 # Plain partitions
 # ---------------------------------------------------------------------------
-
-def partitions(n: int) -> Iterator[List[int]]:
-    """Yield every partition of n as an ascending list of parts.
-
-    Kelleher-O'Sullivan accelerated ascending composition generator;
-    yields the empty list for n = 0.
-    """
-    if n < 0:
-        raise DomainError(f"cannot partition a negative integer: {n}")
-    if n == 0:
-        yield []
-        return
-    a = [0] * (n + 1)
-    k = 1
-    y = n - 1
-    while k != 0:
-        x = a[k - 1] + 1
-        k -= 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        ell = k + 1
-        while x <= y:
-            a[k] = x
-            a[ell] = y
-            yield a[: k + 2]
-            x += 1
-            y -= 1
-        a[k] = x + y
-        y = x + y - 1
-        yield a[: k + 1]
-
 
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
@@ -168,11 +139,12 @@ def w_oracle(sign: int, k: int, m: Union[int, float], n: int) -> int:
 # Overpartition pairs and distinct-odd-part bipartitions
 # ---------------------------------------------------------------------------
 
-#: Largest n the pair counts accept.  Both enumerate every partition of
-#: every size up to n, and their cost grows about 3x every 5 steps: at
-#: n = 40 / 50 overpartition_pairs takes about 0.3 / 0.8 s and
-#: pod_bipartitions 0.3 / 1.7 s (Python 3.11, Xeon), so n = 70 would take
-#: minutes.  Larger n raise DomainError instead of hanging.
+#: Largest n the pair counts accept.  Both enumerate every partition they
+#: count of every size up to n, and their cost grows about 2.4x every 5
+#: steps near the cap: at n = 40 / 50 overpartition_pairs takes about
+#: 0.05 / 0.3 s and pod_bipartitions 0.03 / 0.16 s (Python 3.11, Xeon),
+#: and the same enumeration to n = 70 takes about 8 s and 3 s.  Larger n
+#: raise DomainError instead of running for seconds.
 PAIR_COUNT_CAP = 50
 
 
@@ -189,15 +161,47 @@ def _ordered_pairs(single: Callable[[int], int], n: int) -> int:
     return sum(single(j) * single(n - j) for j in range(n + 1))
 
 
+def _weighted_partitions(n: int, odd_once: bool, weight: int) -> int:
+    """Sum of weight^(number of distinct part sizes) over the partitions of
+    n, only those with no repeated odd part when odd_once.
+
+    A recursion over part sizes, largest first: place(rem, below, w) picks
+    the multiplicity of each size 2 <= size < below that fits in rem and
+    recurses on what is left with the sizes below it, w carrying the weight
+    of the sizes already used.  Each counted partition is one leaf, one
+    addition to the total; the parts 1 that end a partition are counted
+    where they would be placed, without a further call.
+    """
+    if n == 0:
+        return 1
+    total = 0
+    many_ones = not odd_once  # whether a part 1 may repeat
+
+    def place(rem: int, below: int, w: int) -> None:
+        nonlocal total
+        w *= weight
+        if many_ones or rem == 1:  # all of rem in parts 1
+            total += w
+        for size in range(min(rem, below - 1), 1, -1):
+            most = 1 if odd_once and size % 2 else rem // size
+            for left in range(rem - size, rem - most * size - 1, -size):
+                if left == 0:
+                    total += w
+                elif size > 2:
+                    place(left, size, w)
+                elif many_ones or left == 1:  # the rest in parts 1
+                    total += w * weight
+
+    place(n, n + 1, 1)
+    return total
+
+
 @lru_cache(maxsize=None)
 def _overpartition_single(n: int) -> int:
     """Number of overpartitions of n: each plain partition counts with
     weight 2^(number of distinct part sizes) - the overlined subset of
     part sizes is free."""
-    total = 0
-    for p in partitions(n):
-        total += 1 << len(set(p))
-    return total
+    return _weighted_partitions(n, odd_once=False, weight=2)
 
 
 def overpartition_pairs(n: int) -> int:
@@ -209,12 +213,7 @@ def overpartition_pairs(n: int) -> int:
 @lru_cache(maxsize=None)
 def _pod_single(n: int) -> int:
     """Number of partitions of n with no repeated odd part (even parts free)."""
-    total = 0
-    for p in partitions(n):
-        odd = [x for x in p if x % 2 == 1]
-        if len(odd) == len(set(odd)):
-            total += 1
-    return total
+    return _weighted_partitions(n, odd_once=True, weight=1)
 
 
 def pod_bipartitions(n: int) -> int:

@@ -3,7 +3,8 @@
 Pochhammer products, the terms of a basic hypergeometric series from its
 term ratio (``hypergeometric_terms``) and what is built on them (Gaussian
 binomials, the two-binomial kernel, 2phi1), lacunary theta sums, and the
-one-sided alternating triangular sum S_k behind every one-sided theta sum.
+one-sided alternating triangular sum S_k, whose sparse terms
+(``alt_triangular_terms``) every one-sided theta sum is built from.
 
 Truncation rule for formally infinite objects: a factor or term whose
 minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
@@ -23,9 +24,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import cycle, islice
+from itertools import islice
 from math import isqrt
-from typing import Iterable, Iterator, Tuple, Type, Union
+from typing import Iterable, Iterator, List, Tuple, Type, Union
 
 from .series import (ExactSeries, _check_int, divide_binomial, from_coeffs, from_terms,
                      mul, one, weighted_sum, zero)
@@ -53,8 +54,9 @@ def _check_sign(sign: int, error: Type[ValueError] = ValueError) -> None:
 # Pochhammer products
 # ---------------------------------------------------------------------------
 
-# The caches of pochhammer and kernel_H are typed: 1.0 never hits the
-# entry of 1, so a float argument always reaches the argument checks.
+# The caches of pochhammer, squared_pochhammer and kernel_H are typed: 1.0
+# never hits the entry of 1, so a float argument always reaches the
+# argument checks.
 @lru_cache(maxsize=None, typed=True)
 def pochhammer(sign: int, offset: int, step: int, length: Union[int, float],
                order: int) -> ExactSeries:
@@ -94,6 +96,7 @@ def _binomial_quotient(first: ExactSeries, top: Iterable[Tuple[int, int]],
     return u
 
 
+@lru_cache(maxsize=None, typed=True)
 def squared_pochhammer(sign: int, offset: int, step: int,
                        length: Union[int, float], order: int) -> ExactSeries:
     """The square of pochhammer(sign, offset, step, length, order)."""
@@ -273,16 +276,30 @@ def theta_psi(order: int) -> ExactSeries:
 # One-sided alternating triangular sums
 # ---------------------------------------------------------------------------
 
-def alt_triangular_sum(k: int, order: int) -> ExactSeries:
-    """S_k = sum_{j>=k} (-1)^(j-k) * q^(T_j - T_k), T_j = j(j+1)/2.
+def alt_triangular_terms(k: int, order: int) -> List[Tuple[int, int]]:
+    """The terms (T_j - T_k, (-1)^(j-k)) of S_k = alt_triangular_sum(k)
+    with exponent at most the order, T_j = j(j+1)/2, in increasing order.
 
-    Only finitely many j contribute at any order.  The sum starts at
-    1 - q^(k+1) + q^(2k+3) - ..., so its valuation is 0.
+    The exponents strictly increase with j, so every term is nonzero and
+    no two share an exponent; there are O(sqrt(order)) of them.
     """
     _check_int("k", k)
     _check_int("order", order)
-    # Term j needs j^2 <= j(j+1) <= 2*order + k(k+1); from_terms drops the
-    # few beyond the order.
-    top = isqrt(2 * order + k * (k + 1))
-    exps = ((j * (j + 1) - k * (k + 1)) // 2 for j in range(k, top + 1))
-    return from_terms(zip(exps, cycle((1, -1))), order)
+    terms = []
+    e, j, c = 0, k, 1
+    while e <= order:
+        terms.append((e, c))
+        j += 1
+        e += j  # T_j - T_(j-1) = j
+        c = -c
+    return terms
+
+
+def alt_triangular_sum(k: int, order: int) -> ExactSeries:
+    """S_k = sum_{j>=k} (-1)^(j-k) * q^(T_j - T_k), T_j = j(j+1)/2.
+
+    Only finitely many j contribute at any order: the terms of
+    alt_triangular_terms.  The sum starts at 1 - q^(k+1) + q^(2k+3) - ...,
+    so its valuation is 0.
+    """
+    return from_terms(alt_triangular_terms(k, order), order)

@@ -206,7 +206,7 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_ast():
     assert result.returncode == 0, result.stderr
     added = set(result.stdout.split())
     assert "qident.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect", "ast"}), sorted(added)
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "json", "csv"}), sorted(added)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from qident.families import (
     FamilySpec,
     InvalidSpec,
     _min_valuation,
+    b_coefficient,
     binomial_combination,
     family_series,
     reconstruct_family,
@@ -372,6 +373,17 @@ def test_eta_quotient_matches_the_inverted_product(sign, odd, order):
     den = pochhammer(1, step, step, INFINITE, order)
     want = mul(mul(num, num), invert(mul(den, den)))
     assert _eta_quotient(sign, odd, order) == want
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("j", [0, 1, 2, 5])
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 30, 81])
+def test_weighted_theta_sum_matches_the_dense_sum(odd, sign, j, order):
+    # every one-sided sum built whole, weighted and added series by series
+    dense = weighted_sum([(0, sign ** (k - j) * b_coefficient(k, j), _one_sided(k, odd, order))
+                          for k in range(j, order + 1)], order)
+    assert _weighted_theta_sum(sign, j, odd, order) == dense
 
 
 def _quotient_sum(step, k, order):

@@ -1,6 +1,8 @@
 """Brute-force ground truth: partition enumeration, weighted chain sums,
 overpartition/bipartition counts, divisor sums, and the coefficient
-extraction behind the inverse weights."""
+extraction behind the inverse weights.  The plain partition generator
+lives here, as the reference the pair counts' recursion is checked
+against."""
 
 import pytest
 from hypothesis import given
@@ -11,11 +13,12 @@ from qident.oracles import (
     CHAIN_ORACLE_CAP,
     PAIR_COUNT_CAP,
     DomainError,
+    _overpartition_single,
+    _pod_single,
     b_extraction,
     divisor_sigma,
     overpartition_pairs,
     partition_count,
-    partitions,
     pod_bipartitions,
     triangular,
     v_oracle,
@@ -26,6 +29,39 @@ from qident.qtools import INFINITE
 # ---------------------------------------------------------------------------
 # Plain partitions
 # ---------------------------------------------------------------------------
+
+def partitions(n):
+    """Yield every partition of n as an ascending list of parts.
+
+    Kelleher-O'Sullivan accelerated ascending composition generator;
+    yields the empty list for n = 0.
+    """
+    if n < 0:
+        raise DomainError(f"cannot partition a negative integer: {n}")
+    if n == 0:
+        yield []
+        return
+    a = [0] * (n + 1)
+    k = 1
+    y = n - 1
+    while k != 0:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        ell = k + 1
+        while x <= y:
+            a[k] = x
+            a[ell] = y
+            yield a[: k + 2]
+            x += 1
+            y -= 1
+        a[k] = x + y
+        y = x + y - 1
+        yield a[: k + 1]
+
 
 def test_partitions_of_zero_and_small_n():
     assert list(partitions(0)) == [[]]
@@ -117,6 +153,20 @@ def test_overpartition_pair_prefix():
 
 def test_pod_bipartition_prefix():
     assert [pod_bipartitions(n) for n in range(9)] == [1, 2, 3, 6, 11, 18, 28, 44, 69]
+
+
+def test_single_counts_match_the_filtered_partitions():
+    # the reference enumerates every plain partition and filters it: an
+    # overpartition overlines any subset of the distinct part sizes, and
+    # a pod partition repeats no odd part
+    for n in range(41):
+        overpartitions = pods = 0
+        for p in partitions(n):
+            overpartitions += 1 << len(set(p))
+            odd = [x for x in p if x % 2 == 1]
+            pods += len(odd) == len(set(odd))
+        assert _overpartition_single(n) == overpartitions, n
+        assert _pod_single(n) == pods, n
 
 
 def test_pair_counts_reject_negative():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qident.identities import IdentityCase, _one_sided, verify
+from qident.identities import IdentityCase, _eta_quotient, _one_sided, verify
 from qident.qtools import (
     INFINITE,
     _binomial_quotient,
@@ -20,6 +20,7 @@ from qident.qtools import (
     kernel_H,
     phi2_1,
     pochhammer,
+    squared_pochhammer,
     theta_phi_neg,
     theta_psi,
 )
@@ -116,6 +117,14 @@ def test_pochhammer_matches_in_place_product(sign, offset, step, length, order):
 
 def test_pochhammer_results_are_cached():
     assert pochhammer(-1, 1, 2, INFINITE, 10) is pochhammer(-1, 1, 2, INFINITE, 10)
+
+
+@pytest.mark.parametrize("builder, args", [
+    (squared_pochhammer, (-1, 1, 2, INFINITE, 10)),
+    (_eta_quotient, (-1, True, 10)),
+])
+def test_squared_products_are_cached(builder, args):
+    assert builder(*args) is builder(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +343,8 @@ def test_kernel_rejects_a_bad_bound(m):
 @pytest.mark.parametrize("builder, ints, floats, name", [
     (pochhammer, (1, 1, 1, 3, 10), (1, 1.0, 1, 3, 10), "offset"),
     (kernel_H, (1, 2, 1, 2, 10), (1, 2.0, 1, 2, 10), "m"),
+    (squared_pochhammer, (1, 1, 2, 3, 10), (1, 1, 2.0, 3, 10), "step"),
+    (_eta_quotient, (1, False, 10), (1, False, 10.0), "order"),
 ])
 def test_cached_builders_reject_a_float_on_a_warm_cache(builder, ints, floats, name):
     # the cache keys 1 and 1.0 apart, so the equal float is checked, not served

@@ -39,7 +39,6 @@ from .oracles import (
 )
 from .qtools import (
     INFINITE,
-    alt_triangular_sum,
     gaussian_binomial,
     kernel_H,
     pochhammer,
@@ -65,7 +64,7 @@ __all__ = [
     "divide_binomial", "monomial", "mul", "one", "zero",
     "INFINITE",
     "pochhammer", "gaussian_binomial", "kernel_H",
-    "theta_phi_neg", "theta_psi", "alt_triangular_sum",
+    "theta_phi_neg", "theta_psi",
     "FAMILIES", "FamilySpec", "InvalidSpec",
     "family_series", "b_coefficient",
     "binomial_combination", "reconstruct_family",

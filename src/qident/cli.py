@@ -206,15 +206,22 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     n = args.n
+    chain_flags = [f"--{name}" for name in ("sign", "k", "m") if getattr(args, name) is not None]
     if args.which in ("v", "w"):
         if args.sign is None or args.k is None:
             raise ValueError(f"--which {args.which} needs --sign, --k, --n")
+        if args.m is None:
+            args.m = INFINITE  # shown as m=inf in the params
         sign = _sign_number(args.sign)
         family = "V" if args.which == "v" else "W"
         oracle_value = (v_oracle if args.which == "v" else w_oracle)(
             sign, args.k, args.m, n)
         spec = FamilySpec(family=family, sign=sign, k=args.k, m=args.m)
         series_value = family_series(spec, n).coeffs[n]
+    elif chain_flags:
+        # the pair, pod and sigma counts depend on n alone; a flag they
+        # ignored would let a caller believe it had been used
+        raise ValueError(f"--which {args.which} takes only --n, got {' '.join(chain_flags)}")
     elif args.which == "pp":
         oracle_value = overpartition_pairs(n)
         series_value = overpartition_pair_series(n).coeffs[n]
@@ -300,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
                           required=True)
     p_oracle.add_argument("--sign", choices=("plus", "minus"))
     p_oracle.add_argument("--k", type=int)
-    p_oracle.add_argument("--m", type=_m_value, default=INFINITE)
+    p_oracle.add_argument("--m", type=_m_value,
+                          help="magnitude bound, a positive integer or 'inf' "
+                               "(default inf)")
     p_oracle.add_argument("--n", type=int, required=True,
                           help="exponent to cross-check")
     p_oracle.set_defaults(handler=cmd_oracle)

@@ -41,10 +41,11 @@ from collections import namedtuple
 from math import comb
 from typing import Dict, Iterable, List, Tuple, Union
 
-from .qtools import INFINITE, _check_bound, _check_sign, kernel_H, squared_pochhammer
+from .qtools import INFINITE, _check_bound, kernel_H, squared_pochhammer
 from .series import (
     ExactSeries,
     _check_int,
+    _check_sign,
     chain_sums,
     chain_width,
     from_terms,

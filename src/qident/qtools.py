@@ -1,9 +1,9 @@
 """q-calculus building blocks on top of :mod:`qident.series`.
 
-Pochhammer products, the terms of a basic hypergeometric series from its
-term ratio (``hypergeometric_terms``) and what is built on them (Gaussian
-binomials, the two-binomial kernel, 2phi1), lacunary theta sums, and the
-one-sided alternating triangular sum S_k, whose sparse terms
+Pochhammer products, Gaussian binomials, the terms of a basic
+hypergeometric series from its term ratio (``hypergeometric_terms``) and
+what is built on them (the two-binomial kernel, 2phi1), lacunary theta
+sums, and the one-sided alternating triangular sum S_k, whose sparse terms
 (``alt_triangular_terms``) every one-sided theta sum is built from.
 
 Truncation rule for formally infinite objects: a factor or term whose
@@ -11,10 +11,10 @@ minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
 modulo q^(N+1) and is simply skipped, so every result is exact at order N.
 
 Every product or quotient of binomials (1 - c*q^x) that the package
-builds (a Pochhammer product, a hypergeometric step, the quotients of
-products in the checks) is one ``_binomial_quotient``: a two-term
-``weighted_sum`` per numerator factor and a ``divide_binomial`` per
-denominator factor, so no build path inverts a series.  Here the one
+builds (a Pochhammer product, a Gaussian binomial, a hypergeometric step,
+the quotients of products in the checks) is one ``_binomial_quotient``: a
+two-term ``weighted_sum`` per numerator factor and a ``divide_binomial``
+per denominator factor, so no build path inverts a series.  Here the one
 product of two series is the square in ``squared_pochhammer``.
 ``_gauss_poly`` is a reference only: no build path calls it.
 """
@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import islice
 from math import isqrt
 from typing import Iterable, Iterator, List, Tuple, Type, Union
 
-from .series import (ExactSeries, _check_int, divide_binomial, from_coeffs, from_terms,
-                     mul, one, weighted_sum, zero)
+from .series import (ExactSeries, _check_int, _check_sign, divide_binomial, from_coeffs,
+                     from_terms, mul, one, weighted_sum, zero)
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
@@ -42,12 +41,6 @@ def _check_bound(name: str, value: Union[int, float], low: int = 0,
     """Raise error unless value is INFINITE or an int >= low."""
     if value != INFINITE:
         _check_int(name, value, low, error)
-
-
-def _check_sign(sign: int, error: Type[ValueError] = ValueError) -> None:
-    """Raise error unless sign is +1 or -1."""
-    if sign not in (1, -1):
-        raise error(f"sign must be +1 or -1, got {sign}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +69,11 @@ def pochhammer(sign: int, offset: int, step: int, length: Union[int, float],
 
 def _factors(sign: int, offset: int, step: int, length: Union[int, float],
              order: int) -> Iterator[Tuple[int, int]]:
-    """The (x, sign) pairs of pochhammer's factors with x <= order."""
-    return ((x, sign) for x in range(offset, min(offset + step * length, order + 1), step))
+    """The (x, sign) pairs of pochhammer's factors with x <= order.
+
+    An offset above the order, INFINITE included, gives no factor."""
+    start = min(offset, order + 1)
+    return ((x, sign) for x in range(start, min(offset + step * length, order + 1), step))
 
 
 def _binomial_quotient(first: ExactSeries, top: Iterable[Tuple[int, int]],
@@ -142,13 +138,10 @@ def gaussian_binomial(m: Union[int, float], k: int, d: int, order: int) -> Exact
     (k < 0, m < 0, or k > m).  The polynomial has degree k*(m-k) and
     constant term 1 in the nonzero case.
 
-    With h = min(k, m-k), [m, k] = (Q^(m-h+1); Q)_h / (Q; Q)_h is term h
-    of the series of ratio Q (1 - Q^(m-h+n)) / (1 - Q^n), without its
-    Q^h.  Built at the order + d*n, term n = min(h, order//d) of
-    hypergeometric_terms is exact to the order (for n < h it is
-    [m-h+n, n], equal to [m, h] on every Q^j, j <= n), so a huge m or k
-    costs no more than the order allows.  m may be INFINITE: every
-    numerator factor is then 1, and [INFINITE, k] is 1/(Q; Q)_k.
+    With h = min(k, m-k), [m, k] = (Q^(m-h+1); Q)_h / (Q; Q)_h: one
+    _binomial_quotient over the factors that reach the order, so a huge
+    m or k costs no more than the order allows.  m may be INFINITE: no
+    numerator factor reaches the order, and [INFINITE, k] is 1/(Q; Q)_k.
     """
     if m != INFINITE and not isinstance(m, int):
         _check_int("m", m)
@@ -159,10 +152,8 @@ def gaussian_binomial(m: Union[int, float], k: int, d: int, order: int) -> Exact
     if k < 0 or m < 0 or k > m:
         return zero(order)
     h = min(k, m - k)
-    n = min(h, order // d)
-    wide = order + d * n
-    terms = hypergeometric_terms(one(wide), (m - h + 1,), (1,), d, d, wide)
-    return next(islice(terms, n, None))
+    return _binomial_quotient(one(order), _factors(1, d * (m - h + 1), d, h, order),
+                              _factors(1, d, d, h, order), order)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +168,11 @@ def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactS
     ((1 - Q^j) (1 - Q^(k+j))), so the sum is the basic hypergeometric
     series [m-1+k, k]_Q * 2phi1(Q^m, Q^(m+k); Q^(k+1); Q, q^s), summed
     from that term ratio by hypergeometric_terms.  The first binomial is
-    gaussian_binomial, itself a term of that generator, so a huge k or m
-    costs no more than the order allows.  m may be INFINITE: every factor
-    (1 - Q^(m+...)) is then 1, so the binomials become 1/(Q; Q)_j and
-    1/(Q; Q)_(k+j).  At m = 0 every binomial [-1+j, j] vanishes: the
-    result is zero for every k.
+    gaussian_binomial, which like every step reads only the factors that
+    reach the order, so a huge k or m costs no more than the order
+    allows.  m may be INFINITE: every factor (1 - Q^(m+...)) is then 1,
+    so the binomials become 1/(Q; Q)_j and 1/(Q; Q)_(k+j).  At m = 0
+    every binomial [-1+j, j] vanishes: the result is zero for every k.
     """
     _check_int("k", k)
     _check_bound("m", m)

@@ -34,20 +34,22 @@ the atoms a_e = q^e/(1 - c*q^e)^2.  Every reciprocal is a run of binomial
 divisions; :func:`invert` is only the reference the tests check them by.
 
 :func:`divide_binomial` runs the private kernel :func:`_divide`, which
-divides a coefficient list by (1 - c*q^x) in place in about
-2*sqrt(length) interpreter steps.  :func:`chain_sums` packs every chain
-length j <= top into one integer per exponent m,
-B[m] = sum_j S_j[m] * 2^(W*j) truncated mod 2^(W*(top+1)), so an atom
-is one pass of O(1) integer operations per m whatever top is.  The slot
-width W is the smallest multiple of 8 at least one bit longer than the
-largest coefficient of the same sweep at sign +1 with W = 0
-(:func:`chain_width`): that sum over all j of S_j^+[m] bounds every
-|S_j[m]| of either sign, so each B[m] decodes exactly.
+divides a coefficient list by (1 - c*q^x) in place, in about
+2*sqrt(length) interpreter steps for c = 1, the only c a build path
+divides by.  :func:`chain_sums` packs every chain length j <= top into
+one integer per exponent m, B[m] = sum_j S_j[m] * 2^(W*j) truncated mod
+2^(W*(top+1)), so an atom is one pass of O(1) integer operations per m
+whatever top is.  The slot width W is the smallest multiple of 8 at
+least one bit longer than the largest coefficient of the same sweep at
+sign +1 with W = 0 (:func:`chain_width`): that sum over all j of
+S_j^+[m] bounds every |S_j[m]| of either sign, so each B[m] decodes
+exactly.
 
 Every builder in series, qtools, families and identities checks its
-integer arguments with :func:`_check_int`: a float or an out-of-range value
-raises ValueError (InvalidSpec for a family spec) naming the argument as
-its signature spells it, e.g. "k must be non-negative, got -1".
+integer arguments with :func:`_check_int`, and a sign with
+:func:`_check_sign`: a float or an out-of-range value raises ValueError
+(InvalidSpec for a family spec) naming the argument as its signature
+spells it, e.g. "k must be non-negative, got -1".
 
 Multiplication is schoolbook convolution, O(N^2) coefficient operations;
 at the working orders of this package (N <= a few hundred) that is faster
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from itertools import accumulate, compress, count, islice, repeat, zip_longest
+from itertools import accumulate, compress, count, repeat, zip_longest
 from typing import Iterable, List, Tuple, Type
 
 
@@ -133,9 +135,10 @@ def _check_int(name: str, value: object, low: int = 0,
                     else f"{name} must be >= {low}, got {value}")
 
 
-def _valuation(coeffs: Tuple[int, ...]) -> int | None:
-    """Index of the first nonzero entry of coeffs, or None if all are zero."""
-    return next(compress(count(), coeffs), None)
+def _check_sign(sign: object, error: Type[ValueError] = ValueError) -> None:
+    """Raise error unless sign is the int +1 or -1 (1.0 is rejected)."""
+    if not isinstance(sign, int) or sign not in (1, -1):
+        raise error(f"sign must be +1 or -1, got {sign!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +196,9 @@ def weighted_sum(terms: Iterable[Tuple[int, int, ExactSeries]], order: int) -> E
     q^e*s is exact to q^(e + s.order), so the result stops at the smallest
     such order, or at the given order if that is smaller.  Terms with e
     above the order add nothing; no terms give zero(order).  Each term is
-    added from e + valuation(s) on by one map: operator.add for c = 1,
+    added whole, from q^e on, by one map: operator.add for c = 1,
     operator.sub for c = -1, and the products c*y otherwise; a term with
-    c = 0 or s = 0 adds nothing but still bounds the order.
+    c = 0 adds nothing but still bounds the order.
     """
     _check_int("order", order)
     out = [0] * (order + 1)
@@ -204,16 +207,14 @@ def weighted_sum(terms: Iterable[Tuple[int, int, ExactSeries]], order: int) -> E
         if e < 0:
             _check_int("exponent", e)
         sc = s.coeffs
-        top = min(top, e + len(sc) - 1)
-        v = _valuation(sc) if c else None
-        if v is None:
+        hi = e + len(sc)
+        top = min(top, hi - 1)
+        if not c:
             continue
-        seg = islice(sc, v, None)
         op = _SIGNED_ADD.get(c)
         if op is None:
-            seg, op = map(operator.mul, seg, repeat(c)), operator.add
-        lo, hi = e + v, e + len(sc)
-        out[lo:hi] = map(op, out[lo:hi], seg)
+            sc, op = map(operator.mul, sc, repeat(c)), operator.add
+        out[e:hi] = map(op, out[e:hi], sc)
     return ExactSeries(tuple(out[: top + 1]))
 
 
@@ -285,56 +286,41 @@ def invert(a: ExactSeries) -> ExactSeries:
     return ExactSeries(tuple(b))
 
 
-def _divide(b: List[int], v: int, x: int, c: int) -> None:
-    """The binomial-division kernel: b[v:] / (1 - c*q^x) in place.
+def _divide(b: List[int], x: int, c: int) -> None:
+    """The binomial-division kernel: b / (1 - c*q^x) in place.
 
-    The quotient of b[v:], read as a series from q^0, replaces b[v:].
-    Its coefficients satisfy b[t] = a[t] + c*b[t-x]: each residue class
-    t = r (mod x) is a first-order recurrence, and each block of x
-    entries is the input plus c times the block before it.
+    The quotient's coefficients satisfy b[t] = a[t] + c*b[t-x]: each
+    residue class t = r (mod x) is a first-order recurrence, and each
+    block of x entries is the input plus c times the block before it.
 
-    The per-coefficient work runs in C iterators, in at most about
-    2*sqrt(n) interpreter steps for n = len(b) - v.  When x*x < n the x
-    residue classes are divided one by one: for c = 1 a division is
-    itertools.accumulate, for c = -1 the same between two sign
-    alternations (q^x -> -q^x), and any other c passes accumulate a
-    callable.  Otherwise each of the n/x blocks is one map over the
-    block before it.  The choice depends only on x and n.
+    The per-coefficient work runs in C iterators.  For c = 1 with
+    x*x < len(b), the x residue classes are divided one by one, each by
+    itertools.accumulate.  Otherwise each of the len(b)/x blocks is one
+    map over the block before it, exact for any x and c; for c = 1 and
+    x*x >= len(b) that is at most about sqrt(len(b)) interpreter steps.
     """
-    n = len(b) - v
-    if x * x < n:
-        alternate = c == -1
-        step = None if c in _SIGNED_ADD else (lambda y, a: a + c * y)
-        for r in range(v, v + x):
-            col: Iterable[int] = b[r::x]
-            if alternate:
-                col[1::2] = map(operator.neg, col[1::2])
-            col = accumulate(col, step)
-            if alternate:
-                col = list(col)
-                col[1::2] = map(operator.neg, col[1::2])
-            b[r::x] = col
+    if c == 1 and x * x < len(b):
+        for r in range(x):
+            b[r::x] = accumulate(b[r::x])
         return
     op = _SIGNED_ADD.get(c)
-    block = b[v : v + x]
-    for j in range(v + x, len(b), x):
+    block = b[:x]
+    for j in range(x, len(b), x):
         block = b[j : j + x] = list(
             map(op, b[j : j + x], block) if op else
             map(operator.add, b[j : j + x], map(operator.mul, block, repeat(c))))
 
 
 def divide_binomial(a: ExactSeries, x: int, c: int) -> ExactSeries:
-    """The quotient a / (1 - c*q^x) at a's order, for x >= 1.
+    """The quotient a / (1 - c*q^x) at a's order, for x >= 1 and any int c.
 
-    One call of the binomial-division kernel _divide on a's coefficients
-    from its valuation v on: the quotient equals a below v + x and
-    vanishes below v.  O(order) coefficient operations for any x and c.
+    One call of the binomial-division kernel _divide on a's coefficients:
+    the quotient equals a below q^x.  O(order) coefficient operations for
+    any x and c.
     """
     _check_int("x", x, 1)
     b = list(a.coeffs)
-    v = _valuation(a.coeffs)
-    if v is not None:
-        _divide(b, v, x, c)
+    _divide(b, x, c)
     return ExactSeries(tuple(b))
 
 
@@ -426,8 +412,7 @@ def chain_sums(exponents: Iterable[int], sign: int, strict: bool, top: int,
     reach[j], j times the smallest exponent (weak) or the sum of the j
     smallest (strict).
     """
-    if sign not in _SIGNED_ADD:
-        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    _check_sign(sign)
     _check_int("top", top)
     _check_int("order", order)
     _check_int("width", width, 8)

@@ -313,6 +313,16 @@ def test_oracle_takes_no_order(capsys):
     assert "unrecognized arguments: --order 999999" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--sign", "minus"], ["--k", "3"], ["--m", "2"]])
+def test_oracle_pair_count_rejects_chain_flags(capsys, flag):
+    # the pair count depends on n alone; a --sign, --k or --m it ignored
+    # would let a caller believe it had been used
+    assert main(["oracle", "--which", "pp", "--n", "5", *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --which pp takes only --n, got {flag[0]}\n"
+
+
 def test_oracle_missing_chain_flags(capsys):
     assert main(["oracle", "--which", "v", "--n", "5"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qident.identities import IdentityCase, _eta_quotient, _one_sided, verify
+from qident.oracles import partition_count
 from qident.qtools import (
     INFINITE,
     _binomial_quotient,
@@ -248,8 +249,9 @@ def test_gaussian_binomial_degree_and_unit_constant(m, k):
 
 @pytest.mark.parametrize("m, k", [(1500, 1), (1300, 1299)])
 def test_gaussian_binomial_from_a_cold_cache_stays_shallow(m, k):
-    # [m, k] with min(k, m - k) = 1 is term 1 of its term-ratio series:
-    # no recursion at all, and the q-Pascal memo is never filled
+    # [m, k] with min(k, m - k) = 1 is one product by (1 - q^m) and one
+    # division by (1 - q): no recursion at all, and the q-Pascal memo is
+    # never filled
     _gauss_poly.cache_clear()
     try:
         assert gaussian_binomial(m, k, 1, m).coeffs == (1,) * m + (0,)
@@ -258,9 +260,19 @@ def test_gaussian_binomial_from_a_cold_cache_stays_shallow(m, k):
         _gauss_poly.cache_clear()
 
 
+@pytest.mark.parametrize("d", (1, 2))
+def test_gaussian_binomial_of_a_huge_box_reads_only_the_visible_factors(d):
+    # every partition of n <= 40 fits the k x (m - k) box, so [m, k] in
+    # base q^d counts the partitions of n/d; its numerator factors lie far
+    # above the order, and h = 5*10**14 costs only the 40 // d visible ones
+    series = gaussian_binomial(10 ** 15, 5 * 10 ** 14, d, 40)
+    assert series.coeffs == tuple(0 if n % d else partition_count(n // d)
+                                  for n in range(41))
+
+
 def test_gaussian_binomial_matches_the_whole_polynomial_on_a_grid():
-    # term n = min(h, order // d) of the term-ratio series changes no
-    # visible coefficient of the whole q-Pascal polynomial
+    # dropping the factors above the order changes no visible coefficient
+    # of the whole q-Pascal polynomial
     for m in range(15):
         for k in range(-1, m + 2):
             for d in range(1, 4):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qident
+from qident import identities, qtools, series
 from qident.oracles import partition_count
 from qident.series import (
     ExactSeries,
@@ -29,7 +30,6 @@ from qident.series import (
     one,
     scale,
     shift,
-    _valuation,
     substitute_power,
     weighted_sum,
     zero,
@@ -79,14 +79,9 @@ def test_immutable():
     assert not hasattr(a, "extra")
 
 
-
-def test_valuation_and_is_zero():
-    # divide_binomial starts its pass from this private valuation
-    assert _valuation(zero(5).coeffs) is None
+def test_zero_is_all_zeros_and_not_one():
     assert zero(5).coeffs == (0,) * 6
-    assert _valuation(monomial(7, 3, 6).coeffs) == 3
     assert one(0) != zero(0)
-    assert _valuation(one(0).coeffs) == 0
 
 
 def test_from_terms_adds_repeated_exponents_and_drops_high_ones():
@@ -533,7 +528,7 @@ def test_chain_sums_reject_bad_arguments():
         chain_sums([0], 1, False, 1, 4, 8)
     with pytest.raises(ValueError, match="^top must be non-negative, got -1$"):
         chain_sums([1], 1, False, -1, 4, 8)
-    with pytest.raises(ValueError, match="^sign must be 1 or -1, got 2$"):
+    with pytest.raises(ValueError, match="^sign must be \\+1 or -1, got 2$"):
         chain_sums([1], 2, False, 1, 4, 8)
 
 
@@ -695,6 +690,23 @@ def test_no_build_path_calls_a_reference(reference, own):
     sites = {(path.name, scope) for path in sorted(package.glob("*.py"))
              for scope, _ in _calls(path, reference)}
     assert sites == own
+
+
+def test_every_build_path_divides_by_one_minus_q_to_the_x(monkeypatch):
+    # _divide's accumulate path serves c = 1 alone; a caller dividing by
+    # (1 - c*q^x) with another c would silently take the slower block path
+    for cached in (qtools.pochhammer, qtools.squared_pochhammer, qtools.kernel_H,
+                   identities._eta_quotient):
+        cached.cache_clear()
+    divide, signs = series._divide, []
+
+    def spy(b, x, c):
+        signs.append(c)
+        return divide(b, x, c)
+
+    monkeypatch.setattr(series, "_divide", spy)
+    assert all(report.holds for report in qident.verify_suite(20))
+    assert signs and set(signs) == {1}
 
 
 def _raises_a_range_message(node):

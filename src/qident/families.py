@@ -22,8 +22,9 @@ one integer per exponent m, sum_j S_j[m] * 2^(W*j), truncated mod
 2^(W*(top+1)).  The slot width W is the smallest multiple of 8 at least
 one bit longer than the largest coefficient of the sign +1 sweep over all
 chain lengths, which bounds every |S_j[m]|.  Each (family, sign, m, order)
-keeps one table of S_0..S_top and its W; a request for k above top
-rebuilds the table from scratch to top = k.
+keeps one table of S_0..S_top and its W, read through _rows: family_series
+takes one row of it, and an index transform takes all the rows it sums
+from one call.
 
 A FamilySpec names one family series; it is a named tuple that checks
 its fields on construction, through _make and _replace as well.
@@ -148,7 +149,7 @@ def _min_valuation(family: str, k: int) -> int:
 
 
 # Chain-sum tables keyed by (family, sign, m_eff, order); each entry holds
-# the series S_j for j = 0..top, top the largest k asked for so far, and
+# the series S_j for j = 0..top, top the largest row asked for so far, and
 # the slot width of the key's packed sweep.  The lock makes concurrent use
 # safe; all stored values are immutable ExactSeries.
 _TableKey = Tuple[str, int, int, int]
@@ -156,39 +157,29 @@ _tables: Dict[_TableKey, Tuple[List[ExactSeries], int]] = {}
 _tables_lock = threading.Lock()
 
 
-def _family_prefix(family: str, sign: int, m_eff: int, order: int, k: int) -> ExactSeries:
-    """S_k for the given family at the effective bound, from the key's
-    table, built or rebuilt to top = k first if it stops below k.
+def _rows(family: str, sign: int, m: Union[int, float], order: int,
+          top: int) -> List[ExactSeries]:
+    """The rows S_0 .. S_t, t >= top, of the table of (family, sign, m,
+    order), built or rebuilt from scratch to top first if it stops below.
 
-    S_k is the complete (weak chains) or elementary (strict chains)
-    symmetric function of degree k in the atoms q^e/(1 - sign*q^e)^2 of
-    the magnitudes 1..m_eff: the t^k coefficient of prod_n 1/(1 - t*atom(n))
-    or prod_n (1 + t*atom(n)).  series.chain_sums builds S_0..S_top in one
-    sweep per atom, with every chain length packed into one integer per
-    exponent, B[m] = sum_j S_j[m] * 2^(W*j) truncated mod 2^(W*(top+1)),
-    so rows above top cost nothing.  The slot width W is the smallest
-    multiple of 8 at least one bit longer than the largest coefficient of
-    the sign +1 sweep over all chain lengths (series.chain_width), which
-    bounds every |S_j[m]| of either sign; it does not depend on the sign,
-    so it is computed once for the two tables of a family, m_eff and order
-    and kept in each.  A request above the
-    table's top rebuilds the table from scratch to the new top, so callers
-    that need many rows ask for the largest first.  k must be visible
-    (_min_valuation(family, k) <= order); family_series answers the
-    invisible ones without a table.
+    series.chain_sums builds every row in one packed sweep per atom, with
+    slot width series.chain_width; the width does not depend on the sign,
+    so a table takes it from its twin of the other sign when that exists.
+    The list is the table's own, not a copy; callers only read it, and
+    only ask for visible rows (family_series answers the others).
     """
+    m_eff = _m_eff(family, m, order)
     key = (family, sign, m_eff, order)
     with _tables_lock:
         entry = _tables.get(key)
-        if entry is None or len(entry[0]) <= k:
+        if entry is None or len(entry[0]) <= top:
             exponents = [_atom_exponent(family, n) for n in range(1, m_eff + 1)]
             strict = family not in _WEAK
-            # W does not depend on the sign, so a key takes its twin's
             known = entry or _tables.get((family, -sign, m_eff, order))
             width = known[1] if known else chain_width(exponents, strict, order)
             entry = _tables[key] = (
-                chain_sums(exponents, sign, strict, k, order, width), width)
-        return entry[0][k]
+                chain_sums(exponents, sign, strict, top, order, width), width)
+        return entry[0]
 
 
 def family_series(spec: FamilySpec, order: int) -> ExactSeries:
@@ -200,8 +191,7 @@ def family_series(spec: FamilySpec, order: int) -> ExactSeries:
     _check_int("order", order)
     if _min_valuation(spec.family, spec.k) > order:
         return zero(order)
-    m_eff = _m_eff(spec.family, spec.m, order)
-    return _family_prefix(spec.family, spec.sign, m_eff, order, spec.k)
+    return _rows(spec.family, spec.sign, spec.m, order, spec.k)[spec.k]
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +227,17 @@ def binomial_combination(
     - families take them unsigned.  F_{j,m} has valuation >= j, so the sum
     truncates at j <= order.  Collapses to the Pochhammer-squared times
     kernel product (a registry identity); only V and W participate.  The
-    terms run from j = order down, so the first builds the chain-sum table
-    to its last row and every later one reads it.
+    rows F_{k..order,m} come from one read of the chain-sum table.
     """
     if family not in _WEAK:
         raise InvalidSpec(f"combination is defined for V and W, got {family!r}")
     FamilySpec(family, sign, k, m)  # validates sign/k/m, also for k > order
     _check_int("order", order)
-    terms = ((0, (-sign) ** (j - k) * comb(2 * j, j - k),
-              family_series(FamilySpec(family, sign, j, m), order))
-             for j in range(order, k - 1, -1))
+    if k > order:
+        return zero(order)
+    rows = _rows(family, sign, m, order, order)
+    terms = ((0, (-sign) ** (j - k) * comb(2 * j, j - k), rows[j])
+             for j in range(k, order + 1))
     return weighted_sum(terms, order)
 
 

@@ -36,7 +36,7 @@ from .series import (ExactSeries, _check_int, _check_sign, divide_binomial, from
 INFINITE: float = math.inf
 
 
-def _check_bound(name: str, value: Union[int, float], low: int = 0,
+def _check_bound(name: str, value: Union[int, float], low: float = 0,
                  error: Type[ValueError] = ValueError) -> None:
     """Raise error unless value is INFINITE or an int >= low."""
     if value != INFINITE:
@@ -143,10 +143,8 @@ def gaussian_binomial(m: Union[int, float], k: int, d: int, order: int) -> Exact
     m or k costs no more than the order allows.  m may be INFINITE: no
     numerator factor reaches the order, and [INFINITE, k] is 1/(Q; Q)_k.
     """
-    if m != INFINITE and not isinstance(m, int):
-        _check_int("m", m)
-    if not isinstance(k, int):
-        _check_int("k", k)
+    _check_bound("m", m, -INFINITE)  # any integer: below 0 the binomial is 0
+    _check_int("k", k, -INFINITE)
     _check_int("d", d, 1)
     _check_int("order", order)
     if k < 0 or m < 0 or k > m:

@@ -47,9 +47,9 @@ exactly.
 
 Every builder in series, qtools, families and identities checks its
 integer arguments with :func:`_check_int`, and a sign with
-:func:`_check_sign`: a float or an out-of-range value raises ValueError
-(InvalidSpec for a family spec) naming the argument as its signature
-spells it, e.g. "k must be non-negative, got -1".
+:func:`_check_sign`: a float, a bool or an out-of-range value raises
+ValueError (InvalidSpec for a family spec) naming the argument as its
+signature spells it, e.g. "k must be non-negative, got -1".
 
 Multiplication is schoolbook convolution, O(N^2) coefficient operations;
 at the working orders of this package (N <= a few hundred) that is faster
@@ -125,10 +125,11 @@ class ExactSeries:
         return f"ExactSeries({body} + O(q^{self.order + 1}))"
 
 
-def _check_int(name: str, value: object, low: int = 0,
+def _check_int(name: str, value: object, low: float = 0,
                error: Type[ValueError] = ValueError) -> None:
-    """Raise error, naming the argument, unless value is an int >= low."""
-    if not isinstance(value, int):
+    """Raise error, naming the argument, unless value is an int >= low
+    (a bool is rejected)."""
+    if type(value) is not int:
         raise error(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise error(f"{name} must be non-negative, got {value}" if low == 0
@@ -136,8 +137,8 @@ def _check_int(name: str, value: object, low: int = 0,
 
 
 def _check_sign(sign: object, error: Type[ValueError] = ValueError) -> None:
-    """Raise error unless sign is the int +1 or -1 (1.0 is rejected)."""
-    if not isinstance(sign, int) or sign not in (1, -1):
+    """Raise error unless sign is the int +1 or -1 (1.0 and True are rejected)."""
+    if type(sign) is not int or sign not in (1, -1):
         raise error(f"sign must be +1 or -1, got {sign!r}")
 
 

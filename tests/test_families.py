@@ -287,9 +287,9 @@ def test_dp_rows_match_chain_enumeration(family, m, sign):
 @pytest.mark.parametrize("m", (3, INFINITE))
 @BOTH_SIGNS
 def test_cold_binomial_combination_sweeps_once(monkeypatch, family, m, sign):
-    # binomial_combination reads F_{j,m} for j = k..order; asking for the
-    # largest j first builds the table once, with one width sweep (width 0)
-    # and one value sweep, where ascending j would rebuild it for every j
+    # binomial_combination reads F_{j,m} for j = k..order in one _rows call,
+    # which builds the table once to top = order, with one width sweep
+    # (width 0) and one value sweep
     widths = []
     sweep = series._chain_sweep
 
@@ -406,7 +406,9 @@ def test_family_tables_are_thread_safe():
 def test_concurrent_rebuilds_match_fresh_builds(monkeypatch, family):
     # eight threads ask one cold key for k = 2, 7 (5 for C, whose last
     # visible row at order 40 is 6) and the last visible row at once, so
-    # some requests rebuild a table that others have just built
+    # some requests rebuild a table that others have just built; a ninth
+    # reads every row of the cold (V, -1, 40, 40) table for a binomial
+    # combination, beside them for V and on a key of its own for C
     order = 40
     last = _last_visible_row(family, order)
     ks = [(2, min(7, last - 1), last)[i % 3] for i in range(8)]
@@ -417,14 +419,20 @@ def test_concurrent_rebuilds_match_fresh_builds(monkeypatch, family):
         fresh[k] = family_series(FamilySpec(family=family, sign=-1, k=k), order)
     fresh_table = _table_coeffs(family, -1, order)  # built to k = last
     families._tables.clear()
-    results = [None] * 8
-    start = threading.Barrier(8, timeout=60)
+    fresh_combination = binomial_combination("V", -1, 1, INFINITE, order)
+    families._tables.clear()
+    results = [None] * 9
+    start = threading.Barrier(9, timeout=60)
 
     def worker(slot):
         start.wait()
-        results[slot] = family_series(FamilySpec(family=family, sign=-1, k=ks[slot]), order)
+        if slot == 8:
+            results[slot] = binomial_combination("V", -1, 1, INFINITE, order)
+        else:
+            results[slot] = family_series(FamilySpec(family=family, sign=-1, k=ks[slot]),
+                                          order)
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(9)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -435,5 +443,5 @@ def test_concurrent_rebuilds_match_fresh_builds(monkeypatch, family):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == [fresh[k] for k in ks]
+    assert results == [fresh[k] for k in ks] + [fresh_combination]
     assert _table_coeffs(family, -1, order) == fresh_table

@@ -273,8 +273,10 @@ _INT_ARG_CALLS = [
                          ids=[f"{name}-{arg}-{i}" for i, (name, arg, _, _)
                               in enumerate(_INT_ARG_CALLS)])
 def test_every_builder_names_a_bad_integer_argument(name, arg, low, call):
-    with pytest.raises(ValueError, match=rf"^{arg} must be an integer, got {low + 0.5}$"):
-        call(low + 0.5)
+    # bool subclasses int, so an isinstance check would let True through
+    for bad in (low + 0.5, True, False):
+        with pytest.raises(ValueError, match=rf"^{arg} must be an integer, got {bad}$"):
+            call(bad)
     rule = "non-negative" if low == 0 else f">= {low}"
     with pytest.raises(ValueError, match=f"^{arg} must be {rule}, got {low - 1}$"):
         call(low - 1)
@@ -294,12 +296,12 @@ _SIGN_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("bad", [2, 1.0, -1.0])
+@pytest.mark.parametrize("bad", [2, 1.0, -1.0, True, False])
 @pytest.mark.parametrize("name, error, call", _SIGN_CALLS,
                          ids=[name for name, _, _ in _SIGN_CALLS])
 def test_every_builder_names_a_bad_sign(name, error, call, bad):
-    # 1.0 == 1, so a check by membership in (1, -1) would let a float
-    # sign through and build float coefficients
+    # 1.0 == True == 1, so a check by membership in (1, -1) would let a
+    # float or bool sign through
     with pytest.raises(error, match=rf"^sign must be \+1 or -1, got {bad}$"):
         call(bad)
 

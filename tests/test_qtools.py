@@ -197,10 +197,12 @@ def test_gaussian_binomial_out_of_range_is_zero():
 @pytest.mark.parametrize("m, k, message", [(2.5, 1, "m must be an integer, got 2.5"),
                                             (3, 1.5, "k must be an integer, got 1.5"),
                                             (INFINITE, 1.5, "k must be an integer, got 1.5"),
-                                            (INFINITE, INFINITE, "k must be an integer, got inf")])
+                                            (INFINITE, INFINITE, "k must be an integer, got inf"),
+                                            (True, 1, "m must be an integer, got True"),
+                                            (4, True, "k must be an integer, got True")])
 def test_gaussian_binomial_names_a_non_integer_m_or_k(m, k, message):
     # any integer m, k is valid (out of range gives zero), and so is an
-    # unbounded m; any other float is not
+    # unbounded m; any other float, or a bool, is not
     with pytest.raises(ValueError, match=f"^{message}$"):
         gaussian_binomial(m, k, 1, 10)
 

@@ -692,6 +692,16 @@ def test_no_build_path_calls_a_reference(reference, own):
     assert sites == own
 
 
+def test_families_reads_its_tables_only_through_rows():
+    # an index transform takes the rows it sums from one _rows call, not
+    # one family_series call (a spec and a lock round trip) per row
+    path = Path(qident.__file__).parent / "families.py"
+    assert _calls(path, "family_series") == []
+    tables = {scope for scope, _ in _sites(
+        path, lambda node: getattr(node, "id", None) == "_tables")}
+    assert tables == {"<module>", "_rows"}
+
+
 def test_every_build_path_divides_by_one_minus_q_to_the_x(monkeypatch):
     # _divide's accumulate path serves c = 1 alone; a caller dividing by
     # (1 - c*q^x) with another c would silently take the slower block path

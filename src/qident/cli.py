@@ -206,7 +206,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     n = args.n
-    chain_flags = [f"--{name}" for name in ("sign", "k", "m") if getattr(args, name) is not None]
     if args.which in ("v", "w"):
         if args.sign is None or args.k is None:
             raise ValueError(f"--which {args.which} needs --sign, --k, --n")
@@ -214,27 +213,23 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             args.m = INFINITE  # shown as m=inf in the params
         sign = _sign_number(args.sign)
         family = "V" if args.which == "v" else "W"
-        oracle_value = (v_oracle if args.which == "v" else w_oracle)(
-            sign, args.k, args.m, n)
+        oracle_value = (v_oracle if args.which == "v" else w_oracle)(sign, args.k, args.m, n)
         spec = FamilySpec(family=family, sign=sign, k=args.k, m=args.m)
         series_value = family_series(spec, n).coeffs[n]
-    elif chain_flags:
+        params = _collect_params(args)
+    else:
         # the pair, pod and sigma counts depend on n alone; a flag they
         # ignored would let a caller believe it had been used
-        raise ValueError(f"--which {args.which} takes only --n, got {' '.join(chain_flags)}")
-    elif args.which == "pp":
-        oracle_value = overpartition_pairs(n)
-        series_value = overpartition_pair_series(n).coeffs[n]
-    elif args.which == "pod":
-        oracle_value = pod_bipartitions(n)
-        series_value = pod_bipartition_series(n).coeffs[n]
-    else:
-        oracle_value = divisor_sigma(n)
-        series_value = divisor_sum_series(n).coeffs[n]
+        flags = [f"--{name}" for name in ("sign", "k", "m") if getattr(args, name) is not None]
+        if flags:
+            raise ValueError(f"--which {args.which} takes only --n, got {' '.join(flags)}")
+        count, series = {"pp": (overpartition_pairs, overpartition_pair_series),
+                         "pod": (pod_bipartitions, pod_bipartition_series),
+                         "sigma": (divisor_sigma, divisor_sum_series)}[args.which]
+        oracle_value, series_value = count(n), series(n).coeffs[n]
+        params = {"n": n}
 
     match = oracle_value == series_value
-    # Only the chain oracles take --sign/--k/--m; the others depend on n alone.
-    params = _collect_params(args) if args.which in ("v", "w") else {"n": n}
     doc = {
         "which": args.which,
         "params": _params_json(params),

@@ -15,7 +15,9 @@ The brute-force sides (``_counts``) compare fewer exponents than the
 requested order N: ORACLE_V/ORACLE_W compare q^0..q^15 (``_ORACLE_CAP``),
 GF_PP/GF_POD q^0..q^24 (``_GF_CAP``), and POS_V/POS_W compare counts times
 the one-sided theta sum on q^0..q^30 (``_EQUIV_CAP``) and nonnegativity on
-q^0..q^N.  Every other check compares q^0..q^N.
+q^0..q^N.  Every other check compares q^0..q^N.  Every check looks up the
+functions it calls in this module's namespace when it runs, not when the
+registry is built, so one patched name here reaches every check using it.
 
 Formally infinite sums on right-hand sides truncate by valuation: a term
 whose minimal exponent exceeds the order is dropped.  Each sum runs its
@@ -336,10 +338,12 @@ def _counts(count: Callable[[int], int], upto: int) -> ExactSeries:
     return from_coeffs([count(n) for n in range(upto + 1)])
 
 
-def _gf_check(series: Callable[[int], ExactSeries],
-              count: Callable[[int], int]) -> Callable[..., _Sides]:
-    """A generating series against its brute-force counts on q^0..q^_GF_CAP."""
+def _gf_check(odd: bool) -> Callable[..., _Sides]:
+    """The overpartition pair series or, for odd, the pod bipartition
+    series against its brute-force counts on q^0..q^_GF_CAP."""
     def check(order: int) -> _Sides:
+        series = pod_bipartition_series if odd else overpartition_pair_series
+        count = pod_bipartitions if odd else overpartition_pairs
         return series(order), _counts(count, min(order, _GF_CAP))
 
     return check
@@ -368,7 +372,7 @@ def _positivity_check(family: str) -> Callable[..., _Sides]:
     def check(order: int, *, k: int) -> _Sides:
         one_sided = _one_sided(k, odd, order)
         prod = mul(_eta_quotient(-1, odd, order), one_sided)
-        count = pod_bipartitions if odd else overpartition_pairs  # read per run, not bound
+        count = pod_bipartitions if odd else overpartition_pairs
         predicate = mul(_counts(count, min(order, _EQUIV_CAP)), one_sided)
         return prod, from_coeffs(0 if c < 0 else predicate.coeffs[n] if n <= _EQUIV_CAP else c
                                  for n, c in enumerate(prod.coeffs))
@@ -377,12 +381,12 @@ def _positivity_check(family: str) -> Callable[..., _Sides]:
 
 
 def _oracle_check(family: str) -> Callable[..., _Sides]:
-    enumerate_fn = v_oracle if family == "V" else w_oracle
-
+    """The family series against its chain sums on q^0..q^_ORACLE_CAP."""
     def check(order: int, *, sign: int, k: int,
               m: Union[int, float]) -> _Sides:
         series = family_series(FamilySpec(family=family, sign=sign, k=k, m=m), order)
-        return series, _counts(lambda n: enumerate_fn(sign, k, m, n), min(order, _ORACLE_CAP))
+        chain_sum = v_oracle if family == "V" else w_oracle
+        return series, _counts(lambda n: chain_sum(sign, k, m, n), min(order, _ORACLE_CAP))
 
     return check
 
@@ -517,14 +521,14 @@ REGISTRY: Dict[str, RegistryEntry] = {
                      "the identity.",
     ),
     "GF_PP": RegistryEntry(
-        check=_gf_check(overpartition_pair_series, overpartition_pairs),
+        check=_gf_check(odd=False),
         default_grid=(dict(),),
         independence="LHS: infinite-product quotient; RHS: partitions "
                      "enumerated part size by part size, each weighted by 2 per "
                      "distinct size, convolved.",
     ),
     "GF_POD": RegistryEntry(
-        check=_gf_check(pod_bipartition_series, pod_bipartitions),
+        check=_gf_check(odd=True),
         default_grid=(dict(),),
         independence="LHS: infinite-product quotient; RHS: partitions "
                      "with no repeated odd part, enumerated part size by part "

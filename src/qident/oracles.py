@@ -13,18 +13,39 @@ optimization, not a semantic choice.  The pair counts enumerate each
 partition they count once, choosing the multiplicity of each part size
 from the largest size down, so a partition that the count excludes is
 never built.
-It imports nothing from the engine, so it checks its own arguments and
-raises DomainError.
+It imports nothing from the engine, so it checks its own arguments, with
+its own ``_check_int``, and raises DomainError: an argument must be an
+int (a float or a bool is rejected) in the function's range.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable, Union
 
 
 class DomainError(ValueError):
     """Raised when an argument is outside a function's domain."""
+
+
+def _check_int(name: str, value: object, low: int = 0) -> None:
+    """Raise DomainError, naming the argument, unless value is an int >= low
+    (a bool is rejected): the twin of series._check_int."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be non-negative, got {value}" if low == 0
+                          else f"{name} must be >= {low}, got {value}")
+
+
+def _check_target(n: object, cap: int, counted: str) -> None:
+    """Raise DomainError unless 0 <= n <= cap, the largest target whose
+    brute-force count is quick."""
+    _check_int("target", n)
+    if n > cap:
+        raise DomainError(
+            f"target {n} is above {cap}, the largest n the brute-force {counted} enumerate")
 
 
 # ---------------------------------------------------------------------------
@@ -79,17 +100,12 @@ def _chain_sum(
     sign^(t_1+...+t_k+k) * t_1*...*t_k when the parts weighted by their
     multiplicities sum to n.
     """
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    if k < 0:
-        raise DomainError(f"k must be non-negative, got {k}")
-    if n < 0:
-        raise DomainError(f"target must be non-negative, got {n}")
-    if n > CHAIN_ORACLE_CAP:
-        raise DomainError(
-            f"target {n} is above {CHAIN_ORACLE_CAP}, the largest n the "
-            "brute-force chain sums enumerate"
-        )
+    if type(sign) is not int or sign not in (1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+    _check_int("k", k)
+    if m != math.inf:
+        _check_int("m", m, 1)
+    _check_target(n, CHAIN_ORACLE_CAP, "chain sums")
     if k == 0:
         return 1 if n == 0 else 0
 
@@ -151,13 +167,7 @@ PAIR_COUNT_CAP = 50
 def _ordered_pairs(single: Callable[[int], int], n: int) -> int:
     """sum_j single(j) * single(n - j): the ordered pairs of objects counted
     by single with sizes summing to n, for 0 <= n <= PAIR_COUNT_CAP."""
-    if n < 0:
-        raise DomainError(f"target must be non-negative, got {n}")
-    if n > PAIR_COUNT_CAP:
-        raise DomainError(
-            f"target {n} is above {PAIR_COUNT_CAP}, the largest n the "
-            "brute-force pair counts enumerate"
-        )
+    _check_target(n, PAIR_COUNT_CAP, "pair counts")
     return sum(single(j) * single(n - j) for j in range(n + 1))
 
 
@@ -228,8 +238,8 @@ def pod_bipartitions(n: int) -> int:
 
 def divisor_sigma(n: int) -> int:
     """Sum of the divisors of n, by trial division up to sqrt(n)."""
-    if n <= 0:
-        raise DomainError(f"divisor sum needs a positive integer, got {n}")
+    if type(n) is not int or n < 1:
+        raise DomainError(f"divisor sum needs a positive integer, got {n!r}")
     total = 0
     d = 1
     while d * d <= n:
@@ -247,8 +257,7 @@ def triangular(n: int) -> int:
     Accepts n >= -1: the n = -1 value is 0 (the natural value of the
     formula), which the k = 0 edge of the positivity predicates needs.
     """
-    if n < -1:
-        raise DomainError(f"triangular index must be >= -1, got {n}")
+    _check_int("triangular index", n, -1)
     return n * (n + 1) // 2
 
 
@@ -260,8 +269,8 @@ def b_extraction(k: int, j: int) -> int:
     inspection to 1; every other cell is a plain polynomial coefficient
     (0 whenever 2j exceeds the degree j+k, which covers k < j).
     """
-    if k < 0 or j < 0:
-        raise DomainError(f"indices must be non-negative, got k={k}, j={j}")
+    _check_int("k", k)
+    _check_int("j", j)
     if k == 0 and j == 0:
         return 1
     power = [1]

@@ -201,11 +201,18 @@ def hypergeometric_terms(first: ExactSeries, top: Iterable[float], bottom: Itera
     q^(s*n) * u_n can reach, so callers put s*n into the exponent they
     hand weighted_sum.  Parameters in both top and bottom cancel first;
     each step is one _binomial_quotient, so no step multiplies two series
-    and a top parameter may be INFINITE.  Every c in bottom must be >= 1.
+    and a top parameter may be INFINITE.  d, s and every parameter must
+    be >= 1.
     """
-    top, bottom = Counter(top), Counter(bottom)
+    top, bottom = tuple(top), tuple(bottom)  # checked before a Counter merges True into 1
+    for a in top:
+        _check_bound("top", a, 1)
     for c in bottom:
         _check_int("bottom", c, 1)
+    _check_int("d", d, 1)
+    _check_int("s", s, 1)
+    _check_int("order", order)
+    top, bottom = Counter(top), Counter(bottom)
     top, bottom = list((top - bottom).elements()), list((bottom - top).elements())
     u = first
     yield u

@@ -10,7 +10,7 @@ order 40.
 import pytest
 
 import qident.identities as identities
-from qident.identities import Discrepancy, IdentityCase, _first_discrepancy, verify
+from qident.identities import Discrepancy, IdentityCase, verify
 from qident.qtools import INFINITE
 from qident.series import add, monomial
 
@@ -31,14 +31,6 @@ def _bump(monkeypatch, name, at, by=1):
     monkeypatch.setattr(identities, name, lambda n: real(n) + (by if n == at else 0))
 
 
-def _gf_first(series, count):
-    """The GF check's first discrepancy, built from the module's current
-    ``series`` and ``count``: the factory binds both when called, so a
-    patched count needs a fresh check."""
-    return _first_discrepancy(*identities._gf_check(getattr(identities, series),
-                                                    getattr(identities, count))(ORDER))
-
-
 def _fault_one_sided(monkeypatch, at, by):
     """Add ``by*q^at`` to every one-sided theta sum; the positivity product
     (unit-constant quotient times that sum) first changes at q^at by ``by``."""
@@ -56,19 +48,17 @@ def _fault_one_sided(monkeypatch, at, by):
 
 def test_gf_pp_reports_the_faulty_count(monkeypatch):
     _bump(monkeypatch, "overpartition_pairs", 7)
-    assert _gf_first("overpartition_pair_series", "overpartition_pairs") == \
-        Discrepancy(exponent=7, lhs=704, rhs=705)
+    assert _first("GF_PP") == Discrepancy(exponent=7, lhs=704, rhs=705)
 
 
 def test_gf_pod_reports_the_faulty_count(monkeypatch):
     _bump(monkeypatch, "pod_bipartitions", 9)
-    assert _gf_first("pod_bipartition_series", "pod_bipartitions") == \
-        Discrepancy(exponent=9, lhs=104, rhs=105)
+    assert _first("GF_POD") == Discrepancy(exponent=9, lhs=104, rhs=105)
 
 
 def test_gf_fault_beyond_the_cap_goes_unseen(monkeypatch):
     _bump(monkeypatch, "overpartition_pairs", 25)
-    assert _gf_first("overpartition_pair_series", "overpartition_pairs") is None
+    assert _first("GF_PP") is None
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +83,14 @@ def test_oracle_check_reports_the_faulty_enumeration(monkeypatch, family, name,
     real = getattr(identities, name)
     monkeypatch.setattr(identities, name,
                         lambda sign, k, m, n: real(sign, k, m, n) + (n == at))
-    # the factory binds its enumerator when called, so build a fresh check
-    assert _first_discrepancy(*identities._oracle_check(family)(ORDER, **params)) == expected
+    assert _first(f"ORACLE_{family}", **params) == expected
 
 
 def test_oracle_fault_beyond_the_cap_goes_unseen(monkeypatch):
     real = identities.v_oracle
     monkeypatch.setattr(identities, "v_oracle",
                         lambda sign, k, m, n: real(sign, k, m, n) + (n == 16))
-    assert _first_discrepancy(*identities._oracle_check("V")(ORDER, sign=1, k=2, m=2)) is None
+    assert _first("ORACLE_V", sign=1, k=2, m=2) is None
 
 
 # ---------------------------------------------------------------------------

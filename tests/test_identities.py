@@ -91,6 +91,16 @@ def test_required_names_are_the_checks_keyword_only_parameters():
     assert REGISTRY["SIGMA_ID"].required == ()
 
 
+def test_no_registry_check_holds_a_callable():
+    # every check looks up what it calls in identities' namespace when it
+    # runs, so one patched name there reaches it; a callable held in a
+    # closure cell would keep the value it had when the registry was built
+    held = {name: [cell.cell_contents for cell in entry.check.__closure__ or ()
+                   if callable(cell.cell_contents)]
+            for name, entry in REGISTRY.items()}
+    assert {name: cells for name, cells in held.items() if cells} == {}
+
+
 # ---------------------------------------------------------------------------
 # Single-case verification
 # ---------------------------------------------------------------------------
@@ -266,7 +276,19 @@ _INT_ARG_CALLS = [
     _registry_arg("POS_W", "k", 0),
     _registry_arg("ORACLE_V", "k", 0, sign=1, m=2),
     _registry_arg("ORACLE_V", "m", 1, sign=1, k=1),
-] + [(name, "order", 0, call) for name, call in _ORDER_CALLS]
+] + [(name, "order", 0, call) for name, call in _ORDER_CALLS] + [
+    # a generator checks its arguments when the first term is asked for
+    ("hypergeometric_terms", "top", 1,
+     lambda v: list(hypergeometric_terms(one(4), (v,), (1,), 1, 1, 4))),
+    ("hypergeometric_terms", "bottom", 1,
+     lambda v: list(hypergeometric_terms(one(4), (2,), (v,), 1, 1, 4))),
+    ("hypergeometric_terms", "d", 1,
+     lambda v: list(hypergeometric_terms(one(4), (2,), (1,), v, 1, 4))),
+    ("hypergeometric_terms", "s", 1,
+     lambda v: list(hypergeometric_terms(one(4), (2,), (1,), 1, v, 4))),
+    ("hypergeometric_terms", "order", 0,
+     lambda v: list(hypergeometric_terms(one(4), (2,), (1,), 1, 1, v))),
+]
 
 
 @pytest.mark.parametrize("name, arg, low, call", _INT_ARG_CALLS,

@@ -125,12 +125,24 @@ def test_bounded_magnitudes():
 
 
 def test_chain_oracle_validates_arguments():
-    with pytest.raises(DomainError):
-        v_oracle(0, 1, INFINITE, 3)
-    with pytest.raises(DomainError):
-        v_oracle(1, -1, INFINITE, 3)
-    with pytest.raises(DomainError):
-        w_oracle(1, 1, INFINITE, -2)
+    for oracle, args in [
+        (v_oracle, (0, 1, INFINITE, 3)),
+        (v_oracle, (1, -1, INFINITE, 3)),
+        (w_oracle, (1, 1, INFINITE, -2)),
+        # a float or a bool is no integer, even where it equals one
+        (v_oracle, (1, 2.0, INFINITE, 5)),
+        (v_oracle, (1.0, 2, INFINITE, 5)),
+        (v_oracle, (True, 2, INFINITE, 5)),
+        (v_oracle, (1, 2, INFINITE, 5.0)),
+        # m is an int >= 1 or INFINITE, as FamilySpec takes it
+        (w_oracle, (1, 2, 2.5, 7)),
+        (v_oracle, (1, 2, True, 5)),
+        (v_oracle, (1, 2, 0, 5)),
+        (v_oracle, (1, 2, -3, 5)),
+        (v_oracle, (1, 2, -INFINITE, 5)),
+    ]:
+        with pytest.raises(DomainError):
+            oracle(*args)
 
 
 def test_chain_oracles_reject_targets_above_the_cap():
@@ -170,10 +182,12 @@ def test_single_counts_match_the_filtered_partitions():
 
 
 def test_pair_counts_reject_negative():
-    with pytest.raises(DomainError):
-        overpartition_pairs(-1)
-    with pytest.raises(DomainError):
-        pod_bipartitions(-1)
+    # and any target that is no int: a float or a bool
+    for n in (-1, 3.0, True):
+        with pytest.raises(DomainError):
+            overpartition_pairs(n)
+        with pytest.raises(DomainError):
+            pod_bipartitions(n)
 
 
 def test_pair_counts_reject_targets_above_the_cap():
@@ -208,10 +222,9 @@ def test_divisor_sigma_values():
 
 
 def test_divisor_sigma_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        divisor_sigma(0)
-    with pytest.raises(DomainError):
-        divisor_sigma(-6)
+    for n in (0, -6, 6.0, True):
+        with pytest.raises(DomainError, match=f"^divisor sum needs a positive integer, got {n}$"):
+            divisor_sigma(n)
 
 
 @given(st.integers(1, 400))
@@ -221,8 +234,9 @@ def test_divisor_sigma_matches_naive_sum(n):
 
 def test_triangular_values():
     assert [triangular(n) for n in range(-1, 6)] == [0, 0, 1, 3, 6, 10, 15]
-    with pytest.raises(DomainError):
-        triangular(-2)
+    for n in (-2, 1.5, True):
+        with pytest.raises(DomainError):
+            triangular(n)
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +255,7 @@ def test_b_extraction_rejects_negative_indices():
         b_extraction(-1, 0)
     with pytest.raises(DomainError):
         b_extraction(0, -1)
+    with pytest.raises(DomainError):
+        b_extraction(1.0, 0)
+    with pytest.raises(DomainError):
+        b_extraction(0, True)

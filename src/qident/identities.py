@@ -23,12 +23,13 @@ Formally infinite sums on right-hand sides truncate by valuation: a term
 whose minimal exponent exceeds the order is dropped.  Each sum runs its
 index only as far as some term can still reach the order, and
 ``weighted_sum`` drops the terms in that range whose shift lies above it.
-The basic hypergeometric sums (the two-binomial kernel, the x_i of the
-divisor sum, the Cauchy and Euler sums) take their terms from
-``qtools.hypergeometric_terms``, each term from the one before by its
-term ratio and without its z-power q^(s*n), which each sum puts into
-its weighted_sum shift.  The L1/L2 quotient sums are q^k times
-``kernel_H`` at m = INFINITE, the kernel of T1 and T2.
+The basic hypergeometric sums (the two-binomial kernel, the moments of
+the divisor sum, the Cauchy and Euler sums) are each one packed
+``qtools._ratio_sums``, each term from the one before by its term ratio,
+with a slot width from a bound that the builder derives from its own
+factors and states in its docstring.  The product quotients are one
+packed ``qtools._binomial_quotient`` each.  The L1/L2 quotient sums are
+q^k times ``kernel_H`` at m = INFINITE, the kernel of T1 and T2.
 
 The one-sided theta sums, and the B-weighted sums of them, are one
 ``from_terms`` each over the O(sqrt(N)) sparse terms of S_k
@@ -40,6 +41,7 @@ a suite builds each (sign, parts, order) quotient once.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import time
 from collections import namedtuple
@@ -65,8 +67,9 @@ from .qtools import (
     INFINITE,
     _binomial_quotient,
     _factors,
+    _partition_bound,
+    _ratio_sums,
     alt_triangular_terms,
-    hypergeometric_terms,
     kernel_H,
     pochhammer,
     squared_pochhammer,
@@ -138,11 +141,12 @@ _Sides = Tuple[ExactSeries, ExactSeries]
 @lru_cache(maxsize=None, typed=True)
 def _eta_quotient(sign: int, odd: bool, order: int) -> ExactSeries:
     """(sign q; q^step)_inf^2 / (q^step; q^step)_inf^2, step 2 for the
-    odd-part families, else 1: the square of the numerator product
-    divided by each binomial of the denominator one."""
+    odd-part families, else 1: the square of one _binomial_quotient of
+    the two products."""
+    _check_int("order", order)
     step = 2 if odd else 1
-    num = pochhammer(sign, 1, step, INFINITE, order)  # checks the order
-    root = _binomial_quotient(num, (), _factors(1, step, step, INFINITE, order), order)
+    root = _binomial_quotient(one(order), _factors(sign, 1, step, INFINITE, order),
+                              _factors(1, step, step, INFINITE, order), order)
     return mul(root, root)
 
 
@@ -285,12 +289,17 @@ def divisor_sum_series(order: int) -> ExactSeries:
     sum_{j<d} (d-j)^2 x_j x_d.  That summand is symmetric in j and d and
     vanishes at j = d, so the sum is half the full double sum over all
     (j, d), which is M0*M2 - M1^2 with the moments M_r = sum_i i^r x_i.
-    x_i has valuation i, so i runs to the order; hypergeometric_terms
-    yields 1/(q;q)_i, each from the one before, and the moments shift by q^i.
+    x_i has valuation i, so i runs to the order; the three moments are
+    one qtools._ratio_sums of term ratio q/(1 - q^i).
+
+    Their width bound is N^2 * (N+1) * p(N), N the order: 1/(q;q)_i <=
+    1/(q;q)_inf coefficientwise, so M_r <= sum_{i <= N} i^r q^i/(q;q)_inf,
+    whose coefficients up to q^N are at most N^r * (N+1) * p(N).
     """
-    x = list(hypergeometric_terms(one(order), (), (1,), 1, 1, order))
-    m0, m1, m2 = (weighted_sum([(i, i ** r, u) for i, u in enumerate(x)], order)
-                  for r in range(3))
+    _check_int("order", order)
+    bound = order ** 2 * (order + 1) * _partition_bound(1, order)
+    weights = [itertools.repeat(1), itertools.count(), (i * i for i in itertools.count())]
+    m0, m1, m2 = _ratio_sums((), (1,), 1, range(order + 1), weights, bound, order)
     return mul(squared_pochhammer(1, 1, 1, INFINITE, order),
                weighted_sum([(0, 1, mul(m0, m2)), (0, -1, mul(m1, m1))], order))
 
@@ -302,11 +311,24 @@ def _check_divisor_sum(order: int) -> _Sides:
 
 def _q_binomial_sides(n: Union[int, float], s: int, order: int) -> _Sides:
     """sum_k [n-1+k, k] q^(s*k) and 1/(q^s; q)_n, the sides of the
-    q-binomial theorem: the left from its term ratio (1 - q^(n-1+k)) /
-    (1 - q^k), so term k is 1/(q; q)_k at n = INFINITE, the right by
-    dividing one by each binomial of (q^s; q)_n."""
-    terms = hypergeometric_terms(one(order), (n,), (1,), 1, s, order)
-    lhs = weighted_sum(((s * k, 1, u) for k, u in enumerate(terms)), order)
+    q-binomial theorem: the left one qtools._ratio_sums of term ratio
+    q^s (1 - q^(n-1+k)) / (1 - q^k), so term k is 1/(q; q)_k at
+    n = INFINITE, the right one _binomial_quotient of one over the
+    binomials of (q^s; q)_n.
+
+    The left side's width bound is (N+1) * p(N), N the order, and for
+    n <= N also at most C(n + N//s, N//s): 1/(q;q)_k bounds [n-1+k, k]
+    coefficientwise (see kernel_H), and the sum has N//s + 1 terms that
+    reach q^N; the value at q = 1 of those terms is
+    sum_{k <= N//s} C(n-1+k, k) = C(n + N//s, N//s), and every
+    coefficient is nonnegative.
+    """
+    _check_int("order", order)
+    bound = (order + 1) * _partition_bound(1, order)
+    if n <= order:
+        bound = min(bound, math.comb(n + order // s, order // s))
+    lhs = _ratio_sums((n,), (1,), 1, range(0, order + 1, s), [itertools.repeat(1)], bound,
+                      order)[0]
     return lhs, _binomial_quotient(one(order), (), _factors(1, s, 1, n, order), order)
 
 
@@ -317,10 +339,15 @@ def _check_cauchy(order: int, *, n: int, s: int) -> _Sides:
 
 
 def _check_euler_alternating(order: int, *, e: int) -> _Sides:
+    """(q^e; q)_inf and sum_j (-1)^j q^(j(j-1)/2 + e*j) / (q; q)_j, the
+    right one qtools._ratio_sums of term ratio 1/(1 - q^j), width bound
+    (N+1) * p(N), N the order: each |weight| is 1, 1/(q;q)_j <=
+    1/(q;q)_inf coefficientwise, and at most N+1 terms reach q^N."""
     _check_int("e", e, 1)
-    terms = hypergeometric_terms(one(order), (), (1,), 1, e, order)
-    rhs = weighted_sum(((j * (j - 1) // 2 + e * j, (-1) ** j, u)
-                        for j, u in enumerate(terms)), order)
+    _check_int("order", order)
+    shifts = (j * (j - 1) // 2 + e * j for j in itertools.count())
+    rhs = _ratio_sums((), (1,), 1, shifts, [itertools.cycle((1, -1))],
+                      (order + 1) * _partition_bound(1, order), order)[0]
     return pochhammer(1, e, 1, INFINITE, order), rhs
 
 
@@ -462,7 +489,7 @@ REGISTRY: Dict[str, RegistryEntry] = {
         default_grid=_grid(k=(0, 1, 2, 3)),
         independence="LHS: squared infinite product times q^k * kernel_H at "
                      "m = inf, a Pochhammer-quotient sum built term by term with "
-                     "binomial divisions; RHS: one-sided theta sum, no products.",
+                     "packed binomial divisions; RHS: one-sided theta sum, no products.",
     ),
     "L2": RegistryEntry(
         check=_quotient_sum_check(odd=True),
@@ -504,7 +531,7 @@ REGISTRY: Dict[str, RegistryEntry] = {
         default_grid=_grid(n=(1, 2, 3, 4), s=(1, 2)),
         independence="LHS: Gaussian-binomial sum from its term ratio; RHS: one "
                      "divided by each binomial of the finite product; they share "
-                     "divide_binomial, never the identity.",
+                     "the packed binomial steps of series, never the identity.",
     ),
     "EULER1": RegistryEntry(
         check=_check_euler_alternating,
@@ -517,8 +544,8 @@ REGISTRY: Dict[str, RegistryEntry] = {
         default_grid=_grid(e=(1, 2)),
         independence="CAUCHY at n = inf: LHS: shifted inverse-Pochhammer sum "
                      "from its term ratio; RHS: one divided by each binomial of "
-                     "the infinite product; they share divide_binomial, never "
-                     "the identity.",
+                     "the infinite product; they share the packed binomial steps "
+                     "of series, never the identity.",
     ),
     "GF_PP": RegistryEntry(
         check=_gf_check(odd=False),

@@ -29,7 +29,7 @@ class DomainError(ValueError):
     """Raised when an argument is outside a function's domain."""
 
 
-def _check_int(name: str, value: object, low: int = 0) -> None:
+def _check_int(name: str, value: object, low: float = 0) -> None:
     """Raise DomainError, naming the argument, unless value is an int >= low
     (a bool is rejected): the twin of series._check_int."""
     if type(value) is not int:
@@ -52,29 +52,34 @@ def _check_target(n: object, cap: int, counted: str) -> None:
 # Plain partitions
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def partition_count(n: int) -> int:
-    """p(n) by the pentagonal-number recurrence (fast enough for n ~ 10^3).
+#: p(0), p(1), ... as far as any call of partition_count has needed them.
+_partitions = [1]
 
-    p(n) = sum_{g>=1} (-1)^(g+1) * [p(n - g(3g-1)/2) + p(n - g(3g+1)/2)].
+
+def partition_count(n: int) -> int:
+    """p(n) by the pentagonal-number recurrence, 0 for n < 0.
+
+    p(t) = sum_{g>=1} (-1)^(g+1) * [p(t - g(3g-1)/2) + p(t - g(3g+1)/2)].
+    p(0..n) are built bottom up, without recursion, and kept: a call
+    costs O(n^1.5) additions the first time it reaches past the kept
+    table.  The table is extended on a copy and published whole, so a
+    concurrent call sees the old table or the new one.
     """
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    total = 0
-    g = 1
-    while True:
-        p1 = g * (3 * g - 1) // 2
-        if p1 > n:
-            break
-        sign = 1 if g % 2 == 1 else -1
-        total += sign * partition_count(n - p1)
-        p2 = g * (3 * g + 1) // 2
-        if p2 <= n:
-            total += sign * partition_count(n - p2)
-        g += 1
-    return total
+    global _partitions
+    _check_int("n", n, -math.inf)
+    p = _partitions
+    if n >= len(p):
+        p = p.copy()
+        for t in range(len(p), n + 1):
+            total, g, first = 0, 1, 1  # first = g(3g-1)/2
+            while first <= t:
+                pair = p[t - first] + (p[t - first - g] if first + g <= t else 0)
+                total += pair if g % 2 else -pair
+                g += 1
+                first += 3 * g - 2
+            p.append(total)
+        _partitions = p
+    return p[n] if n >= 0 else 0
 
 
 # ---------------------------------------------------------------------------

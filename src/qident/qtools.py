@@ -1,9 +1,9 @@
 """q-calculus building blocks on top of :mod:`qident.series`.
 
-Pochhammer products, Gaussian binomials, the terms of a basic
-hypergeometric series from its term ratio (``hypergeometric_terms``) and
-what is built on them (the two-binomial kernel, 2phi1), lacunary theta
-sums, and the one-sided alternating triangular sum S_k, whose sparse terms
+Pochhammer products, Gaussian binomials, basic hypergeometric sums from
+their term ratio (``_ratio_sums``) and what is built on them (the
+two-binomial kernel, 2phi1), lacunary theta sums, and the one-sided
+alternating triangular sum S_k, whose sparse terms
 (``alt_triangular_terms``) every one-sided theta sum is built from.
 
 Truncation rule for formally infinite objects: a factor or term whose
@@ -11,12 +11,16 @@ minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
 modulo q^(N+1) and is simply skipped, so every result is exact at order N.
 
 Every product or quotient of binomials (1 - c*q^x) that the package
-builds (a Pochhammer product, a Gaussian binomial, a hypergeometric step,
-the quotients of products in the checks) is one ``_binomial_quotient``: a
-two-term ``weighted_sum`` per numerator factor and a ``divide_binomial``
-per denominator factor, so no build path inverts a series.  Here the one
-product of two series is the square in ``squared_pochhammer``.
-``_gauss_poly`` is a reference only: no build path calls it.
+builds is packed (q = 2^W, see :mod:`qident.series`): a Pochhammer
+product, a Gaussian binomial or a quotient of products in the checks is
+one ``_binomial_quotient``, and a term-ratio sum is one ``_ratio_sums``,
+each term from the one before by the packed binomial steps of series and
+added to the packed sum, which is unpacked once.  Each builder derives its slot width
+from a bound on its own coefficients, stated in its docstring and built
+from ``_partition_bound``.  So no build path inverts a series, and here
+the one product of two series is the square in ``squared_pochhammer``.
+``_gauss_poly`` and ``hypergeometric_terms`` are references only: no
+build path calls them.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ import math
 from collections import Counter
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator, List, Tuple, Type, Union
+from itertools import repeat
+from typing import Iterable, Iterator, List, Sequence, Tuple, Type, Union
 
-from .series import (ExactSeries, _check_int, _check_sign, divide_binomial, from_coeffs,
-                     from_terms, mul, one, weighted_sum, zero)
+from .series import (_SIGNED_ADD, ExactSeries, _check_int, _check_sign, _divide_packed,
+                     _times_packed, binomial_steps, divide_binomial, from_coeffs, from_terms,
+                     mul, one, pack, packed_width, unpack, weighted_sum, zero)
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
@@ -57,6 +63,7 @@ def pochhammer(sign: int, offset: int, step: int, length: Union[int, float],
 
     sign +1 gives factors (1 - q^x), sign -1 gives (1 + q^x).  length 0
     gives 1, and length may be INFINITE: _factors lists the visible ones.
+    One _binomial_quotient with no denominator.
     """
     _check_sign(sign)
     _check_int("offset", offset, 1)
@@ -76,20 +83,57 @@ def _factors(sign: int, offset: int, step: int, length: Union[int, float],
     return ((x, sign) for x in range(start, min(offset + step * length, order + 1), step))
 
 
+def _partition_bound(r: int, n: int) -> int:
+    """An integer at least p_r(n), the coefficient of q^n in 1/(q;q)_inf^r,
+    for r, n >= 0; it grows with n, so it bounds p_r on 0..n too.
+
+    p_r(n) <= C(n+r-1, r-1) * e^(pi*sqrt(2rn/3)): p_r(n) is a sum of
+    C(n+r-1, r-1) products p(n_1)...p(n_r) over n_1 + ... + n_r = n,
+    p(n) < e^(pi*sqrt(2n/3)) (Apostol, Introduction to Analytic Number
+    Theory, Thm 14.5), and sum_i sqrt(n_i) <= sqrt(r*n) by the concavity
+    of sqrt.  The power of e is rounded up to a power of 2, with one bit
+    to spare for the rounding of the float exponent.  p_0 is 1 at q^0
+    and 0 above.
+    """
+    if r == 0:
+        return 1
+    bits = math.ceil(math.pi * math.sqrt(2 * r * n / 3) / math.log(2)) + 1
+    return math.comb(n + r - 1, r - 1) << bits
+
+
+def _cancel(top: Iterable, bottom: Iterable) -> Tuple[list, list]:
+    """top and bottom with the entries they share removed, as often as
+    both hold them."""
+    top, bottom = Counter(top), Counter(bottom)
+    return list((top - bottom).elements()), list((bottom - top).elements())
+
+
 def _binomial_quotient(first: ExactSeries, top: Iterable[Tuple[int, int]],
                        bottom: Iterable[Tuple[int, int]], order: int) -> ExactSeries:
     """first * prod_top (1 - c*q^x) / prod_bottom (1 - c*q^x) over (x, c)
-    pairs, x >= 1, at the order: each numerator factor one two-term
-    weighted_sum, each denominator factor one divide_binomial.  A factor
-    with x above the order is 1 there and is skipped."""
-    u = first if len(first.coeffs) <= order + 1 else from_coeffs(first.coeffs[: order + 1])
-    for x, c in top:
-        if x <= order:
-            u = weighted_sum([(0, 1, u), (x, -c, u)], order)
-    for x, c in bottom:
-        if x <= order:
-            u = divide_binomial(u, x, c)
-    return u
+    pairs, x >= 1, at the order (or first's, if that is smaller), packed:
+    first at q = 2^W, one series.binomial_steps, one unpack.  Factors in
+    both top and bottom cancel first; a factor with x above the order is
+    1 there.
+
+    Its width bound is sum_i |first_i| * max(1, |c|)^N *
+    p_r(N) (_partition_bound), N the order and r the largest number of
+    visible factors with one exponent.  Each |coefficient| of the quotient
+    is at most that of sum_i |first_i| q^i * prod_top (1 + |c| q^x) /
+    prod_bottom (1 - |c| q^x): |c|^j at q^(j*x) is at most max(1, |c|)^n
+    at q^n, (1 + q^x) <= 1/(1 - q^x) coefficientwise, and a product of
+    at most r factors 1/(1 - q^x) per x is at most 1/(q;q)_inf^r, whose
+    coefficients p_r never decrease.
+    """
+    order = min(order, first.order)
+    top, bottom = _cancel((f for f in top if f[0] <= order),
+                          (f for f in bottom if f[0] <= order))
+    head = first.coeffs[: order + 1]
+    big = max([1] + [abs(c) for _, c in top + bottom])
+    r = max(Counter(x for x, _ in top + bottom).values(), default=0)
+    width = packed_width(sum(map(abs, head)) * big ** order * _partition_bound(r, order))
+    return unpack(binomial_steps(pack(first, width, order), top, bottom, width, order),
+                  width, order)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -131,6 +175,16 @@ def _gauss_poly(m: int, k: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _gauss_factors(m: Union[int, float], k: int, d: int,
+                   order: int) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """The visible numerator and denominator factors of [m, k]_Q, Q = q^d,
+    for 0 <= k <= m: with h = min(k, m-k), (Q^(m-h+1); Q)_h / (Q; Q)_h.
+    At m = INFINITE no numerator factor reaches the order."""
+    h = min(k, m - k)
+    return (list(_factors(1, d * (m - h + 1), d, h, order)),
+            list(_factors(1, d, d, h, order)))
+
+
 def gaussian_binomial(m: Union[int, float], k: int, d: int, order: int) -> ExactSeries:
     """The Gaussian binomial [m, k] in base Q = q^d, truncated at the order.
 
@@ -138,10 +192,9 @@ def gaussian_binomial(m: Union[int, float], k: int, d: int, order: int) -> Exact
     (k < 0, m < 0, or k > m).  The polynomial has degree k*(m-k) and
     constant term 1 in the nonzero case.
 
-    With h = min(k, m-k), [m, k] = (Q^(m-h+1); Q)_h / (Q; Q)_h: one
-    _binomial_quotient over the factors that reach the order, so a huge
-    m or k costs no more than the order allows.  m may be INFINITE: no
-    numerator factor reaches the order, and [INFINITE, k] is 1/(Q; Q)_k.
+    One _binomial_quotient over the factors of _gauss_factors that reach
+    the order, so a huge m or k costs no more than the order allows.  m
+    may be INFINITE: [INFINITE, k] is 1/(Q; Q)_k.
     """
     _check_bound("m", m, -INFINITE)  # any integer: below 0 the binomial is 0
     _check_int("k", k, -INFINITE)
@@ -149,9 +202,99 @@ def gaussian_binomial(m: Union[int, float], k: int, d: int, order: int) -> Exact
     _check_int("order", order)
     if k < 0 or m < 0 or k > m:
         return zero(order)
-    h = min(k, m - k)
-    return _binomial_quotient(one(order), _factors(1, d * (m - h + 1), d, h, order),
-                              _factors(1, d, d, h, order), order)
+    return _binomial_quotient(one(order), *_gauss_factors(m, k, d, order), order)
+
+
+# ---------------------------------------------------------------------------
+# Basic hypergeometric sums from their term ratio
+# ---------------------------------------------------------------------------
+
+def _ratio_sums(top: Iterable[float], bottom: Iterable[int], d: int, shifts: Iterable[int],
+                weights: Sequence[Iterable[int]], bound: int, order: int,
+                first: Tuple[Iterable[Tuple[int, int]], Iterable[Tuple[int, int]]] = ((), ()),
+                ) -> List[ExactSeries]:
+    """For each weight sequence w in weights, sum_n w_n * q^(e_n) * u_n
+    over the shifts e_0 <= e_1 <= ... that reach the order, where
+
+        u_0 = prod_top1 (1 - c*q^x) / prod_bottom1 (1 - c*q^x), first = (top1, bottom1),
+        u_n = u_(n-1) * prod_{a in top} (1 - Q^(a+n-1))
+                      / prod_{c in bottom} (1 - Q^(c+n-1)),  Q = q^d,
+
+    all packed at q = 2^W, W = packed_width(bound), and each sum unpacked
+    once.  bound must bound every |coefficient| of every sum; the caller
+    derives it from the factors and weights of its own sum.
+
+    u_n is kept mod q^(order - e_n + 1), all that q^(e_n) * u_n reaches,
+    and each term is added whole, as acc += w_n * (u_n << W*e_n).  A step
+    multiplies by each visible numerator factor with series._times_packed
+    and divides by each visible denominator factor with
+    series._divide_packed, the kernels of series.binomial_steps, which
+    builds u_0.  Parameters in both top and bottom cancel first, and an
+    INFINITE top parameter gives no factor.
+    """
+    top, bottom = _cancel((a for a in top if a != INFINITE), bottom)
+    width = packed_width(bound)
+    u = binomial_steps(1, *first, width, order)
+    tops, bottoms = [d * (a - 1) for a in top], [d * (c - 1) for c in bottom]
+    sums = [0] * len(weights)
+    for n, (e, *ws) in enumerate(zip(shifts, *weights)):
+        if e > order:
+            break
+        if n:
+            reach = order - e
+            mask = (1 << width * (reach + 1)) - 1
+            u &= mask
+            for x in tops:
+                if x + d * n <= reach:
+                    u = _times_packed(u, x + d * n, 1, width, mask)
+            for x in bottoms:
+                if x + d * n <= reach:
+                    u = _divide_packed(u, x + d * n, 1, width, mask, reach)
+        t = u << width * e
+        for i, w in enumerate(ws):
+            op = _SIGNED_ADD.get(w)
+            sums[i] = op(sums[i], t) if op else sums[i] + w * t
+    return [unpack(acc, width, order) for acc in sums]
+
+
+def hypergeometric_terms(first: ExactSeries, top: Iterable[float], bottom: Iterable[int],
+                         d: int, s: int, order: int) -> Iterator[ExactSeries]:
+    """The terms of a basic hypergeometric series in base Q = q^d without
+    their z-power: term n of the series is q^(s*n) * u_n, where
+
+        u_0 = first,
+        u_n = u_(n-1) * prod_{a in top} (1 - Q^(a+n-1))
+                      / prod_{c in bottom} (1 - Q^(c+n-1))
+
+    for n = 1..order//s, u_n truncated at q^(order - s*n).  Parameters in
+    both top and bottom cancel first; a top parameter may be INFINITE, and
+    d, s and every parameter must be >= 1.
+
+    The unpacked reference for _ratio_sums, kept because the tests
+    compare against it: each numerator factor is a two-term weighted_sum,
+    each denominator factor a divide_binomial.  No build path calls it.
+    """
+    top, bottom = tuple(top), tuple(bottom)  # checked before a Counter merges True into 1
+    for a in top:
+        _check_bound("top", a, 1)
+    for c in bottom:
+        _check_int("bottom", c, 1)
+    _check_int("d", d, 1)
+    _check_int("s", s, 1)
+    _check_int("order", order)
+    top, bottom = _cancel(top, bottom)
+    u = first
+    yield u
+    for n in range(1, order // s + 1):
+        reach = order - s * n
+        u = from_coeffs(u.coeffs[: reach + 1])
+        for a in top:
+            if d * (a + n - 1) <= reach:
+                u = weighted_sum([(0, 1, u), (d * (a + n - 1), -1, u)], reach)
+        for c in bottom:
+            if d * (c + n - 1) <= reach:
+                u = divide_binomial(u, d * (c + n - 1), 1)
+        yield u
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +307,23 @@ def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactS
 
     Term j is term j-1 times q^s (1 - Q^(m-1+j)) (1 - Q^(m-1+k+j)) /
     ((1 - Q^j) (1 - Q^(k+j))), so the sum is the basic hypergeometric
-    series [m-1+k, k]_Q * 2phi1(Q^m, Q^(m+k); Q^(k+1); Q, q^s), summed
-    from that term ratio by hypergeometric_terms.  The first binomial is
-    gaussian_binomial, which like every step reads only the factors that
+    series [m-1+k, k]_Q * 2phi1(Q^m, Q^(m+k); Q^(k+1); Q, q^s), one
+    _ratio_sums from that term ratio, its first term [m-1+k, k]_Q the
+    factors of _gauss_factors.  Every step reads only the factors that
     reach the order, so a huge k or m costs no more than the order
     allows.  m may be INFINITE: every factor (1 - Q^(m+...)) is then 1,
     so the binomials become 1/(Q; Q)_j and 1/(Q; Q)_(k+j).  At m = 0
     every binomial [-1+j, j] vanishes: the result is zero for every k.
+
+    Its width bound is the smaller of two, N the order:
+    - for every m, (N+1) * p_2(N // d): [m-1+j, j]_Q <= 1/(Q;Q)_j
+      coefficientwise (a partition in a j x (m-1) box has at most j
+      parts), and 1/(Q;Q)_j <= 1/(Q;Q)_inf, so the kernel is at most
+      sum_j q^(s*j)/(Q;Q)_inf^2, whose coefficients up to q^N sum at most
+      N+1 terms of at most p_2(N // d);
+    - for m <= N, the kernel's value at q = 1 over the terms that reach
+      the order, sum_{j <= N/s} C(m-1+j, j) * C(m-1+k+j, k+j): every
+      coefficient is nonnegative.
     """
     _check_int("k", k)
     _check_bound("m", m)
@@ -179,47 +332,16 @@ def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactS
     _check_int("order", order)
     if m == 0:
         return zero(order)
-    first = gaussian_binomial(m - 1 + k, k, d, order)
-    terms = hypergeometric_terms(first, (m, m + k), (1, k + 1), d, s, order)
-    return weighted_sum(((s * j, 1, u) for j, u in enumerate(terms)), order)
-
-
-# ---------------------------------------------------------------------------
-# Basic hypergeometric sums from their term ratio
-# ---------------------------------------------------------------------------
-
-def hypergeometric_terms(first: ExactSeries, top: Iterable[float], bottom: Iterable[int],
-                         d: int, s: int, order: int) -> Iterator[ExactSeries]:
-    """The terms of a basic hypergeometric series in base Q = q^d without
-    their z-power: term n of the series is q^(s*n) * u_n, where
-
-        u_0 = first,
-        u_n = u_(n-1) * prod_{a in top} (1 - Q^(a+n-1))
-                      / prod_{c in bottom} (1 - Q^(c+n-1))
-
-    for n = 1..order//s.  u_n is truncated at q^(order - s*n), all that
-    q^(s*n) * u_n can reach, so callers put s*n into the exponent they
-    hand weighted_sum.  Parameters in both top and bottom cancel first;
-    each step is one _binomial_quotient, so no step multiplies two series
-    and a top parameter may be INFINITE.  d, s and every parameter must
-    be >= 1.
-    """
-    top, bottom = tuple(top), tuple(bottom)  # checked before a Counter merges True into 1
-    for a in top:
-        _check_bound("top", a, 1)
-    for c in bottom:
-        _check_int("bottom", c, 1)
-    _check_int("d", d, 1)
-    _check_int("s", s, 1)
-    _check_int("order", order)
-    top, bottom = Counter(top), Counter(bottom)
-    top, bottom = list((top - bottom).elements()), list((bottom - top).elements())
-    u = first
-    yield u
-    for n in range(1, order // s + 1):
-        u = _binomial_quotient(u, [(d * (a + n - 1), 1) for a in top],
-                               [(d * (c + n - 1), 1) for c in bottom], order - s * n)
-        yield u
+    bound = (order + 1) * _partition_bound(2, order // d)
+    if m <= order:
+        a, b, total = 1, math.comb(m - 1 + k, m - 1), 0
+        for j in range(order // s + 1):
+            if j:
+                a, b = a * (m - 1 + j) // j, b * (m - 1 + k + j) // (k + j)
+            total += a * b
+        bound = min(bound, total)
+    return _ratio_sums((m, m + k), (1, k + 1), d, range(0, order + 1, s), [repeat(1)], bound,
+                       order, _gauss_factors(m - 1 + k, k, d, order))[0]
 
 
 def phi2_1(
@@ -231,14 +353,21 @@ def phi2_1(
     All parameter exponents must be >= 1 so every Pochhammer factor has
     unit constant term; the z-argument q^s must satisfy s >= 1 so that
     term n has valuation >= s*n and the sum truncates at n <= order/s.
-    The terms come from hypergeometric_terms with top (a_exp, b_exp) and
-    bottom (1, c_exp), without their q^(s*n), which the sum shifts back.
+    One _ratio_sums with top (a_exp, b_exp) and bottom (1, c_exp).
+
+    Its width bound is (N//s + 1) * p_r(N//d), N the order and r the
+    number of parameters left once top and bottom cancel: parameter a
+    gives the factors (1 - Q^(a+i)), i < n, one per exponent, so term n
+    is at most prod (1 + Q^x) / prod (1 - Q^x) over r such runs, which is
+    at most 1/(Q;Q)_inf^r coefficientwise (see _binomial_quotient).
     """
     for name, value in (("a_exp", a_exp), ("b_exp", b_exp), ("c_exp", c_exp),
                         ("d", d), ("s", s)):
         _check_int(name, value, 1)
-    terms = hypergeometric_terms(one(order), (a_exp, b_exp), (1, c_exp), d, s, order)
-    return weighted_sum(((s * n, 1, u) for n, u in enumerate(terms)), order)
+    _check_int("order", order)
+    top, bottom = _cancel((a_exp, b_exp), (1, c_exp))
+    bound = (order // s + 1) * _partition_bound(len(top) + len(bottom), order // d)
+    return _ratio_sums(top, bottom, d, range(0, order + 1, s), [repeat(1)], bound, order)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,26 +24,34 @@ Conventions
   freely shared between threads.
 
 This is the package's one arithmetic core: no other module constructs an
-ExactSeries.  The others build with five operations: :func:`from_terms`
-sums (exponent, coefficient) terms, :func:`weighted_sum` shifted multiples
-c*q^e*s given as (e, c, s) triples, :func:`mul` multiplies,
-:func:`divide_binomial` divides by a binomial (1 - c*q^x), and
-:func:`chain_sums` builds the chain sums S_0 .. S_top of the families
-module, the t-rows of prod_e 1/(1 - t*a_e) or prod_e (1 + t*a_e) over
-the atoms a_e = q^e/(1 - c*q^e)^2.  Every reciprocal is a run of binomial
-divisions; :func:`invert` is only the reference the tests check them by.
+ExactSeries.  The others build with :func:`from_terms`, which sums
+(exponent, coefficient) terms, :func:`weighted_sum`, which sums shifted
+multiples c*q^e*s given as (e, c, s) triples, :func:`mul`, the packed
+format below, and :func:`chain_sums`, which builds the chain sums
+S_0 .. S_top of the families module, the t-rows of prod_e 1/(1 - t*a_e)
+or prod_e (1 + t*a_e) over the atoms a_e = q^e/(1 - c*q^e)^2.
+:func:`divide_binomial` (one binomial division, by the private kernel
+:func:`_divide`) and :func:`invert` are the unpacked references the tests
+check the packed steps by; no build path calls them.
 
-:func:`divide_binomial` runs the private kernel :func:`_divide`, which
-divides a coefficient list by (1 - c*q^x) in place, in about
-2*sqrt(length) interpreter steps for c = 1, the only c a build path
-divides by.  :func:`chain_sums` packs every chain length j <= top into
-one integer per exponent m, B[m] = sum_j S_j[m] * 2^(W*j) truncated mod
-2^(W*(top+1)), so an atom is one pass of O(1) integer operations per m
-whatever top is.  The slot width W is the smallest multiple of 8 at
-least one bit longer than the largest coefficient of the same sweep at
-sign +1 with W = 0 (:func:`chain_width`): that sum over all j of
-S_j^+[m] bounds every |S_j[m]| of either sign, so each B[m] decodes
-exactly.
+The packed format is one integer per series: a series of order N at
+q = 2^W, sum_i c_i * 2^(W*i) mod 2^(W*(N+1)).  :func:`pack` and
+:func:`unpack` convert, and :func:`binomial_steps` multiplies and divides
+by binomials (1 - c*q^x) with a few big-int operations per factor.
+Evaluating at q = 2^W maps the ideal (q^(N+1)) into (2^(W*(N+1))), so it
+is a ring homomorphism: only the final coefficients must fit a signed
+W-bit slot, and intermediate values may overflow.  W is
+:func:`packed_width` of a bound on every final |coefficient|, the
+smallest multiple of 8 at least one bit longer than the bound; each
+builder derives its bound from its own factors.
+
+:func:`chain_sums` packs the other axis: every chain length j <= top
+into one integer per exponent m, B[m] = sum_j S_j[m] * 2^(W*j) truncated
+mod 2^(W*(top+1)), so an atom is one pass of O(1) integer operations per
+m whatever top is.  Its W comes from the sweep at sign +1 with W = 0
+(:func:`chain_width`): that sum over all j of S_j^+[m] bounds every
+|S_j[m]| of either sign.  :func:`unpack` and :func:`chain_sums` read
+packed integers through the one decode, :func:`_reader`.
 
 Every builder in series, qtools, families and identities checks its
 integer arguments with :func:`_check_int`, and a sign with
@@ -64,7 +72,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from itertools import accumulate, compress, count, repeat, zip_longest
-from typing import Iterable, List, Tuple, Type
+from typing import Callable, Iterable, List, Tuple, Type
 
 
 class NonUnitConstantTerm(ValueError):
@@ -288,7 +296,7 @@ def invert(a: ExactSeries) -> ExactSeries:
 
 
 def _divide(b: List[int], x: int, c: int) -> None:
-    """The binomial-division kernel: b / (1 - c*q^x) in place.
+    """The unpacked binomial-division kernel: b / (1 - c*q^x) in place.
 
     The quotient's coefficients satisfy b[t] = a[t] + c*b[t-x]: each
     residue class t = r (mod x) is a first-order recurrence, and each
@@ -317,12 +325,116 @@ def divide_binomial(a: ExactSeries, x: int, c: int) -> ExactSeries:
 
     One call of the binomial-division kernel _divide on a's coefficients:
     the quotient equals a below q^x.  O(order) coefficient operations for
-    any x and c.
+    any x and c.  The unpacked reference for binomial_steps: the tests
+    and qtools.hypergeometric_terms call it, no build path does.
     """
     _check_int("x", x, 1)
     b = list(a.coeffs)
     _divide(b, x, c)
     return ExactSeries(tuple(b))
+
+
+# ---------------------------------------------------------------------------
+# Packed series: one integer per series, q -> 2^W
+# ---------------------------------------------------------------------------
+
+def packed_width(bound: int) -> int:
+    """The slot width W for coefficients of absolute value at most bound:
+    the smallest multiple of 8 at least one bit longer than bound, so each
+    coefficient fits a signed W-bit slot."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _bias(width: int, count: int) -> int:
+    """2^(width-1) in each of count width-bit slots."""
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
+
+
+def _reader(width: int, count: int) -> Callable[[int, int], List[int]]:
+    """The package's one decode: read(u, n) is the first n of the count
+    signed width-bit slots of u mod 2^(width*count), for width a multiple
+    of 8.
+
+    Adding 2^(width-1) to every slot makes them all nonnegative, so the
+    bytes of u split into slots without carries: one to_bytes, then one
+    int.from_bytes per slot read."""
+    size, half = width // 8, 1 << (width - 1)
+    mask, bias = (1 << width * count) - 1, _bias(width, count)
+    slots = list(map(slice, range(0, size * count, size),
+                     range(size, size * (count + 1), size)))
+
+    def read(u: int, n: int) -> List[int]:
+        raw = ((u + bias) & mask).to_bytes(size * count, "little")
+        return list(map(operator.sub, map(int.from_bytes, map(raw.__getitem__, slots[:n]),
+                                          repeat("little")), repeat(half)))
+
+    return read
+
+
+def pack(a: ExactSeries, width: int, order: int) -> int:
+    """a at q = 2^width: sum_i a_i * 2^(width*i) over i <= min(order,
+    a.order), for width a multiple of 8 and every |a_i| below
+    2^(width-1) (OverflowError otherwise)."""
+    size, half = width // 8, 1 << (width - 1)
+    coeffs = a.coeffs[: order + 1]
+    raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - _bias(width, len(coeffs))
+
+
+def unpack(u: int, width: int, order: int) -> ExactSeries:
+    """The series of order order whose coefficients are the signed
+    width-bit slots of u mod 2^(width*(order+1)).  Exact when every
+    coefficient of the series that u packs is below 2^(width-1) in
+    absolute value."""
+    return ExactSeries(tuple(_reader(width, order + 1)(u, order + 1)))
+
+
+def _times_packed(u: int, x: int, c: int, width: int, mask: int) -> int:
+    """u * (1 - c*q^x) at q = 2^width, mod mask + 1: u - c*(u << width*x)."""
+    op = _SIGNED_ADD.get(-c)
+    t = u << width * x
+    return (op(u, t) if op else u - c * t) & mask
+
+
+def _divide_packed(u: int, x: int, c: int, width: int, mask: int, order: int) -> int:
+    """The packed binomial-division kernel: u / (1 - c*q^x) at q = 2^width,
+    mod mask + 1 = 2^(width*(order+1)).
+
+    1/(1 - c*q^x) = prod_i (1 + c^(2^i)*q^(x*2^i)) mod q^(order+1), over
+    the i with x*2^i <= order, so the quotient is log2(order/x) + 1
+    doubling steps u += c^(2^i) * (u << width*x*2^i), three big-int
+    operations each."""
+    step = x
+    while step <= order:
+        op = _SIGNED_ADD.get(c)
+        t = u << width * step
+        u = (op(u, t) if op else u + c * t) & mask
+        c *= c
+        step += step
+    return u
+
+
+def binomial_steps(u: int, top: Iterable[Tuple[int, int]], bottom: Iterable[Tuple[int, int]],
+                   width: int, order: int) -> int:
+    """u * prod_top (1 - c*q^x) / prod_bottom (1 - c*q^x) over (x, c) pairs,
+    x >= 1, at q = 2^width, mod 2^(width*(order+1)).
+
+    A numerator factor is one _times_packed, a denominator one
+    _divide_packed; a factor with x above the order is 1 there and is
+    skipped.  q -> 2^width maps the ideal (q^(order+1)) into
+    (2^(width*(order+1))), so this is the image of the exact truncated
+    quotient: it unpacks exactly when every final coefficient fits a
+    signed slot, whatever the intermediate values were.
+    """
+    mask = (1 << width * (order + 1)) - 1
+    u &= mask
+    for x, c in top:
+        if x <= order:
+            u = _times_packed(u, x, c, width, mask)
+    for x, c in bottom:
+        if x <= order:
+            u = _divide_packed(u, x, c, width, mask, order)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +501,7 @@ def chain_width(exponents: Iterable[int], strict: bool, order: int) -> int:
     longer than its largest value, so each S_j fits a signed W-bit slot.
     """
     _check_int("order", order)
-    bound = max(_chain_sweep(_visible(exponents, order), 1, strict, 0, -1, order))
-    return (bound.bit_length() + 8) // 8 * 8
+    return packed_width(max(_chain_sweep(_visible(exponents, order), 1, strict, 0, -1, order)))
 
 
 def chain_sums(exponents: Iterable[int], sign: int, strict: bool, top: int,
@@ -407,11 +518,10 @@ def chain_sums(exponents: Iterable[int], sign: int, strict: bool, top: int,
     at least chain_width(exponents, strict, order); then every S_j[m] fits
     a signed slot and the result is exact.
 
-    Each B[m] is decoded once: adding 2^(width-1) to every slot makes
-    them all nonnegative, so its bytes split into slots without carries.
-    Only the slots that can be nonzero are read: no j-chain reaches below
-    reach[j], j times the smallest exponent (weak) or the sum of the j
-    smallest (strict).
+    Each B[m] is decoded once, by the package's one decode (_reader),
+    which reads only the slots that can be nonzero: no j-chain reaches
+    below reach[j], j times the smallest exponent (weak) or the sum of
+    the j smallest (strict).
     """
     _check_sign(sign)
     _check_int("top", top)
@@ -423,18 +533,12 @@ def chain_sums(exponents: Iterable[int], sign: int, strict: bool, top: int,
     steps = low[:top] if strict else low[:1] * top
     reach = list(accumulate(steps, initial=0))
     mask = (1 << width * (top + 1)) - 1
-    size, half = width // 8, 1 << (width - 1)
-    bias = mask // ((1 << width) - 1) * half
-    slots = list(map(slice, range(0, size * len(reach), size),
-                     range(size, size * (len(reach) + 1), size)))
+    read = _reader(width, top + 1)
     rows = []
     packed = _chain_sweep(low, sign, strict, width, mask, order)
     for m in range(order + 1):
         b, packed[m] = packed[m], None  # each B[m] is freed once decoded
-        n = bisect_right(reach, m)
-        raw = ((b + bias) & mask).to_bytes(size * (top + 1), "little")
-        rows.append(list(map(operator.sub, map(int.from_bytes, map(raw.__getitem__, slots[:n]),
-                                               repeat("little")), repeat(half))))
+        rows.append(read(b, bisect_right(reach, m)))
     series = [ExactSeries(col) for col in zip_longest(*rows, fillvalue=0)]
     return series + [zero(order)] * (top + 1 - len(series))
 

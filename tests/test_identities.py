@@ -52,7 +52,7 @@ from qident.qtools import (
     phi2_1,
     pochhammer,
 )
-from qident.series import add, divide_binomial, invert, monomial, mul, one, weighted_sum
+from qident.series import add, invert, monomial, mul, one, weighted_sum
 
 # ---------------------------------------------------------------------------
 # Registry shape
@@ -465,11 +465,11 @@ def test_quotient_sum_matches_the_product_sum(step, order):
 
 
 def test_kernel_and_quotient_sums_multiply_no_series(monkeypatch):
-    # both are summed from their term ratio: each step is a weighted sum
-    # and binomial divisions, never a product of two series; a bounded m
+    # both are summed from their term ratio: each step is packed binomial
+    # products and divisions, never a product of two series; a bounded m
     # with k >= 1 also multiplies the first term by the numerator factors
     # (1 - Q^(m+k-h-1+i)), i = 1..h, h = min(k, m-1) (h = k for the first
-    # call, m-1 for the second), one weighted sum each
+    # call, m-1 for the second), one packed product each
     calls = []
 
     def counting_mul(a, b):
@@ -490,18 +490,23 @@ def test_quotient_sum_of_a_huge_index_stays_cheap(monkeypatch, identity):
     # (1 - Q^i) is 1 at the order once step*i exceeds it, so the first
     # term of k = 10**6 takes no more divisions than that of k = order + 1
     calls = []
+    divide = series._divide_packed
 
-    def counting_divide(a, x, c):
+    def counting_divide(u, x, c, width, mask, order):
         calls.append(x)
-        return divide_binomial(a, x, c)
+        return divide(u, x, c, width, mask, order)
 
-    monkeypatch.setattr(qtools, "divide_binomial", counting_divide)
+    for module in (series, qtools):
+        monkeypatch.setattr(module, "_divide_packed", counting_divide)
+    step = 2 if identity == "L2" else 1
+    kernel_H.cache_clear()
     counts = []
     for k in (21, 10 ** 6):
         calls.clear()
         assert verify(IdentityCase(id=identity, params=dict(k=k), order=20)).holds
+        kernel_H(k, INFINITE, step, 2, 20)  # the kernel itself, at the whole order
         counts.append(len(calls))
-    assert counts[1] <= counts[0]
+    assert 0 < counts[1] <= counts[0]
 
 
 @pytest.mark.parametrize("k, m", [(10, 2000), (10 ** 5, 3)])

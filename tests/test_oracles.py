@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qident import oracles
 from qident.identities import _ORACLE_CAP
 from qident.oracles import (
     CHAIN_ORACLE_CAP,
@@ -24,7 +25,8 @@ from qident.oracles import (
     v_oracle,
     w_oracle,
 )
-from qident.qtools import INFINITE
+from qident.qtools import INFINITE, pochhammer
+from qident.series import invert
 
 # ---------------------------------------------------------------------------
 # Plain partitions
@@ -82,10 +84,21 @@ def test_partition_count_matches_enumeration(n):
     assert partition_count(n) == sum(1 for _ in partitions(n))
 
 
-def test_partition_count_classics():
+def test_partition_count_classics(monkeypatch):
+    # from an empty table, n = 1500 is built bottom up, with no recursion,
+    # and p(0..1500) are the coefficients of 1/(q;q)_inf
+    monkeypatch.setattr(oracles, "_partitions", [1])
+    deep = partition_count(1500)
+    inverse = invert(pochhammer(1, 1, 1, INFINITE, 1500))
+    assert inverse.coeffs == tuple(map(partition_count, range(1501)))
+    assert deep == inverse.coeffs[1500]
+    assert partition_count(1000) == 24061467864032622473692149727991
     assert partition_count(50) == 204226
     assert partition_count(100) == 190569292
     assert partition_count(-3) == 0
+    for bad in (2.5, 5.0, True):
+        with pytest.raises(DomainError, match=f"^n must be an integer, got {bad!r}$"):
+            partition_count(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,24 @@
 basic hypergeometric evaluation, theta sums, and the one-sided triangular
 sum with the two one-sided theta sums built on it."""
 
+import operator
 import tracemalloc
+from itertools import count, cycle, repeat
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident.identities import IdentityCase, _eta_quotient, _one_sided, verify
+from qident import qtools
+from qident.identities import (IdentityCase, _check_euler_alternating, _eta_quotient,
+                               _one_sided, _q_binomial_sides, divisor_sum_series, verify)
 from qident.oracles import partition_count
 from qident.qtools import (
     INFINITE,
     _binomial_quotient,
     _factors,
     _gauss_poly,
+    _partition_bound,
     alt_triangular_sum,
     gaussian_binomial,
     hypergeometric_terms,
@@ -25,7 +30,8 @@ from qident.qtools import (
     theta_phi_neg,
     theta_psi,
 )
-from qident.series import from_terms, invert, mul, one, substitute_power, weighted_sum, zero
+from qident.series import (from_terms, invert, mul, one, substitute_power, unpack, weighted_sum,
+                           zero)
 
 
 def _pascal(m, k, d, order):
@@ -526,3 +532,143 @@ def test_odd_one_sided_sum_is_the_shifted_half_sum_in_q_squared(k):
 def test_alt_triangular_sum_validates_arguments():
     with pytest.raises(ValueError):
         alt_triangular_sum(-1, 5)
+
+
+# ---------------------------------------------------------------------------
+# Packed builders: the width rule
+# ---------------------------------------------------------------------------
+
+def test_partition_bound_holds_for_p_and_p2():
+    # p_r(n) <= C(n+r-1, r-1) * e^(pi*sqrt(2rn/3)), checked against the
+    # exact counts; p_2 is the self-convolution of p
+    limit = 2000
+    p = [partition_count(n) for n in range(limit + 1)]
+    assert _partition_bound(0, 0) >= 1
+    for n in range(limit + 1):
+        assert _partition_bound(1, n) >= p[n], n
+        assert _partition_bound(2, n) >= sum(map(operator.mul, p[: n + 1], p[n::-1])), n
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """(width, series) for every packed result unpacked while the test
+    runs, from cold caches."""
+    seen = []
+
+    def spy(u, width, order):
+        out = unpack(u, width, order)
+        seen.append((width, out))
+        return out
+
+    monkeypatch.setattr(qtools, "unpack", spy)
+    for cached in (pochhammer, squared_pochhammer, kernel_H, _eta_quotient):
+        cached.cache_clear()
+    yield seen
+    for cached in (pochhammer, squared_pochhammer, kernel_H, _eta_quotient):
+        cached.cache_clear()
+
+
+def _assert_fits(seen):
+    """Every unpacked width leaves a sign bit above its largest coefficient."""
+    assert seen
+    for width, out in seen:
+        assert width >= max(map(abs, out.coeffs)).bit_length() + 1, (width, out)
+
+
+def _term_sum(first, top, bottom, d, shifts, weights, order):
+    """sum_n w_n q^(e_n) u_n over the unpacked hypergeometric_terms."""
+    terms = zip(shifts, weights, hypergeometric_terms(first, top, bottom, d, 1, order))
+    return weighted_sum(((e, w, u) for e, w, u in terms if e <= order), order)
+
+
+WIDTH_ORDERS = (0, 1, 7, 60, 200)
+WIDTH_BOUNDS = (1, 2, 3, 5, INFINITE)
+
+
+def _inverse_product(d, k, order):
+    """1/(q^d; q^d)_k by inverting the product."""
+    return invert(pochhammer(1, d, d, k, order))
+
+
+@pytest.mark.parametrize("order", WIDTH_ORDERS)
+def test_packed_products_fit_their_width(widths, order):
+    for sign in (1, -1):
+        for d in (1, 2):
+            for length in WIDTH_BOUNDS:
+                want = _in_place_product(sign, 1, d, length, order)
+                assert pochhammer(sign, 1, d, length, order).coeffs == want
+            assert _eta_quotient(sign, d == 2, order) == mul(
+                squared_pochhammer(sign, 1, d, INFINITE, order),
+                invert(squared_pochhammer(1, d, d, INFINITE, order)))
+    for k in range(6):
+        for m in WIDTH_BOUNDS:
+            for d in (1, 2):
+                want = (_inverse_product(d, k, order) if m == INFINITE
+                        else _pascal(m - 1 + k, k, d, order))
+                assert gaussian_binomial(m - 1 + k, k, d, order) == want
+    _assert_fits(widths)
+
+
+@pytest.mark.parametrize("order", WIDTH_ORDERS)
+def test_packed_kernels_fit_their_width(widths, order):
+    for k in range(6):
+        for m in WIDTH_BOUNDS:
+            for d in (1, 2):
+                first = (_inverse_product(d, k, order) if m == INFINITE
+                         else _pascal(m - 1 + k, k, d, order))
+                for s in (1, 2):
+                    want = _term_sum(first, (m, m + k), (1, k + 1), d, range(0, order + 1, s),
+                                     repeat(1), order)
+                    assert kernel_H(k, m, d, s, order) == want, (k, m, d, s)
+                    if m != INFINITE:
+                        want = _term_sum(one(order), (m, m + k), (1, k + 1), d,
+                                         range(0, order + 1, s), repeat(1), order)
+                        assert phi2_1(m, m + k, k + 1, d, s, order) == want, (k, m, d, s)
+    _assert_fits(widths)
+
+
+@pytest.mark.parametrize("order", WIDTH_ORDERS)
+def test_packed_classical_sums_fit_their_width(widths, order):
+    for s in (1, 2):
+        for n in (1, 2, 3, 4, INFINITE):
+            lhs, rhs = _q_binomial_sides(n, s, order)
+            assert lhs == _term_sum(one(order), (n,), (1,), 1, range(0, order + 1, s),
+                                    repeat(1), order)
+            assert rhs == invert(pochhammer(1, s, 1, n, order))
+        product, alternating = _check_euler_alternating(order, e=s)
+        assert alternating == _term_sum(
+            one(order), (), (1,), 1, (j * (j - 1) // 2 + s * j for j in count()),
+            cycle((1, -1)), order)
+    moments = [_term_sum(one(order), (), (1,), 1, range(order + 1), (i ** r for i in count()),
+                         order) for r in range(3)]
+    want = mul(squared_pochhammer(1, 1, 1, INFINITE, order),
+               weighted_sum([(0, 1, mul(moments[0], moments[2])),
+                             (0, -1, mul(moments[1], moments[1]))], order))
+    assert divisor_sum_series(order) == want
+    _assert_fits(widths)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8), st.one_of(st.integers(0, 8), st.just(INFINITE)), st.integers(1, 3),
+       st.integers(1, 3), st.integers(0, 120))
+def test_packed_kernel_matches_the_unpacked_terms(k, m, d, s, order):
+    if m == 0:
+        want = zero(order)
+    else:
+        first = (_inverse_product(d, k, order) if m == INFINITE
+                 else _pascal(m - 1 + k, k, d, order))
+        want = _term_sum(first, (m, m + k), (1, k + 1), d, range(0, order + 1, s), repeat(1),
+                         order)
+    assert kernel_H(k, m, d, s, order) == want
+
+
+def test_packed_widths_follow_the_width_rules(widths):
+    # the kernel at m = inf, bounded by (N+1) * p_2(N), carries 48-bit
+    # coefficients in 88-bit slots; at m = 2 the value at q = 1 gives 24
+    # bits for 13; the q-binomial sum at n = 4 is bounded by C(n + N, N)
+    # and its right side 1/(q; q)_4 by p(N)
+    kernel_H(1, INFINITE, 1, 2, 149)
+    kernel_H(0, 2, 1, 2, 400)
+    _q_binomial_sides(4, 1, 200)
+    assert [(width, max(map(abs, out.coeffs)).bit_length()) for width, out in widths] == [
+        (88, 48), (24, 13), (32, 16), (56, 16)]

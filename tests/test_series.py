@@ -18,6 +18,7 @@ from qident.series import (
     ExponentOutOfOrder,
     NonUnitConstantTerm,
     add,
+    binomial_steps,
     chain_sums,
     chain_width,
     coeff,
@@ -28,9 +29,12 @@ from qident.series import (
     monomial,
     mul,
     one,
+    pack,
+    packed_width,
     scale,
     shift,
     substitute_power,
+    unpack,
     weighted_sum,
     zero,
 )
@@ -384,6 +388,64 @@ def test_divide_binomial_rejects_exponents_below_one():
 
 
 # ---------------------------------------------------------------------------
+# Packed series: q -> 2^W
+# ---------------------------------------------------------------------------
+
+def _fitting_width(*parts):
+    """The packed width of the largest |coefficient| in the series given."""
+    return packed_width(max(abs(c) for a in parts for c in a.coeffs))
+
+
+@settings(max_examples=200)
+@given(mul_operand_st, st.integers(0, 25))
+def test_pack_and_unpack_round_trip(a, order):
+    order = min(order, a.order)
+    width = _fitting_width(a)
+    assert unpack(pack(a, width, order), width, order) == from_coeffs(a.coeffs[: order + 1])
+
+
+def test_packed_width_leaves_a_sign_bit_above_the_bound():
+    assert [packed_width(b) for b in (0, 1, 127, 128, 2 ** 15 - 1, 2 ** 15)] == [
+        8, 8, 8, 16, 16, 24]
+    with pytest.raises(OverflowError):
+        pack(from_coeffs([0, 128]), 8, 1)
+
+
+@st.composite
+def binomial_steps_case(draw):
+    a = draw(mul_operand_st)
+    factor = st.tuples(st.integers(1, a.order + 2), st.one_of(st.sampled_from((1, -1, 0)),
+                                                               st.integers(-3, 3), big_st))
+    return a, draw(st.lists(factor, max_size=4)), draw(st.lists(factor, max_size=4))
+
+
+@settings(max_examples=150)
+@given(binomial_steps_case())
+def test_binomial_steps_match_the_unpacked_products_and_divisions(case):
+    # the width fits the input and the result only: whatever the values in
+    # between, the packed quotient is the image of the exact one
+    a, top, bottom = case
+    want = a
+    for x, c in top:
+        want = weighted_sum([(0, 1, want), (x, -c, want)], a.order)
+    for x, c in bottom:
+        want = divide_binomial(want, x, c)
+    width = _fitting_width(a, want)
+    got = binomial_steps(pack(a, width, a.order), top, bottom, width, a.order)
+    assert unpack(got, width, a.order) == want
+
+
+@pytest.mark.parametrize("x", LONG_EXPONENTS)
+@pytest.mark.parametrize("c", LONG_WEIGHTS)
+def test_packed_division_matches_forward_pass_at_order_200(x, c):
+    for a in (_long_series(1), _long_series(2, lead=3)):
+        want = from_coeffs(_divided(a.coeffs, x, c))
+        width = _fitting_width(a, want)
+        got = binomial_steps(pack(a, width, LONG_ORDER), (), [(x, c)], width, LONG_ORDER)
+        assert unpack(got, width, LONG_ORDER) == want
+
+
+# ---------------------------------------------------------------------------
 # Chain sums
 # ---------------------------------------------------------------------------
 
@@ -684,12 +746,24 @@ def test_only_verify_compares_the_two_sides():
     # the whole-series inverse the tests compare every binomial division
     # against; every reciprocal is built by binomial divisions instead
     ("invert", set()),
+    # the unpacked binomial division and the per-term generator built on
+    # it: every binomial product and term-ratio sum is packed instead
+    ("divide_binomial", {("qtools.py", "hypergeometric_terms")}),
+    ("hypergeometric_terms", set()),
 ])
 def test_no_build_path_calls_a_reference(reference, own):
     package = Path(qident.__file__).parent
     sites = {(path.name, scope) for path in sorted(package.glob("*.py"))
              for scope, _ in _calls(path, reference)}
     assert sites == own
+
+
+def test_chain_sums_and_unpack_share_the_one_decode():
+    # the packed format has one reader, _reader's read: no other function
+    # splits a packed integer into the bytes of its slots
+    path = Path(qident.__file__).parent / "series.py"
+    assert {scope for scope, _ in _calls(path, "_reader")} == {"chain_sums", "unpack"}
+    assert {scope for scope, _ in _calls(path, "to_bytes")} == {"_bias", "pack", "read"}
 
 
 def test_families_reads_its_tables_only_through_rows():
@@ -703,18 +777,20 @@ def test_families_reads_its_tables_only_through_rows():
 
 
 def test_every_build_path_divides_by_one_minus_q_to_the_x(monkeypatch):
-    # _divide's accumulate path serves c = 1 alone; a caller dividing by
-    # (1 - c*q^x) with another c would silently take the slower block path
+    # the width rules bound a quotient by (1 - c*q^x) with max(1, |c|)^N
+    # times the c = 1 majorant; a caller dividing with |c| > 1 would
+    # silently widen every slot by N*bits(c)
     for cached in (qtools.pochhammer, qtools.squared_pochhammer, qtools.kernel_H,
                    identities._eta_quotient):
         cached.cache_clear()
-    divide, signs = series._divide, []
+    divide, signs = series._divide_packed, []
 
-    def spy(b, x, c):
+    def spy(u, x, c, width, mask, order):
         signs.append(c)
-        return divide(b, x, c)
+        return divide(u, x, c, width, mask, order)
 
-    monkeypatch.setattr(series, "_divide", spy)
+    for module in (series, qtools):
+        monkeypatch.setattr(module, "_divide_packed", spy)
     assert all(report.holds for report in qident.verify_suite(20))
     assert signs and set(signs) == {1}
 

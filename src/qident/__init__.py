@@ -47,7 +47,6 @@ from .qtools import (
 )
 from .series import (
     ExactSeries,
-    divide_binomial,
     from_coeffs,
     from_terms,
     monomial,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactSeries", "from_coeffs", "from_terms", "weighted_sum",
-    "divide_binomial", "monomial", "mul", "one", "zero",
+    "monomial", "mul", "one", "zero",
     "INFINITE",
     "pochhammer", "gaussian_binomial", "kernel_H",
     "theta_phi_neg", "theta_psi",

@@ -24,18 +24,21 @@ whose minimal exponent exceeds the order is dropped.  Each sum runs its
 index only as far as some term can still reach the order, and
 ``weighted_sum`` drops the terms in that range whose shift lies above it.
 The basic hypergeometric sums (the two-binomial kernel, the moments of
-the divisor sum, the Cauchy and Euler sums) are each one packed
+the divisor sum, the Cauchy and Euler sums) are each one
 ``qtools._ratio_sums``, each term from the one before by its term ratio,
-with a slot width from a bound that the builder derives from its own
-factors and states in its docstring.  The product quotients are one
-packed ``qtools._binomial_quotient`` each.  The L1/L2 quotient sums are
-q^k times ``kernel_H`` at m = INFINITE, the kernel of T1 and T2.
+and the product quotients one ``qtools._binomial_quotient`` each.  This
+module hands them factors and a coefficient bound, which each builder
+derives from its own factors and states in its docstring; only
+``series`` packs, steps and unpacks.  The L1/L2 quotient sums are q^k
+times ``kernel_H`` at m = INFINITE, the kernel of T1 and T2.
 
 The one-sided theta sums, and the B-weighted sums of them, are one
 ``from_terms`` each over the O(sqrt(N)) sparse terms of S_k
 (``qtools.alt_triangular_terms``), never dense series added together.
-The product quotient ``_eta_quotient`` is cached like ``pochhammer``, so
-a suite builds each (sign, parts, order) quotient once.
+The eta quotient ``_eta_quotient`` is one ``_binomial_quotient`` of the
+doubled factor lists, with no product of series, and is cached like
+``pochhammer``, so a suite builds each (sign, parts, order) quotient
+once.
 """
 
 from __future__ import annotations
@@ -82,7 +85,6 @@ from .series import (
     from_coeffs,
     from_terms,
     mul,
-    one,
     weighted_sum,
 )
 
@@ -141,13 +143,13 @@ _Sides = Tuple[ExactSeries, ExactSeries]
 @lru_cache(maxsize=None, typed=True)
 def _eta_quotient(sign: int, odd: bool, order: int) -> ExactSeries:
     """(sign q; q^step)_inf^2 / (q^step; q^step)_inf^2, step 2 for the
-    odd-part families, else 1: the square of one _binomial_quotient of
-    the two products."""
+    odd-part families, else 1: one _binomial_quotient of the two factor
+    lists, each factor twice, so its width bound counts the doubled
+    factors (r = 4 at sign -1, step 1)."""
     _check_int("order", order)
     step = 2 if odd else 1
-    root = _binomial_quotient(one(order), _factors(sign, 1, step, INFINITE, order),
-                              _factors(1, step, step, INFINITE, order), order)
-    return mul(root, root)
+    return _binomial_quotient(list(_factors(sign, 1, step, INFINITE, order)) * 2,
+                              list(_factors(1, step, step, INFINITE, order)) * 2, order)
 
 
 def _one_sided_terms(k: int, odd: bool, order: int) -> List[Tuple[int, int]]:
@@ -329,7 +331,7 @@ def _q_binomial_sides(n: Union[int, float], s: int, order: int) -> _Sides:
         bound = min(bound, math.comb(n + order // s, order // s))
     lhs = _ratio_sums((n,), (1,), 1, range(0, order + 1, s), [itertools.repeat(1)], bound,
                       order)[0]
-    return lhs, _binomial_quotient(one(order), (), _factors(1, s, 1, n, order), order)
+    return lhs, _binomial_quotient((), _factors(1, s, 1, n, order), order)
 
 
 def _check_cauchy(order: int, *, n: int, s: int) -> _Sides:

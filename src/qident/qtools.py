@@ -11,16 +11,16 @@ minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
 modulo q^(N+1) and is simply skipped, so every result is exact at order N.
 
 Every product or quotient of binomials (1 - c*q^x) that the package
-builds is packed (q = 2^W, see :mod:`qident.series`): a Pochhammer
-product, a Gaussian binomial or a quotient of products in the checks is
-one ``_binomial_quotient``, and a term-ratio sum is one ``_ratio_sums``,
-each term from the one before by the packed binomial steps of series and
-added to the packed sum, which is unpacked once.  Each builder derives its slot width
-from a bound on its own coefficients, stated in its docstring and built
-from ``_partition_bound``.  So no build path inverts a series, and here
-the one product of two series is the square in ``squared_pochhammer``.
-``_gauss_poly`` and ``hypergeometric_terms`` are references only: no
-build path calls them.
+builds, and every term-ratio sum, is one packed series.term_sums: a
+Pochhammer product, a Gaussian binomial or a quotient of products in the
+checks is one ``_binomial_quotient``, its one-term case, and a
+term-ratio sum is one ``_ratio_sums``.  This module hands series factor
+lists and a coefficient bound and never touches a packed integer; each
+builder derives its bound from its own factors, states it in its
+docstring and builds it from ``_partition_bound``.  So no build path
+inverts a series, and here the one product of two series is the square
+in ``squared_pochhammer``.  ``_gauss_poly`` and ``hypergeometric_terms``
+are references only: no build path calls them.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from math import isqrt
 from itertools import repeat
 from typing import Iterable, Iterator, List, Sequence, Tuple, Type, Union
 
-from .series import (_SIGNED_ADD, ExactSeries, _check_int, _check_sign, _divide_packed,
-                     _times_packed, binomial_steps, divide_binomial, from_coeffs, from_terms,
-                     mul, one, pack, packed_width, unpack, weighted_sum, zero)
+from .series import (ExactSeries, _check_int, _check_sign, divide_binomial, from_coeffs,
+                     from_terms, mul, term_sums, weighted_sum, zero)
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
@@ -70,8 +69,7 @@ def pochhammer(sign: int, offset: int, step: int, length: Union[int, float],
     _check_int("step", step, 1)
     _check_bound("length", length)
     _check_int("order", order)
-    return _binomial_quotient(one(order), _factors(sign, offset, step, length, order), (),
-                              order)
+    return _binomial_quotient(_factors(sign, offset, step, length, order), (), order)
 
 
 def _factors(sign: int, offset: int, step: int, length: Union[int, float],
@@ -87,18 +85,16 @@ def _partition_bound(r: int, n: int) -> int:
     """An integer at least p_r(n), the coefficient of q^n in 1/(q;q)_inf^r,
     for r, n >= 0; it grows with n, so it bounds p_r on 0..n too.
 
-    p_r(n) <= C(n+r-1, r-1) * e^(pi*sqrt(2rn/3)): p_r(n) is a sum of
-    C(n+r-1, r-1) products p(n_1)...p(n_r) over n_1 + ... + n_r = n,
-    p(n) < e^(pi*sqrt(2n/3)) (Apostol, Introduction to Analytic Number
-    Theory, Thm 14.5), and sum_i sqrt(n_i) <= sqrt(r*n) by the concavity
-    of sqrt.  The power of e is rounded up to a power of 2, with one bit
-    to spare for the rounding of the float exponent.  p_0 is 1 at q^0
-    and 0 above.
+    p_r(n) <= e^(pi*sqrt(2rn/3)), by the saddle point: with x = e^(-t),
+    t > 0, p_r(n) * x^n <= prod_k (1 - x^k)^(-r), and
+    sum_k -log(1 - e^(-k*t)) <= integral_0^inf -log(1 - e^(-u*t)) du
+    = pi^2/(6t), since the summand decreases in k.  So
+    log p_r(n) <= n*t + r*pi^2/(6t), and t = pi*sqrt(r/(6n)) makes each
+    term pi*sqrt(rn/6).  The power of e is rounded up to a power of 2,
+    with one bit to spare for the rounding of the float exponent; at
+    r*n = 0 that gives 2 >= p_r(n).
     """
-    if r == 0:
-        return 1
-    bits = math.ceil(math.pi * math.sqrt(2 * r * n / 3) / math.log(2)) + 1
-    return math.comb(n + r - 1, r - 1) << bits
+    return 1 << (math.ceil(math.pi * math.sqrt(2 * r * n / 3) / math.log(2)) + 1)
 
 
 def _cancel(top: Iterable, bottom: Iterable) -> Tuple[list, list]:
@@ -108,32 +104,27 @@ def _cancel(top: Iterable, bottom: Iterable) -> Tuple[list, list]:
     return list((top - bottom).elements()), list((bottom - top).elements())
 
 
-def _binomial_quotient(first: ExactSeries, top: Iterable[Tuple[int, int]],
-                       bottom: Iterable[Tuple[int, int]], order: int) -> ExactSeries:
-    """first * prod_top (1 - c*q^x) / prod_bottom (1 - c*q^x) over (x, c)
-    pairs, x >= 1, at the order (or first's, if that is smaller), packed:
-    first at q = 2^W, one series.binomial_steps, one unpack.  Factors in
-    both top and bottom cancel first; a factor with x above the order is
-    1 there.
+def _binomial_quotient(top: Iterable[Tuple[int, int]], bottom: Iterable[Tuple[int, int]],
+                       order: int) -> ExactSeries:
+    """prod_top (1 - c*q^x) / prod_bottom (1 - c*q^x) over (x, c) pairs,
+    x >= 1, at the order: the one-term series.term_sums.  Factors in both
+    top and bottom cancel first; a factor with x above the order is 1
+    there.
 
-    Its width bound is sum_i |first_i| * max(1, |c|)^N *
-    p_r(N) (_partition_bound), N the order and r the largest number of
-    visible factors with one exponent.  Each |coefficient| of the quotient
-    is at most that of sum_i |first_i| q^i * prod_top (1 + |c| q^x) /
-    prod_bottom (1 - |c| q^x): |c|^j at q^(j*x) is at most max(1, |c|)^n
-    at q^n, (1 + q^x) <= 1/(1 - q^x) coefficientwise, and a product of
-    at most r factors 1/(1 - q^x) per x is at most 1/(q;q)_inf^r, whose
-    coefficients p_r never decrease.
+    Its width bound is max(1, |c|)^N * p_r(N) (_partition_bound), N the
+    order and r the largest number of visible factors with one exponent.
+    Each |coefficient| of the quotient is at most that of
+    prod_top (1 + |c| q^x) / prod_bottom (1 - |c| q^x): |c|^j at q^(j*x)
+    is at most max(1, |c|)^n at q^n, (1 + q^x) <= 1/(1 - q^x)
+    coefficientwise, and a product of at most r factors 1/(1 - q^x) per x
+    is at most 1/(q;q)_inf^r, whose coefficients p_r never decrease.
     """
-    order = min(order, first.order)
     top, bottom = _cancel((f for f in top if f[0] <= order),
                           (f for f in bottom if f[0] <= order))
-    head = first.coeffs[: order + 1]
     big = max([1] + [abs(c) for _, c in top + bottom])
     r = max(Counter(x for x, _ in top + bottom).values(), default=0)
-    width = packed_width(sum(map(abs, head)) * big ** order * _partition_bound(r, order))
-    return unpack(binomial_steps(pack(first, width, order), top, bottom, width, order),
-                  width, order)
+    return term_sums(top, bottom, (), (), 1, (0,), [(1,)],
+                     big ** order * _partition_bound(r, order), order)[0]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -202,7 +193,7 @@ def gaussian_binomial(m: Union[int, float], k: int, d: int, order: int) -> Exact
     _check_int("order", order)
     if k < 0 or m < 0 or k > m:
         return zero(order)
-    return _binomial_quotient(one(order), *_gauss_factors(m, k, d, order), order)
+    return _binomial_quotient(*_gauss_factors(m, k, d, order), order)
 
 
 # ---------------------------------------------------------------------------
@@ -213,48 +204,17 @@ def _ratio_sums(top: Iterable[float], bottom: Iterable[int], d: int, shifts: Ite
                 weights: Sequence[Iterable[int]], bound: int, order: int,
                 first: Tuple[Iterable[Tuple[int, int]], Iterable[Tuple[int, int]]] = ((), ()),
                 ) -> List[ExactSeries]:
-    """For each weight sequence w in weights, sum_n w_n * q^(e_n) * u_n
-    over the shifts e_0 <= e_1 <= ... that reach the order, where
-
-        u_0 = prod_top1 (1 - c*q^x) / prod_bottom1 (1 - c*q^x), first = (top1, bottom1),
-        u_n = u_(n-1) * prod_{a in top} (1 - Q^(a+n-1))
-                      / prod_{c in bottom} (1 - Q^(c+n-1)),  Q = q^d,
-
-    all packed at q = 2^W, W = packed_width(bound), and each sum unpacked
-    once.  bound must bound every |coefficient| of every sum; the caller
-    derives it from the factors and weights of its own sum.
-
-    u_n is kept mod q^(order - e_n + 1), all that q^(e_n) * u_n reaches,
-    and each term is added whole, as acc += w_n * (u_n << W*e_n).  A step
-    multiplies by each visible numerator factor with series._times_packed
-    and divides by each visible denominator factor with
-    series._divide_packed, the kernels of series.binomial_steps, which
-    builds u_0.  Parameters in both top and bottom cancel first, and an
-    INFINITE top parameter gives no factor.
+    """The series.term_sums of a basic hypergeometric series in base
+    Q = q^d: u_0 is the quotient of the factors first = (top1, bottom1),
+    and u_n = u_(n-1) * prod_{a in top} (1 - Q^(a+n-1)) /
+    prod_{c in bottom} (1 - Q^(c+n-1)), so parameter a is the term_sums
+    exponent d*(a-1).  Parameters in both top and bottom cancel first,
+    and an INFINITE top parameter gives no factor.  The caller derives
+    bound from the factors and weights of its own sum.
     """
     top, bottom = _cancel((a for a in top if a != INFINITE), bottom)
-    width = packed_width(bound)
-    u = binomial_steps(1, *first, width, order)
-    tops, bottoms = [d * (a - 1) for a in top], [d * (c - 1) for c in bottom]
-    sums = [0] * len(weights)
-    for n, (e, *ws) in enumerate(zip(shifts, *weights)):
-        if e > order:
-            break
-        if n:
-            reach = order - e
-            mask = (1 << width * (reach + 1)) - 1
-            u &= mask
-            for x in tops:
-                if x + d * n <= reach:
-                    u = _times_packed(u, x + d * n, 1, width, mask)
-            for x in bottoms:
-                if x + d * n <= reach:
-                    u = _divide_packed(u, x + d * n, 1, width, mask, reach)
-        t = u << width * e
-        for i, w in enumerate(ws):
-            op = _SIGNED_ADD.get(w)
-            sums[i] = op(sums[i], t) if op else sums[i] + w * t
-    return [unpack(acc, width, order) for acc in sums]
+    return term_sums(*first, [d * (a - 1) for a in top], [d * (c - 1) for c in bottom], d,
+                     shifts, weights, bound, order)
 
 
 def hypergeometric_terms(first: ExactSeries, top: Iterable[float], bottom: Iterable[int],

@@ -26,24 +26,27 @@ Conventions
 This is the package's one arithmetic core: no other module constructs an
 ExactSeries.  The others build with :func:`from_terms`, which sums
 (exponent, coefficient) terms, :func:`weighted_sum`, which sums shifted
-multiples c*q^e*s given as (e, c, s) triples, :func:`mul`, the packed
-format below, and :func:`chain_sums`, which builds the chain sums
-S_0 .. S_top of the families module, the t-rows of prod_e 1/(1 - t*a_e)
-or prod_e (1 + t*a_e) over the atoms a_e = q^e/(1 - c*q^e)^2.
-:func:`divide_binomial` (one binomial division, by the private kernel
-:func:`_divide`) and :func:`invert` are the unpacked references the tests
-check the packed steps by; no build path calls them.
+multiples c*q^e*s given as (e, c, s) triples, :func:`mul`,
+:func:`term_sums`, below, and :func:`chain_sums`, which builds the chain
+sums S_0 .. S_top of the families module, the t-rows of
+prod_e 1/(1 - t*a_e) or prod_e (1 + t*a_e) over the atoms
+a_e = q^e/(1 - c*q^e)^2.  :func:`divide_binomial` (one binomial
+division, by the private kernel :func:`_divide`) and :func:`invert` are
+the unpacked references the tests check the packed steps by; no build
+path calls them.
 
 The packed format is one integer per series: a series of order N at
-q = 2^W, sum_i c_i * 2^(W*i) mod 2^(W*(N+1)).  :func:`pack` and
-:func:`unpack` convert, and :func:`binomial_steps` multiplies and divides
-by binomials (1 - c*q^x) with a few big-int operations per factor.
-Evaluating at q = 2^W maps the ideal (q^(N+1)) into (2^(W*(N+1))), so it
-is a ring homomorphism: only the final coefficients must fit a signed
-W-bit slot, and intermediate values may overflow.  W is
-:func:`packed_width` of a bound on every final |coefficient|, the
-smallest multiple of 8 at least one bit longer than the bound; each
-builder derives its bound from its own factors.
+q = 2^W, sum_i c_i * 2^(W*i) mod 2^(W*(N+1)).  Only this module touches
+packed integers: every product, quotient and term-ratio sum of binomials
+(1 - c*q^x) is one :func:`term_sums`, which takes factor lists and a
+bound on every final |coefficient| and returns its sums unpacked.
+Inside, :func:`binomial_steps` and its kernels take a few big-int
+operations per factor.  Evaluating at q = 2^W maps the ideal (q^(N+1))
+into (2^(W*(N+1))), so it is a ring homomorphism: only the final
+coefficients must fit a signed W-bit slot, and intermediate values may
+overflow.  W is :func:`packed_width` of the bound, the smallest multiple
+of 8 at least one bit longer; each caller derives its bound from its own
+factors.
 
 :func:`chain_sums` packs the other axis: every chain length j <= top
 into one integer per exponent m, B[m] = sum_j S_j[m] * 2^(W*j) truncated
@@ -59,12 +62,11 @@ integer arguments with :func:`_check_int`, and a sign with
 ValueError (InvalidSpec for a family spec) naming the argument as its
 signature spells it, e.g. "k must be non-negative, got -1".
 
-Multiplication is schoolbook convolution, O(N^2) coefficient operations;
-at the working orders of this package (N <= a few hundred) that is faster
-and simpler than any asymptotic trick, and exactness is free because
-Python integers never overflow.  :func:`mul` is a :func:`weighted_sum`
-over the nonzero terms c*q^i of its sparser operand, so a product costs
-N + 1 - i multiply-adds for each of them.
+:func:`mul` is schoolbook convolution, exact because Python integers
+never overflow: a :func:`weighted_sum` over the nonzero terms c*q^i of
+its sparser operand, N + 1 - i multiply-adds for each of them.  A
+product with a sparse factor (a monomial, a binomial, a theta sum) is
+effectively linear; a dense product costs (N+1)(N+2)/2 multiply-adds.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from itertools import accumulate, compress, count, repeat, zip_longest
-from typing import Callable, Iterable, List, Tuple, Type
+from typing import Callable, Iterable, List, Sequence, Tuple, Type
 
 
 class NonUnitConstantTerm(ValueError):
@@ -371,16 +373,6 @@ def _reader(width: int, count: int) -> Callable[[int, int], List[int]]:
     return read
 
 
-def pack(a: ExactSeries, width: int, order: int) -> int:
-    """a at q = 2^width: sum_i a_i * 2^(width*i) over i <= min(order,
-    a.order), for width a multiple of 8 and every |a_i| below
-    2^(width-1) (OverflowError otherwise)."""
-    size, half = width // 8, 1 << (width - 1)
-    coeffs = a.coeffs[: order + 1]
-    raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
-    return int.from_bytes(raw, "little") - _bias(width, len(coeffs))
-
-
 def unpack(u: int, width: int, order: int) -> ExactSeries:
     """The series of order order whose coefficients are the signed
     width-bit slots of u mod 2^(width*(order+1)).  Exact when every
@@ -435,6 +427,46 @@ def binomial_steps(u: int, top: Iterable[Tuple[int, int]], bottom: Iterable[Tupl
         if x <= order:
             u = _divide_packed(u, x, c, width, mask, order)
     return u
+
+
+def term_sums(top: Iterable[Tuple[int, int]], bottom: Iterable[Tuple[int, int]],
+              tops: Sequence[int], bottoms: Sequence[int], d: int, shifts: Iterable[int],
+              weights: Sequence[Iterable[int]], bound: int, order: int) -> List[ExactSeries]:
+    """For each weight sequence w in weights, sum_n w_n * q^(e_n) * u_n
+    over the shifts e_0 <= e_1 <= ... that reach the order, where
+
+        u_0 = prod_top (1 - c*q^x) / prod_bottom (1 - c*q^x) over (x, c) pairs,
+        u_n = u_(n-1) * prod_{x in tops} (1 - q^(x + d*n))
+                      / prod_{x in bottoms} (1 - q^(x + d*n)),
+
+    packed at q = 2^W, W = packed_width(bound), bound at least every
+    |coefficient| of every sum.  A binomial quotient is the one-term case,
+    shifts (0,) and weights [(1,)].  u_0 is one binomial_steps; u_n is
+    kept mod q^(order - e_n + 1), all that q^(e_n) * u_n reaches, with
+    the kernels of binomial_steps called inline, and is added whole, as
+    acc += w_n * (u_n << W*e_n).  Each sum is unpacked once.
+    """
+    width = packed_width(bound)
+    u = binomial_steps(1, top, bottom, width, order)
+    sums = [0] * len(weights)
+    for n, (e, *ws) in enumerate(zip(shifts, *weights)):
+        if e > order:
+            break
+        if n:
+            reach = order - e
+            mask = (1 << width * (reach + 1)) - 1
+            u &= mask
+            for x in tops:
+                if x + d * n <= reach:
+                    u = _times_packed(u, x + d * n, 1, width, mask)
+            for x in bottoms:
+                if x + d * n <= reach:
+                    u = _divide_packed(u, x + d * n, 1, width, mask, reach)
+        t = u << width * e
+        for i, w in enumerate(ws):
+            op = _SIGNED_ADD.get(w)
+            sums[i] = op(sums[i], t) if op else sums[i] + w * t
+    return [unpack(acc, width, order) for acc in sums]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import qtools
+from qident import series
 from qident.identities import (IdentityCase, _check_euler_alternating, _eta_quotient,
                                _one_sided, _q_binomial_sides, divisor_sum_series, verify)
 from qident.oracles import partition_count
@@ -30,8 +30,8 @@ from qident.qtools import (
     theta_phi_neg,
     theta_psi,
 )
-from qident.series import (from_terms, invert, mul, one, substitute_power, unpack, weighted_sum,
-                           zero)
+from qident.series import (from_terms, invert, mul, one, substitute_power, term_sums, unpack,
+                           weighted_sum, zero)
 
 
 def _pascal(m, k, d, order):
@@ -152,10 +152,13 @@ QUOTIENT_GRID = [(x, c) for c in (-1, 1, 2)
                  for x in (1, QUOTIENT_ORDER, QUOTIENT_ORDER + 1)]
 
 
-@pytest.mark.parametrize("first", [
+# A seed sum_e c*q^e times the quotient is the term_sums of its terms, as
+# shifts e and weights c, with no per-term factors; one (shift 0, weight
+# 1) is the binomial quotient itself.
+@pytest.mark.parametrize("seed", [
     one(QUOTIENT_ORDER),
     from_terms([(3, 5), (4, -2), (11, 7)], QUOTIENT_ORDER),  # valuation 3
-    from_terms([(2, 1), (9, -4), (15, 3)], QUOTIENT_ORDER + 5),  # cut to the order
+    from_terms([(2, 1), (9, -4), (15, 3)], QUOTIENT_ORDER + 5),  # a shift above the order
 ], ids=["one", "valuation-3", "longer"])
 @pytest.mark.parametrize("top, bottom", [
     ((), ()),
@@ -165,10 +168,16 @@ QUOTIENT_GRID = [(x, c) for c in (-1, 1, 2)
     ((), QUOTIENT_GRID),
     (QUOTIENT_GRID[:5], QUOTIENT_GRID[4:] + [(2, 1), (2, 1)]),
 ])
-def test_binomial_quotient_matches_products_and_inverses(first, top, bottom):
-    want = mul(mul(first, _binomial_product(top, QUOTIENT_ORDER)),
+def test_binomial_quotient_matches_products_and_inverses(seed, top, bottom):
+    want = mul(mul(seed, _binomial_product(top, QUOTIENT_ORDER)),
                invert(_binomial_product(bottom, QUOTIENT_ORDER)))
-    got = _binomial_quotient(first, top, bottom, QUOTIENT_ORDER)
+    if seed == one(QUOTIENT_ORDER):
+        got = _binomial_quotient(top, bottom, QUOTIENT_ORDER)
+    else:
+        # the tightest bound the contract allows: the slots fit want alone
+        shifts, weights = zip(*((e, c) for e, c in enumerate(seed.coeffs) if c))
+        got, = term_sums(top, bottom, (), (), 1, shifts, [weights], max(map(abs, want.coeffs)),
+                         QUOTIENT_ORDER)
     assert got.order == QUOTIENT_ORDER
     assert got == want
 
@@ -538,15 +547,24 @@ def test_alt_triangular_sum_validates_arguments():
 # Packed builders: the width rule
 # ---------------------------------------------------------------------------
 
+def _convolve(a, b, limit):
+    """The first limit + 1 coefficients of the product of two coefficient lists."""
+    return [sum(map(operator.mul, a[: n + 1], b[n::-1])) for n in range(limit + 1)]
+
+
 def test_partition_bound_holds_for_p_and_p2():
-    # p_r(n) <= C(n+r-1, r-1) * e^(pi*sqrt(2rn/3)), checked against the
-    # exact counts; p_2 is the self-convolution of p
-    limit = 2000
+    # p_r(n) <= e^(pi*sqrt(2rn/3)), checked against the exact counts, to
+    # n = 2000 for p and p_2 and to n = 1000 for p_3 and p_4 (the eta
+    # quotient's doubled factors give r = 4)
+    limit, short = 2000, 1000
     p = [partition_count(n) for n in range(limit + 1)]
-    assert _partition_bound(0, 0) >= 1
-    for n in range(limit + 1):
-        assert _partition_bound(1, n) >= p[n], n
-        assert _partition_bound(2, n) >= sum(map(operator.mul, p[: n + 1], p[n::-1])), n
+    p2 = _convolve(p, p, limit)
+    counts = {1: p, 2: p2, 3: _convolve(p2, p, short), 4: _convolve(p2, p2, short)}
+    for n in (0, 1, 1000):
+        assert _partition_bound(0, n) >= (n == 0)
+    for r, exact in counts.items():
+        for n, count in enumerate(exact):
+            assert _partition_bound(r, n) >= count, (r, n)
 
 
 @pytest.fixture
@@ -560,7 +578,7 @@ def widths(monkeypatch):
         seen.append((width, out))
         return out
 
-    monkeypatch.setattr(qtools, "unpack", spy)
+    monkeypatch.setattr(series, "unpack", spy)
     for cached in (pochhammer, squared_pochhammer, kernel_H, _eta_quotient):
         cached.cache_clear()
     yield seen
@@ -664,11 +682,11 @@ def test_packed_kernel_matches_the_unpacked_terms(k, m, d, s, order):
 
 def test_packed_widths_follow_the_width_rules(widths):
     # the kernel at m = inf, bounded by (N+1) * p_2(N), carries 48-bit
-    # coefficients in 88-bit slots; at m = 2 the value at q = 1 gives 24
+    # coefficients in 80-bit slots; at m = 2 the value at q = 1 gives 24
     # bits for 13; the q-binomial sum at n = 4 is bounded by C(n + N, N)
     # and its right side 1/(q; q)_4 by p(N)
     kernel_H(1, INFINITE, 1, 2, 149)
     kernel_H(0, 2, 1, 2, 400)
     _q_binomial_sides(4, 1, 200)
     assert [(width, max(map(abs, out.coeffs)).bit_length()) for width, out in widths] == [
-        (88, 48), (24, 13), (32, 16), (56, 16)]
+        (80, 48), (24, 13), (32, 16), (56, 16)]

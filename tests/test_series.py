@@ -2,6 +2,7 @@
 inversion, and exactness on coefficients far beyond machine-word range."""
 
 import ast
+import inspect
 import operator
 import re
 from pathlib import Path
@@ -29,7 +30,6 @@ from qident.series import (
     monomial,
     mul,
     one,
-    pack,
     packed_width,
     scale,
     shift,
@@ -396,19 +396,24 @@ def _fitting_width(*parts):
     return packed_width(max(abs(c) for a in parts for c in a.coeffs))
 
 
+def _encode(a, width, order):
+    """a at q = 2^width up to q^order, summed here, not by the package."""
+    return sum(c << width * i for i, c in enumerate(a.coeffs[: order + 1]))
+
+
 @settings(max_examples=200)
 @given(mul_operand_st, st.integers(0, 25))
 def test_pack_and_unpack_round_trip(a, order):
     order = min(order, a.order)
     width = _fitting_width(a)
-    assert unpack(pack(a, width, order), width, order) == from_coeffs(a.coeffs[: order + 1])
+    assert unpack(_encode(a, width, order), width, order) == from_coeffs(a.coeffs[: order + 1])
 
 
 def test_packed_width_leaves_a_sign_bit_above_the_bound():
     assert [packed_width(b) for b in (0, 1, 127, 128, 2 ** 15 - 1, 2 ** 15)] == [
         8, 8, 8, 16, 16, 24]
-    with pytest.raises(OverflowError):
-        pack(from_coeffs([0, 128]), 8, 1)
+    # 128 needs a sign bit above its 8 bits: an 8-bit slot reads it as -128
+    assert unpack(_encode(from_coeffs([0, 128]), 8, 1), 8, 1) == from_coeffs([0, -128])
 
 
 @st.composite
@@ -431,7 +436,7 @@ def test_binomial_steps_match_the_unpacked_products_and_divisions(case):
     for x, c in bottom:
         want = divide_binomial(want, x, c)
     width = _fitting_width(a, want)
-    got = binomial_steps(pack(a, width, a.order), top, bottom, width, a.order)
+    got = binomial_steps(_encode(a, width, a.order), top, bottom, width, a.order)
     assert unpack(got, width, a.order) == want
 
 
@@ -441,7 +446,7 @@ def test_packed_division_matches_forward_pass_at_order_200(x, c):
     for a in (_long_series(1), _long_series(2, lead=3)):
         want = from_coeffs(_divided(a.coeffs, x, c))
         width = _fitting_width(a, want)
-        got = binomial_steps(pack(a, width, LONG_ORDER), (), [(x, c)], width, LONG_ORDER)
+        got = binomial_steps(_encode(a, width, LONG_ORDER), (), [(x, c)], width, LONG_ORDER)
         assert unpack(got, width, LONG_ORDER) == want
 
 
@@ -763,7 +768,43 @@ def test_chain_sums_and_unpack_share_the_one_decode():
     # splits a packed integer into the bytes of its slots
     path = Path(qident.__file__).parent / "series.py"
     assert {scope for scope, _ in _calls(path, "_reader")} == {"chain_sums", "unpack"}
-    assert {scope for scope, _ in _calls(path, "to_bytes")} == {"_bias", "pack", "read"}
+    assert {scope for scope, _ in _calls(path, "to_bytes")} == {"_bias", "read"}
+
+
+# Every name of the packed format (q -> 2^W): its kernels, steps, decode
+# and width rule.
+_PACKED_NAMES = {"_SIGNED_ADD", "_times_packed", "_divide_packed", "binomial_steps", "unpack",
+                 "_reader", "packed_width", "pack"}
+
+
+def _names_packed(node):
+    """A name, attribute, import or definition of the packed format."""
+    return bool(_PACKED_NAMES & {getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None)})
+
+
+def _shifts_left(node):
+    """An x << y or x <<= y."""
+    return isinstance(getattr(node, "op", None), ast.LShift)
+
+
+def test_only_series_touches_packed_integers():
+    # the other modules hand series factor lists and a coefficient bound;
+    # series alone packs, steps, shifts and unpacks
+    package = Path(qident.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    named = {path.name: _sites(path, _names_packed) for path in paths}
+    assert named.pop("series.py"), "the guard found no packed name at all"
+    assert {name: sites for name, sites in named.items() if sites} == {}
+    # the one << outside series is the power of 2 of _partition_bound
+    shifts = {(path.name, scope) for path in paths if path.name != "series.py"
+              for scope, _ in _sites(path, _shifts_left)}
+    assert shifts == {("qtools.py", "_partition_bound")}
+    assert not hasattr(series, "pack")
+    assert list(inspect.signature(qtools._binomial_quotient).parameters) == [
+        "top", "bottom", "order"]
+    assert [scope for scope, _ in _calls(package / "identities.py", "mul")
+            if scope == "_eta_quotient"] == []
 
 
 def test_families_reads_its_tables_only_through_rows():
@@ -789,8 +830,7 @@ def test_every_build_path_divides_by_one_minus_q_to_the_x(monkeypatch):
         signs.append(c)
         return divide(u, x, c, width, mask, order)
 
-    for module in (series, qtools):
-        monkeypatch.setattr(module, "_divide_packed", spy)
+    monkeypatch.setattr(series, "_divide_packed", spy)
     assert all(report.holds for report in qident.verify_suite(20))
     assert signs and set(signs) == {1}
 

@@ -17,14 +17,11 @@ term by (-1)^(t1+...+tk+k).
 The family values S_k are the complete (weak chains) or elementary
 (strict chains) symmetric functions of the atoms: the t^k coefficients of
 prod_n 1/(1 - t*atom(n)) or prod_n (1 + t*atom(n)).  series.chain_sums
-builds S_0..S_top in one sweep per atom, every chain length packed into
-one integer per exponent m, sum_j S_j[m] * 2^(W*j), truncated mod
-2^(W*(top+1)).  The slot width W is the smallest multiple of 8 at least
-one bit longer than the largest coefficient of the sign +1 sweep over all
-chain lengths, which bounds every |S_j[m]|.  Each (family, sign, m, order)
-keeps one table of S_0..S_top and its W, read through _rows: family_series
-takes one row of it, and an index transform takes all the rows it sums
-from one call.
+builds S_0..S_top in one packed sweep per atom, at the slot width
+series.chain_width(strict, order), a closed form proved to bound every
+|S_j[m]|.  Each (family, sign, m, order) keeps one table of S_0..S_top,
+read through _rows: family_series takes one row of it, and an index
+transform takes all the rows it sums from one call.
 
 A FamilySpec names one family series; it is a named tuple that checks
 its fields on construction, through _make and _replace as well.
@@ -148,10 +145,10 @@ def _min_valuation(family: str, k: int) -> int:
     return k * k  # C
 
 
-# Chain-sum tables keyed by (family, sign, m_eff, order); each entry holds
-# the series S_j for j = 0..top, top the largest row asked for so far, and
-# the slot width of the key's packed sweep.  The lock makes concurrent use
-# safe; all stored values are immutable ExactSeries.
+# Chain-sum tables keyed by (family, sign, m_eff, order): S_0..S_top, top
+# the largest row asked for so far, and the width they were built at, kept
+# as the benchmark's cache statistics unpack (rows, width) pairs.  The lock
+# makes concurrent use safe; the series are immutable.
 _TableKey = Tuple[str, int, int, int]
 _tables: Dict[_TableKey, Tuple[List[ExactSeries], int]] = {}
 _tables_lock = threading.Lock()
@@ -163,10 +160,9 @@ def _rows(family: str, sign: int, m: Union[int, float], order: int,
     order), built or rebuilt from scratch to top first if it stops below.
 
     series.chain_sums builds every row in one packed sweep per atom, with
-    slot width series.chain_width; the width does not depend on the sign,
-    so a table takes it from its twin of the other sign when that exists.
-    The list is the table's own, not a copy; callers only read it, and
-    only ask for visible rows (family_series answers the others).
+    slot width series.chain_width(strict, order), a formula in the order
+    alone.  The list is the table's own, not a copy; callers only read
+    it, and only ask for visible rows (family_series answers the others).
     """
     m_eff = _m_eff(family, m, order)
     key = (family, sign, m_eff, order)
@@ -175,8 +171,7 @@ def _rows(family: str, sign: int, m: Union[int, float], order: int,
         if entry is None or len(entry[0]) <= top:
             exponents = [_atom_exponent(family, n) for n in range(1, m_eff + 1)]
             strict = family not in _WEAK
-            known = entry or _tables.get((family, -sign, m_eff, order))
-            width = known[1] if known else chain_width(exponents, strict, order)
+            width = chain_width(strict, order)
             entry = _tables[key] = (
                 chain_sums(exponents, sign, strict, top, order, width), width)
         return entry[0]

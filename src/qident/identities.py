@@ -70,7 +70,6 @@ from .qtools import (
     INFINITE,
     _binomial_quotient,
     _factors,
-    _partition_bound,
     _ratio_sums,
     alt_triangular_terms,
     kernel_H,
@@ -82,6 +81,7 @@ from .qtools import (
 from .series import (
     ExactSeries,
     _check_int,
+    _partition_bound,
     from_coeffs,
     from_terms,
     mul,

@@ -10,17 +10,15 @@ Truncation rule for formally infinite objects: a factor or term whose
 minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
 modulo q^(N+1) and is simply skipped, so every result is exact at order N.
 
-Every product or quotient of binomials (1 - c*q^x) that the package
-builds, and every term-ratio sum, is one packed series.term_sums: a
-Pochhammer product, a Gaussian binomial or a quotient of products in the
-checks is one ``_binomial_quotient``, its one-term case, and a
-term-ratio sum is one ``_ratio_sums``.  This module hands series factor
-lists and a coefficient bound and never touches a packed integer; each
-builder derives its bound from its own factors, states it in its
-docstring and builds it from ``_partition_bound``.  So no build path
-inverts a series, and here the one product of two series is the square
-in ``squared_pochhammer``.  ``_gauss_poly`` and ``hypergeometric_terms``
-are references only: no build path calls them.
+Every product or quotient of binomials (1 - c*q^x) and every term-ratio
+sum the package builds is one packed series.term_sums: ``_binomial_quotient``
+is its one-term case and ``_ratio_sums`` its term-ratio form.  This module
+hands series factor lists and a coefficient bound, which each builder
+derives from its own factors with series._partition_bound and states in
+its docstring, and never touches a packed integer.  So no build path
+inverts a series; the one product of two series here is the square in
+``squared_pochhammer``.  ``_gauss_poly`` and ``hypergeometric_terms`` are
+references no build path calls.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from math import isqrt
 from itertools import repeat
 from typing import Iterable, Iterator, List, Sequence, Tuple, Type, Union
 
-from .series import (ExactSeries, _check_int, _check_sign, divide_binomial, from_coeffs,
-                     from_terms, mul, term_sums, weighted_sum, zero)
+from .series import (ExactSeries, _check_int, _check_sign, _partition_bound, divide_binomial,
+                     from_coeffs, from_terms, mul, term_sums, weighted_sum, zero)
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
@@ -79,22 +77,6 @@ def _factors(sign: int, offset: int, step: int, length: Union[int, float],
     An offset above the order, INFINITE included, gives no factor."""
     start = min(offset, order + 1)
     return ((x, sign) for x in range(start, min(offset + step * length, order + 1), step))
-
-
-def _partition_bound(r: int, n: int) -> int:
-    """An integer at least p_r(n), the coefficient of q^n in 1/(q;q)_inf^r,
-    for r, n >= 0; it grows with n, so it bounds p_r on 0..n too.
-
-    p_r(n) <= e^(pi*sqrt(2rn/3)), by the saddle point: with x = e^(-t),
-    t > 0, p_r(n) * x^n <= prod_k (1 - x^k)^(-r), and
-    sum_k -log(1 - e^(-k*t)) <= integral_0^inf -log(1 - e^(-u*t)) du
-    = pi^2/(6t), since the summand decreases in k.  So
-    log p_r(n) <= n*t + r*pi^2/(6t), and t = pi*sqrt(r/(6n)) makes each
-    term pi*sqrt(rn/6).  The power of e is rounded up to a power of 2,
-    with one bit to spare for the rounding of the float exponent; at
-    r*n = 0 that gives 2 >= p_r(n).
-    """
-    return 1 << (math.ceil(math.pi * math.sqrt(2 * r * n / 3) / math.log(2)) + 1)
 
 
 def _cancel(top: Iterable, bottom: Iterable) -> Tuple[list, list]:

@@ -24,16 +24,13 @@ Conventions
   freely shared between threads.
 
 This is the package's one arithmetic core: no other module constructs an
-ExactSeries.  The others build with :func:`from_terms`, which sums
-(exponent, coefficient) terms, :func:`weighted_sum`, which sums shifted
-multiples c*q^e*s given as (e, c, s) triples, :func:`mul`,
-:func:`term_sums`, below, and :func:`chain_sums`, which builds the chain
-sums S_0 .. S_top of the families module, the t-rows of
-prod_e 1/(1 - t*a_e) or prod_e (1 + t*a_e) over the atoms
-a_e = q^e/(1 - c*q^e)^2.  :func:`divide_binomial` (one binomial
-division, by the private kernel :func:`_divide`) and :func:`invert` are
-the unpacked references the tests check the packed steps by; no build
-path calls them.
+ExactSeries.  The others build with :func:`from_terms` ((exponent,
+coefficient) terms), :func:`weighted_sum` (shifted multiples c*q^e*s as
+(e, c, s) triples), :func:`mul`, and :func:`term_sums` and
+:func:`chain_sums` (the chain sums S_j of the families module), below.
+:func:`divide_binomial` (one binomial division, by the private kernel
+:func:`_divide`) and :func:`invert` are the unpacked references the tests
+check the packed steps by; no build path calls them.
 
 The packed format is one integer per series: a series of order N at
 q = 2^W, sum_i c_i * 2^(W*i) mod 2^(W*(N+1)).  Only this module touches
@@ -46,15 +43,14 @@ into (2^(W*(N+1))), so it is a ring homomorphism: only the final
 coefficients must fit a signed W-bit slot, and intermediate values may
 overflow.  W is :func:`packed_width` of the bound, the smallest multiple
 of 8 at least one bit longer; each caller derives its bound from its own
-factors.
+factors, most with the partition majorant :func:`_partition_bound`.
 
 :func:`chain_sums` packs the other axis: every chain length j <= top
 into one integer per exponent m, B[m] = sum_j S_j[m] * 2^(W*j) truncated
 mod 2^(W*(top+1)), so an atom is one pass of O(1) integer operations per
-m whatever top is.  Its W comes from the sweep at sign +1 with W = 0
-(:func:`chain_width`): that sum over all j of S_j^+[m] bounds every
-|S_j[m]| of either sign.  :func:`unpack` and :func:`chain_sums` read
-packed integers through the one decode, :func:`_reader`.
+m whatever top is.  Its W is :func:`chain_width`, a closed form in
+(strict, order) proved to bound every |S_j[m]|.  :func:`unpack` and
+:func:`chain_sums` read packed integers through one decode, :func:`_reader`.
 
 Every builder in series, qtools, families and identities checks its
 integer arguments with :func:`_check_int`, and a sign with
@@ -71,6 +67,7 @@ effectively linear; a dense product costs (N+1)(N+2)/2 multiply-adds.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from itertools import accumulate, compress, count, repeat, zip_longest
@@ -347,6 +344,18 @@ def packed_width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
+def _partition_bound(r: int, n: int) -> int:
+    """An integer at least p_r(n), the coefficient of q^n in 1/(q;q)_inf^r,
+    for r, n >= 0; it grows with n, so it bounds p_r on 0..n too.
+
+    With x = e^(-t), t > 0: p_r(n) x^n <= prod_k (1 - x^k)^(-r) <=
+    e^(r*pi^2/(6t)), a sum of -log(1 - e^(-k*t)) decreasing in k being at
+    most its integral.  t = pi*sqrt(r/(6n)) gives e^(pi*sqrt(2rn/3)),
+    rounded up to a power of 2 with a bit to spare for the float; 2 at r*n = 0.
+    """
+    return 1 << (math.ceil(math.pi * math.sqrt(2 * r * n / 3) / math.log(2)) + 1)
+
+
 def _bias(width: int, count: int) -> int:
     """2^(width-1) in each of count width-bit slots."""
     return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
@@ -516,39 +525,53 @@ def _chain_sweep(exponents: List[int], c: int, strict: bool, width: int,
 
 
 def _visible(exponents: Iterable[int], order: int) -> List[int]:
-    """The exponents that reach q^0..q^order, checked and ascending."""
-    exponents = list(exponents)
+    """The exponents that reach q^0..q^order, checked, distinct and
+    ascending: chain_width bounds chains of distinct atoms only."""
+    seen = set()
     for e in exponents:
         _check_int("exponent", e, 1)
-    return sorted(e for e in exponents if e <= order)
+        if e in seen:
+            raise ValueError(f"exponents must be distinct, got {e} twice")
+        seen.add(e)
+    return sorted(e for e in seen if e <= order)
 
 
-def chain_width(exponents: Iterable[int], strict: bool, order: int) -> int:
-    """The slot width W for chain_sums over these exponents at the order.
+def chain_width(strict: bool, order: int) -> int:
+    """The slot width for chain_sums over distinct exponents at the order N:
+    packed_width(3 * L_2N), L the Lucas numbers, for weak chains, and
+    packed_width(_partition_bound(2, N)) for strict ones.
 
-    The sweep at sign +1 with W = 0 (t = 1, nothing truncated) gives, at
-    each m, the sum over all chain lengths j of S_j^+[m] >= 0.  A sign -1
-    chain term has the same size as its sign +1 twin, so that sum bounds
-    every |S_j^(+-)[m]|; W is the smallest multiple of 8 at least one bit
-    longer than its largest value, so each S_j fits a signed W-bit slot.
+    Proof: |S_j^(+-)[m]| <= sum_j S_j^+[m], the q^m coefficient of
+    prod_e 1/(1 - a_e) (weak) or prod_e (1 + a_e) (strict) at sign +1, as
+    the two signs' atoms differ only in signs; the bounds below grow with
+    m.  Weak: 1/(1 - a_e) = 1 + sum_{t>=1} F_2t q^(e*t), F_2t <= phi^2t
+    (phi the golden ratio), each e one part size, so the sum is at most
+    sum_{l |- m} phi^(2*len(l)) <= phi^2m/(x;x)_inf, x = phi^-2 (l less its
+    first column has size m - len(l)), and 1/(x;x)_inf <= exp(x/(1-x)^2)
+    = e < 3, as (1 - x)^2 = x; phi^2N < L_2N.  Strict: 1 + a_e (q^(e*t)
+    coefficients t) <= 1/(1 - q^e)^2 (t + 1), so the sum is <= p_2(N).
     """
     _check_int("order", order)
-    return packed_width(max(_chain_sweep(_visible(exponents, order), 1, strict, 0, -1, order)))
+    lucas, after = 2, 3  # L_2n and L_2n+2, from n = 0
+    for _ in range(order):
+        lucas, after = after, 3 * after - lucas
+    return packed_width(_partition_bound(2, order) if strict else 3 * lucas)
 
 
 def chain_sums(exponents: Iterable[int], sign: int, strict: bool, top: int,
                order: int, width: int) -> List[ExactSeries]:
     """S_0 .. S_top: the coefficients of t^j in prod_e 1/(1 - t*a_e)
     (strict false) or prod_e (1 + t*a_e) (strict true), a_e the atom
-    q^e/(1 - sign*q^e)^2, over the exponents e >= 1, at the order.
+    q^e/(1 - sign*q^e)^2, over distinct exponents e >= 1 (a repeated one
+    raises ValueError), at the order.
 
     S_j is the complete (weak) or elementary (strict) symmetric function
     of degree j in the atoms.  All j <= top share one integer per
     exponent m, B[m] = sum_j S_j[m] * 2^(width*j) mod 2^(width*(top+1)),
     so dividing by (1 - sign*q^e)^2 is one pass of O(1) integer
-    operations per m, whatever top is.  width must be a multiple of 8 and
-    at least chain_width(exponents, strict, order); then every S_j[m] fits
-    a signed slot and the result is exact.
+    operations per m, whatever top is.  width must be a multiple of 8 in
+    which every S_j[m] fits a signed slot, as chain_width(strict, order)
+    does; then the result is exact.
 
     Each B[m] is decoded once, by the package's one decode (_reader),
     which reads only the slots that can be nonzero: no j-chain reaches

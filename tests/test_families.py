@@ -88,7 +88,7 @@ def test_atom_matches_rational_closed_form(family, exponent, sign):
     cell = divide_binomial(divide_binomial(q_e, exponent, sign), exponent, sign)
     assert atom(family, sign, 3, order).coeffs == cell.coeffs
     # The chain-sum kernel over this one exponent: S_1 is the atom itself.
-    sums = chain_sums([exponent], sign, False, 1, order, chain_width([exponent], False, order))
+    sums = chain_sums([exponent], sign, False, 1, order, chain_width(False, order))
     assert sums[1] == atom(family, sign, 3, order)
 
 
@@ -283,39 +283,70 @@ def test_dp_rows_match_chain_enumeration(family, m, sign):
         assert series.coeffs == tuple(expected), (family, m, sign, k)
 
 
+def _count_sweeps(monkeypatch):
+    """Empty the tables and record the width of every _chain_sweep call."""
+    widths = []
+    sweep = series._chain_sweep
+
+    def counting_sweep(exponents, c, strict, width, mask, order):
+        widths.append(width)
+        return sweep(exponents, c, strict, width, mask, order)
+
+    monkeypatch.setattr(families, "_tables", {})
+    monkeypatch.setattr(series, "_chain_sweep", counting_sweep)
+    return widths
+
+
 @pytest.mark.parametrize("family", ("V", "W"))
 @pytest.mark.parametrize("m", (3, INFINITE))
 @BOTH_SIGNS
 def test_cold_binomial_combination_sweeps_once(monkeypatch, family, m, sign):
     # binomial_combination reads F_{j,m} for j = k..order in one _rows call,
-    # which builds the table once to top = order, with one width sweep
-    # (width 0) and one value sweep
-    widths = []
-    sweep = series._chain_sweep
-
-    def counting_sweep(exponents, c, strict, width, mask, order):
-        widths.append(width)
-        return sweep(exponents, c, strict, width, mask, order)
-
-    monkeypatch.setattr(families, "_tables", {})
-    monkeypatch.setattr(series, "_chain_sweep", counting_sweep)
+    # which builds the table once to top = order in one value sweep, at the
+    # closed-form width: no width sweep runs first
+    widths = _count_sweeps(monkeypatch)
     binomial_combination(family, sign, 1, m, 40)
-    assert len(widths) == 2 and widths[0] == 0 < widths[1]
+    assert widths == [chain_width(False, 40)]
 
 
-def test_both_signs_share_one_width_sweep(monkeypatch):
-    widths = []
-    sweep = series._chain_sweep
-
-    def counting_sweep(exponents, c, strict, width, mask, order):
-        widths.append(width)
-        return sweep(exponents, c, strict, width, mask, order)
-
-    monkeypatch.setattr(families, "_tables", {})
-    monkeypatch.setattr(series, "_chain_sweep", counting_sweep)
+def test_each_sign_builds_its_table_in_one_sweep(monkeypatch):
+    widths = _count_sweeps(monkeypatch)
     for sign in (-1, 1):
         family_series(FamilySpec(family="W", sign=sign, k=3), 30)
-    assert len(widths) == 3 and widths[0] == 0 < widths[1] == widths[2]
+    assert widths == [chain_width(False, 30)] * 2
+
+
+class _KeyLog(dict):
+    """A table dict that records the key of every read and write."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def get(self, key, default=None):
+        self.keys.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.keys.append(key)
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.keys.append(key)
+        super().__setitem__(key, value)
+
+
+@ALL_FAMILIES
+def test_rows_touch_only_their_own_table(monkeypatch, family):
+    # no table borrows anything from another key, its other-sign twin
+    # included: each sign reads and writes its own entry alone
+    monkeypatch.setattr(families, "_tables", _KeyLog())
+    order = 20
+    for sign, k in ((1, 2), (-1, 2), (-1, 3), (1, 1)):
+        families._tables.keys.clear()
+        family_series(FamilySpec(family=family, sign=sign, k=k), order)
+        key = (family, sign, families._m_eff(family, INFINITE, order), order)
+        assert set(families._tables.keys) == {key}
 
 
 # ---------------------------------------------------------------------------

@@ -523,6 +523,13 @@ CHAIN_KINDS = {"V": (lambda n: n, False), "W": (lambda n: 2 * n - 1, False),
                "A": (lambda n: n, True), "C": (lambda n: 2 * n - 1, True)}
 
 
+def _tight_width(exponents, strict, order):
+    """The width the chain sums once measured: the next byte above the
+    largest sum over all j of S_j^+ (the sweep at sign +1 with t = 1);
+    an exponent above the order adds nothing to it."""
+    return packed_width(max(series._chain_sweep(exponents, 1, strict, 0, -1, order)))
+
+
 def _last_row(exponents, strict, order):
     """The largest j whose j-chains reach q^order: j copies of the
     smallest exponent (weak) or the j smallest (strict)."""
@@ -543,7 +550,7 @@ def test_chain_sums_match_row_dp(kind, sign, m, order):
     atom_exponent, strict = CHAIN_KINDS[kind]
     exponents = [atom_exponent(n) for n in range(1, (m or order) + 1)
                  if atom_exponent(n) <= order]
-    width = chain_width(exponents, strict, order)
+    width = _tight_width(exponents, strict, order)
     last = _last_row(exponents, strict, order) if exponents else 0
     reference = _row_dp(exponents, sign, strict, last + 2, order)
     assert reference[last + 1] == reference[last + 2] == zero(order)
@@ -558,36 +565,79 @@ def test_chain_sums_match_row_dp_across_residue_chunks(sign, strict):
     # several chunks, each walked up the blocks of e exponents
     exponents = [1, 2, 33, 40, 70, 71]
     order = 110
-    width = chain_width(exponents, strict, order)
+    width = _tight_width(exponents, strict, order)
     assert max(exponents) > qident.series._CHUNK
     assert chain_sums(exponents, sign, strict, 4, order, width) == _row_dp(
         exponents, sign, strict, 4, order)
 
 
 def test_chain_sums_exponents_above_the_order_add_nothing():
-    width = chain_width([2, 3], False, 9)
-    assert chain_width([2, 3, 10, 50], False, 9) == width
+    width = chain_width(False, 9)
     assert (chain_sums([50, 2, 10, 3], -1, False, 4, 9, width)
             == chain_sums([2, 3], -1, False, 4, 9, width))
 
 
 def test_chain_sums_fill_all_but_the_sign_bit_of_a_slot():
     # C at order 13 with sign -1: magnitudes 1..7, exponents 1, 3, .., 13.
-    # Its all-length sign +1 sum peaks below 2^7, so the slots are 8 bits
-    # wide, and the largest |S_j[m]| up to j = 2 needs all 7 value bits.
+    # Its all-length sign +1 sum peaks below 2^7, so the tight slots are 8
+    # bits wide, and the largest |S_j[m]| up to j = 2 needs all 7 value bits.
     exponents = [1, 3, 5, 7, 9, 11, 13]
-    width = chain_width(exponents, True, 13)
-    assert width == 8
+    width = _tight_width(exponents, True, 13)
+    assert width == 8 < chain_width(True, 13)
     sums = chain_sums(exponents, -1, True, 2, 13, width)
     assert sums == _row_dp(exponents, -1, True, 2, 13)
     assert max(abs(c) for s in sums for c in s.coeffs).bit_length() == width - 1
 
 
-def test_chain_width_is_the_next_byte_above_the_sign_plus_sum():
+def test_tight_width_sweep_reads_the_even_fibonacci_numbers():
     # one atom q/(1 - q)^2: the sum over all j of S_j^+ at q^m is the
     # coefficient of 1/(1 - q/(1 - q)^2) = (1 - q)^2/(1 - 3q + q^2):
     # 1, then the Fibonacci numbers F(2m) = 1, 3, 8, 21, 55, 144, 377
-    assert [chain_width([1], False, n) for n in range(8)] == [8] * 6 + [16, 16]
+    assert series._chain_sweep([1], 1, False, 0, -1, 7) == [1, 1, 3, 8, 21, 55, 144, 377]
+    assert [_tight_width([1], False, n) for n in range(8)] == [8] * 6 + [16, 16]
+
+
+@pytest.mark.parametrize("kind", sorted(CHAIN_KINDS))
+@pytest.mark.parametrize("m", (1, 3, None))
+def test_chain_width_bounds_the_tight_width(kind, m):
+    # the closed form is sound at every order up to 120, for every family
+    # and magnitude bound m (None: unbounded)
+    atom_exponent, strict = CHAIN_KINDS[kind]
+    for order in range(121):
+        exponents = [atom_exponent(n) for n in range(1, (m or order) + 1)]
+        assert chain_width(strict, order) >= _tight_width(exponents, strict, order), order
+
+
+@pytest.mark.parametrize("kind", ("V", "W"))
+def test_chain_width_is_tight_at_the_deep_weak_orders(kind):
+    # at the chain_deep orders the weak tables run on the integers the
+    # measured width gave them
+    atom_exponent, _ = CHAIN_KINDS[kind]
+    for order, width in ((150, 216), (180, 256), (400, 560)):
+        exponents = [atom_exponent(n) for n in range(1, order + 1)]
+        assert chain_width(False, order) == _tight_width(exponents, False, order) == width
+
+
+def test_chain_width_takes_strict_and_order_and_src_sweeps_only_in_chain_sums():
+    assert list(inspect.signature(chain_width).parameters) == ["strict", "order"]
+    # no width pre-sweep: the one _chain_sweep call is chain_sums' own
+    package = Path(qident.__file__).parent
+    sites = {(path.name, scope) for path in sorted(package.glob("*.py"))
+             for scope, _ in _calls(path, "_chain_sweep")}
+    assert sites == {("series.py", "chain_sums")}
+
+
+def test_chain_sums_reject_repeated_exponents():
+    # the width proof holds for distinct atoms only: exponent 1 twice at
+    # order 40 reaches 2^58, above 3 * L_80 (about 2^57.1)
+    lucas, after = 2, 1  # L_0, L_1
+    for _ in range(80):
+        lucas, after = after, lucas + after
+    assert max(series._chain_sweep([1, 1], 1, False, 0, -1, 40)) >= 2 ** 58 > 3 * lucas
+    with pytest.raises(ValueError, match="^exponents must be distinct, got 1 twice$"):
+        chain_sums([1, 1], 1, False, 2, 40, chain_width(False, 40))
+    with pytest.raises(ValueError, match="^exponents must be distinct, got 3 twice$"):
+        chain_sums([3, 2, 3], -1, True, 2, 10, 8)
 
 
 def test_chain_sums_reject_bad_arguments():
@@ -796,10 +846,10 @@ def test_only_series_touches_packed_integers():
     named = {path.name: _sites(path, _names_packed) for path in paths}
     assert named.pop("series.py"), "the guard found no packed name at all"
     assert {name: sites for name, sites in named.items() if sites} == {}
-    # the one << outside series is the power of 2 of _partition_bound
+    # no << outside series either
     shifts = {(path.name, scope) for path in paths if path.name != "series.py"
               for scope, _ in _sites(path, _shifts_left)}
-    assert shifts == {("qtools.py", "_partition_bound")}
+    assert shifts == set()
     assert not hasattr(series, "pack")
     assert list(inspect.signature(qtools._binomial_quotient).parameters) == [
         "top", "bottom", "order"]

@@ -14,11 +14,11 @@ Every product or quotient of binomials (1 - c*q^x) and every term-ratio
 sum the package builds is one packed series.term_sums: ``_binomial_quotient``
 is its one-term case and ``_ratio_sums`` its term-ratio form.  This module
 hands series factor lists and a coefficient bound, which each builder
-derives from its own factors with series._partition_bound and states in
-its docstring, and never touches a packed integer.  So no build path
-inverts a series; the one product of two series here is the square in
-``squared_pochhammer``.  ``_gauss_poly`` and ``hypergeometric_terms`` are
-references no build path calls.
+derives from its own factors with series._partition_bound or
+series._distinct_bound and states in its docstring, and never touches a
+packed integer.  So no build path inverts a series; the one product of
+two series here is the square in ``squared_pochhammer``.  ``_gauss_poly``
+and ``hypergeometric_terms`` are references no build path calls.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from math import isqrt
 from itertools import repeat
 from typing import Iterable, Iterator, List, Sequence, Tuple, Type, Union
 
-from .series import (ExactSeries, _check_int, _check_sign, _partition_bound, divide_binomial,
-                     from_coeffs, from_terms, mul, term_sums, weighted_sum, zero)
+from .series import (ExactSeries, _check_int, _check_sign, _distinct_bound, _partition_bound,
+                     divide_binomial, from_coeffs, from_terms, mul, term_sums, weighted_sum, zero)
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
@@ -100,13 +100,22 @@ def _binomial_quotient(top: Iterable[Tuple[int, int]], bottom: Iterable[Tuple[in
     is at most max(1, |c|)^n at q^n, (1 + q^x) <= 1/(1 - q^x)
     coefficientwise, and a product of at most r factors 1/(1 - q^x) per x
     is at most 1/(q;q)_inf^r, whose coefficients p_r never decrease.
+
+    A product with no bottom factors, distinct exponents (r = 1) and every
+    |c| <= 1, as every pochhammer is, is bounded by q(N) instead
+    (_distinct_bound): prod_top (1 + q^x) over distinct x is at most
+    (-q;q)_inf coefficientwise, whose q^n coefficient q(n) counts the
+    partitions of n into distinct parts.
     """
     top, bottom = _cancel((f for f in top if f[0] <= order),
                           (f for f in bottom if f[0] <= order))
     big = max([1] + [abs(c) for _, c in top + bottom])
     r = max(Counter(x for x, _ in top + bottom).values(), default=0)
-    return term_sums(top, bottom, (), (), 1, (0,), [(1,)],
-                     big ** order * _partition_bound(r, order), order)[0]
+    if bottom or r > 1 or big > 1:
+        bound = big ** order * _partition_bound(r, order)
+    else:
+        bound = _distinct_bound(order)
+    return term_sums(top, bottom, (), (), 1, (0,), [(1,)], bound, order)[0]
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -38,12 +38,14 @@ packed integers: every product, quotient and term-ratio sum of binomials
 (1 - c*q^x) is one :func:`term_sums`, which takes factor lists and a
 bound on every final |coefficient| and returns its sums unpacked.
 Inside, :func:`binomial_steps` and its kernels take a few big-int
-operations per factor.  Evaluating at q = 2^W maps the ideal (q^(N+1))
+operations per factor.  :func:`mul` packs its dense products (below).
+Evaluating at q = 2^W maps the ideal (q^(N+1))
 into (2^(W*(N+1))), so it is a ring homomorphism: only the final
 coefficients must fit a signed W-bit slot, and intermediate values may
 overflow.  W is :func:`packed_width` of the bound, the smallest multiple
 of 8 at least one bit longer; each caller derives its bound from its own
-factors, most with the partition majorant :func:`_partition_bound`.
+factors, most with the partition majorant :func:`_partition_bound` or,
+for a product of distinct factors (1 +- q^x), :func:`_distinct_bound`.
 
 :func:`chain_sums` packs the other axis: every chain length j <= top
 into one integer per exponent m, B[m] = sum_j S_j[m] * 2^(W*j) truncated
@@ -58,11 +60,17 @@ integer arguments with :func:`_check_int`, and a sign with
 ValueError (InvalidSpec for a family spec) naming the argument as its
 signature spells it, e.g. "k must be non-negative, got -1".
 
-:func:`mul` is schoolbook convolution, exact because Python integers
-never overflow: a :func:`weighted_sum` over the nonzero terms c*q^i of
-its sparser operand, N + 1 - i multiply-adds for each of them.  A
-product with a sparse factor (a monomial, a binomial, a theta sum) is
-effectively linear; a dense product costs (N+1)(N+2)/2 multiply-adds.
+:func:`mul` takes one of two paths, by the number of nonzero coefficients
+of its sparser operand at the common order N.  Below :data:`_PACKED_MUL`
+it is a :func:`weighted_sum` over that operand's nonzero terms c*q^i,
+N + 1 - i multiply-adds each, so a product with a sparse factor (a
+monomial, a binomial, a theta sum) is effectively linear.  From
+:data:`_PACKED_MUL` on it is Kronecker substitution (D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 44 (2009)): each operand is packed at q = 2^W by the
+one encoder :func:`_encode`, the two integers are multiplied once
+(Karatsuba, inside CPython) and the product is unpacked, in place of
+(N+1)(N+2)/2 multiply-adds for a dense pair.
 """
 
 from __future__ import annotations
@@ -250,23 +258,6 @@ def shift(a: ExactSeries, e: int) -> ExactSeries:
     return ExactSeries((0,) * e + a.coeffs)
 
 
-def mul(a: ExactSeries, b: ExactSeries) -> ExactSeries:
-    """Truncated Cauchy product at the common (minimum) order N.
-
-    The operand with fewer nonzero coefficients in q^0..q^N drives (a on a
-    tie): the product is the weighted_sum of c*q^i times the other operand
-    over the driver's nonzero terms c*q^i, which makes products with sparse
-    factors (monomials, binomials, theta sums) effectively linear.
-    """
-    order = min(len(a.coeffs), len(b.coeffs)) - 1
-    # Both slices hold order + 1 entries, so more zeros means fewer nonzeros.
-    if b.coeffs[: order + 1].count(0) > a.coeffs[: order + 1].count(0):
-        a, b = b, a
-    driver = a.coeffs[: order + 1]
-    terms = zip(compress(count(), driver), filter(None, driver), repeat(b))
-    return weighted_sum(terms, order)
-
-
 def invert(a: ExactSeries) -> ExactSeries:
     """Multiplicative inverse b with mul(a, b) = 1 at a's order.
 
@@ -337,6 +328,18 @@ def divide_binomial(a: ExactSeries, x: int, c: int) -> ExactSeries:
 # Packed series: one integer per series, q -> 2^W
 # ---------------------------------------------------------------------------
 
+# The nonzero count of mul's sparser operand from which it packs.  Swept
+# at orders 80 to 400 with a +-1 operand of k nonzeros at quadratically
+# spaced exponents (as a theta sum or (q;q)_inf) times itself, times a
+# dense operand with |c| <= 50 and times one with coefficients of the size
+# of p(n): packing overtook weighted_sum from about k = 16 for the squares,
+# 20 for the small dense operand and 28 to 40 for the p(n) one, whose
+# slots are wider (2-core Xeon, Python 3.11).  Over those 188 products a
+# cut-over of 20 took on average (geometric mean) 3% longer than the
+# faster path, and at most 1.6 times as long; BENCH_33.json holds the sweep.
+_PACKED_MUL = 20
+
+
 def packed_width(bound: int) -> int:
     """The slot width W for coefficients of absolute value at most bound:
     the smallest multiple of 8 at least one bit longer than bound, so each
@@ -354,6 +357,20 @@ def _partition_bound(r: int, n: int) -> int:
     rounded up to a power of 2 with a bit to spare for the float; 2 at r*n = 0.
     """
     return 1 << (math.ceil(math.pi * math.sqrt(2 * r * n / 3) / math.log(2)) + 1)
+
+
+def _distinct_bound(n: int) -> int:
+    """An integer at least q(m), the number of partitions of m into
+    distinct parts (the coefficient of q^m in (-q;q)_inf), for every
+    m <= n, n >= 0.
+
+    With x = e^(-t), t > 0: q(m) x^m <= prod_k (1 + x^k) <= e^(pi^2/(12t)),
+    a sum of log(1 + e^(-k*t)) decreasing in k being at most its integral.
+    t = pi/sqrt(12m) gives q(m) <= e^(pi*sqrt(m/3)), which grows with m;
+    rounded up to a power of 2 after adding 2^-20 to the exponent for the
+    float, whose error is far smaller; 2 at n = 0.
+    """
+    return 1 << math.ceil(math.pi * math.sqrt(n / 3) / math.log(2) + 2 ** -20)
 
 
 def _bias(width: int, count: int) -> int:
@@ -382,12 +399,60 @@ def _reader(width: int, count: int) -> Callable[[int, int], List[int]]:
     return read
 
 
+def _encode(coeffs: Sequence[int], width: int) -> int:
+    """The package's one encode: sum_i coeffs[i] * 2^(width*i), for width
+    a multiple of 8 and every |coeffs[i]| below 2^(width-1).
+
+    The inverse of _reader's decode: each coefficient plus 2^(width-1) is
+    one nonnegative slot of width // 8 bytes, the slots are joined and
+    read by one int.from_bytes, and the bias of every slot is taken off."""
+    size, half = width // 8, 1 << (width - 1)
+    raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - _bias(width, len(coeffs))
+
+
 def unpack(u: int, width: int, order: int) -> ExactSeries:
     """The series of order order whose coefficients are the signed
     width-bit slots of u mod 2^(width*(order+1)).  Exact when every
     coefficient of the series that u packs is below 2^(width-1) in
     absolute value."""
     return ExactSeries(tuple(_reader(width, order + 1)(u, order + 1)))
+
+
+def mul(a: ExactSeries, b: ExactSeries) -> ExactSeries:
+    """Truncated Cauchy product at the common (minimum) order N.
+
+    The operand with fewer nonzero coefficients in q^0..q^N is the driver
+    (a on a tie).  With fewer than _PACKED_MUL nonzeros the product is the
+    weighted_sum of c*q^i times the other operand over the driver's
+    nonzero terms c*q^i, which makes products with sparse factors
+    (monomials, binomials, theta sums) effectively linear.
+
+    Otherwise both operands, cut to q^0..q^N, are packed at q = 2^W by
+    _encode, multiplied as integers once and unpacked at the order N, with
+    W = packed_width(min(sum|a_i| * max|b_j|, max|a_i| * sum|b_j|)) over
+    i, j <= N (Kronecker substitution; a square packs once).  Proof: the
+    product coefficient c_n = sum_{i<=n} a_i * b_(n-i) has
+    |c_n| <= sum_i |a_i| * max_j |b_j| and, by symmetry, the other term,
+    so every c_n with n <= N fits a signed W-bit slot.  Both operands have
+    a nonzero coefficient, so each bound is at least every |a_i| and every
+    |b_j| and the operands fit their slots too.  q -> 2^W maps the ideal
+    (q^(N+1)) into (2^(W*(N+1))), so the integer product is the packed
+    truncated product mod 2^(W*(N+1)), which unpack reads exactly.
+    """
+    order = min(len(a.coeffs), len(b.coeffs)) - 1
+    x, y = a.coeffs[: order + 1], b.coeffs[: order + 1]
+    # Both slices hold order + 1 entries, so more zeros means fewer nonzeros.
+    zeros, other_zeros = x.count(0), y.count(0)
+    if other_zeros > zeros:
+        a, b, x, y, zeros = b, a, y, x, other_zeros
+    if order + 1 - zeros < _PACKED_MUL:
+        terms = zip(compress(count(), x), filter(None, x), repeat(b))
+        return weighted_sum(terms, order)
+    ax, ay = list(map(abs, x)), list(map(abs, y))
+    width = packed_width(min(sum(ax) * max(ay), max(ax) * sum(ay)))
+    u = _encode(x, width)
+    return unpack(u * (u if a is b else _encode(y, width)), width, order)
 
 
 def _times_packed(u: int, x: int, c: int, width: int, mask: int) -> int:

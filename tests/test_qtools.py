@@ -17,6 +17,7 @@ from qident.oracles import partition_count
 from qident.qtools import (
     INFINITE,
     _binomial_quotient,
+    _distinct_bound,
     _factors,
     _gauss_poly,
     _partition_bound,
@@ -567,6 +568,18 @@ def test_partition_bound_holds_for_p_and_p2():
             assert _partition_bound(r, n) >= count, (r, n)
 
 
+def test_distinct_bound_holds_for_distinct_partitions():
+    # q(n) <= e^(pi*sqrt(n/3)), checked against the exact counts to
+    # n = 2000 (the coefficients of (-q; q)_inf, one part size at a time)
+    limit = 2000
+    exact = [1] + [0] * limit
+    for part in range(1, limit + 1):
+        for n in range(limit, part - 1, -1):
+            exact[n] += exact[n - part]
+    for n, count in enumerate(exact):
+        assert _distinct_bound(n) >= count, n
+
+
 @pytest.fixture
 def widths(monkeypatch):
     """(width, series) for every packed result unpacked while the test
@@ -684,9 +697,13 @@ def test_packed_widths_follow_the_width_rules(widths):
     # the kernel at m = inf, bounded by (N+1) * p_2(N), carries 48-bit
     # coefficients in 80-bit slots; at m = 2 the value at q = 1 gives 24
     # bits for 13; the q-binomial sum at n = 4 is bounded by C(n + N, N)
-    # and its right side 1/(q; q)_4 by p(N)
+    # and its right side 1/(q; q)_4 by p(N); (q; q)_inf and (-q; q)_inf,
+    # no denominator and distinct factors, are bounded by q(N) and carry
+    # 1- and 29-bit coefficients in 40-bit slots at N = 200
     kernel_H(1, INFINITE, 1, 2, 149)
     kernel_H(0, 2, 1, 2, 400)
     _q_binomial_sides(4, 1, 200)
+    pochhammer(1, 1, 1, INFINITE, 200)
+    pochhammer(-1, 1, 1, INFINITE, 200)
     assert [(width, max(map(abs, out.coeffs)).bit_length()) for width, out in widths] == [
-        (80, 48), (24, 13), (32, 16), (56, 16)]
+        (80, 48), (24, 13), (32, 16), (56, 16), (40, 1), (40, 29)]

@@ -262,6 +262,83 @@ def test_mul_is_a_weighted_sum_over_the_sparser_operand(monkeypatch):
     assert calls == [([], set())]
 
 
+# Nonzero coefficients of every size mul meets: small, +-10^30 and 4^n,
+# the size of the chain sums at order n.
+packed_coeff_st = st.one_of(
+    st.integers(-9, 9), big_st,
+    st.builds(lambda n, sign: sign * 4 ** n, st.integers(0, 80), st.sampled_from((1, -1))),
+).filter(bool)
+# At most 12 leading zeros before at least _PACKED_MUL + 12 nonzeros, so
+# at the common order of two of them both have _PACKED_MUL nonzeros.
+dense_operand_st = st.builds(
+    lambda lead, tail: from_coeffs([0] * lead + tail), st.integers(0, 12),
+    st.lists(packed_coeff_st, min_size=series._PACKED_MUL + 12, max_size=series._PACKED_MUL + 40))
+
+
+@settings(max_examples=80)
+@given(dense_operand_st, dense_operand_st)
+def test_packed_mul_matches_naive_convolution(a, b):
+    encodes = []
+    real = series._encode
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_encode", lambda coeffs, width: encodes.append(width)
+                      or real(coeffs, width))
+        expected = _naive_product(a, b)
+        assert mul(a, b).coeffs == expected
+        assert mul(b, a).coeffs == expected
+        assert mul(a, a).coeffs == _naive_product(a, a)
+    assert len(encodes) == 5
+
+
+@settings(max_examples=300)
+@given(mul_operand_st, mul_operand_st)
+def test_packed_mul_matches_naive_convolution_on_every_shape(a, b):
+    # with the cut-over at one nonzero every product but a zero one packs:
+    # order 0, monomials and lone big coefficients included
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_PACKED_MUL", 1)
+        expected = _naive_product(a, b)
+        assert mul(a, b).coeffs == expected
+        assert mul(b, a).coeffs == expected
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_mul_packs_from_the_cut_over(monkeypatch, packed):
+    # the sparser operand's nonzero count decides: one weighted_sum below
+    # _PACKED_MUL, one encode per operand (one for a square) from it on
+    sums, encodes = [], []
+    real_sum, real_encode = series.weighted_sum, series._encode
+    monkeypatch.setattr(series, "weighted_sum",
+                        lambda terms, order: sums.append(order) or real_sum(terms, order))
+    monkeypatch.setattr(series, "_encode",
+                        lambda coeffs, width: encodes.append(len(coeffs)) or real_encode(coeffs, width))
+    order = 3 * series._PACKED_MUL
+    nonzeros = series._PACKED_MUL - 1 + packed
+    sparse = from_terms([(3 * i, (-1) ** i * (i + 2)) for i in range(nonzeros)], order)
+    dense = from_coeffs(range(1, order + 2))
+    for x, y in ((sparse, dense), (dense, sparse), (sparse, sparse)):
+        sums.clear()
+        encodes.clear()
+        assert mul(x, y).coeffs == _naive_product(x, y)
+        copies = 1 if x is y else 2
+        assert (sums, encodes) == (([], [order + 1] * copies) if packed else ([order], []))
+
+
+@pytest.mark.parametrize("c, d", [(1, 1), (-7, 3), (10 ** 30, -(4 ** 50))])
+def test_packed_width_is_tight_for_constant_operands(monkeypatch, c, d):
+    # the top coefficient of the product of two constant runs is
+    # n*c*d = sum|a_i| * max|b_j|, the width bound itself: a slot one byte
+    # narrower than packed_width's cannot hold it
+    n = series._PACKED_MUL + 200
+    a, b = from_coeffs([c] * n), from_coeffs([d] * n)
+    want = _naive_product(a, b)
+    assert want[-1] == n * c * d
+    assert mul(a, b).coeffs == want
+    real = series.packed_width
+    monkeypatch.setattr(series, "packed_width", lambda bound: real(bound) - 8)
+    assert mul(a, b).coeffs[-1] != want[-1]
+
+
 # ---------------------------------------------------------------------------
 # Weighted sums
 # ---------------------------------------------------------------------------
@@ -814,11 +891,13 @@ def test_no_build_path_calls_a_reference(reference, own):
 
 
 def test_chain_sums_and_unpack_share_the_one_decode():
-    # the packed format has one reader, _reader's read: no other function
-    # splits a packed integer into the bytes of its slots
+    # the packed format has one reader, _reader's read, and one writer,
+    # _encode: no other function splits a packed integer into the bytes of
+    # its slots or joins slot bytes into one
     path = Path(qident.__file__).parent / "series.py"
     assert {scope for scope, _ in _calls(path, "_reader")} == {"chain_sums", "unpack"}
-    assert {scope for scope, _ in _calls(path, "to_bytes")} == {"_bias", "read"}
+    assert {scope for scope, _ in _calls(path, "_encode")} == {"mul"}
+    assert {scope for scope, _ in _calls(path, "to_bytes")} == {"_bias", "_encode", "read"}
 
 
 # Every name of the packed format (q -> 2^W): its kernels, steps, decode

@@ -35,10 +35,9 @@ times ``kernel_H`` at m = INFINITE, the kernel of T1 and T2.
 The one-sided theta sums, and the B-weighted sums of them, are one
 ``from_terms`` each over the O(sqrt(N)) sparse terms of S_k
 (``qtools.alt_triangular_terms``), never dense series added together.
-The eta quotient ``_eta_quotient`` is one ``_binomial_quotient`` of the
-doubled factor lists, with no product of series, and is cached like
-``pochhammer``, so a suite builds each (sign, parts, order) quotient
-once.
+The eta quotient ``_eta_quotient`` is the square, by one ``mul``, of one
+``_binomial_quotient``, and is cached like ``pochhammer``, so a suite
+builds each (sign, parts, order) quotient once.
 """
 
 from __future__ import annotations
@@ -143,13 +142,16 @@ _Sides = Tuple[ExactSeries, ExactSeries]
 @lru_cache(maxsize=None, typed=True)
 def _eta_quotient(sign: int, odd: bool, order: int) -> ExactSeries:
     """(sign q; q^step)_inf^2 / (q^step; q^step)_inf^2, step 2 for the
-    odd-part families, else 1: one _binomial_quotient of the two factor
-    lists, each factor twice, so its width bound counts the doubled
-    factors (r = 4 at sign -1, step 1)."""
+    odd-part families, else 1: the packed square, by mul, of the one
+    _binomial_quotient (sign q; q^step)_inf / (q^step; q^step)_inf, as
+    squared_pochhammer squares its product.  The quotient's width bound
+    counts each exponent's factors once (r = 2 at sign -1, step 1); the
+    square's width is mul's own."""
     _check_int("order", order)
     step = 2 if odd else 1
-    return _binomial_quotient(list(_factors(sign, 1, step, INFINITE, order)) * 2,
-                              list(_factors(1, step, step, INFINITE, order)) * 2, order)
+    quotient = _binomial_quotient(_factors(sign, 1, step, INFINITE, order),
+                                  _factors(1, step, step, INFINITE, order), order)
+    return mul(quotient, quotient)
 
 
 def _one_sided_terms(k: int, odd: bool, order: int) -> List[Tuple[int, int]]:

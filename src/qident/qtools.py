@@ -16,9 +16,10 @@ is its one-term case and ``_ratio_sums`` its term-ratio form.  This module
 hands series factor lists and a coefficient bound, which each builder
 derives from its own factors with series._partition_bound or
 series._distinct_bound and states in its docstring, and never touches a
-packed integer.  So no build path inverts a series; the one product of
-two series here is the square in ``squared_pochhammer``.  ``_gauss_poly``
-and ``hypergeometric_terms`` are references no build path calls.
+packed integer.  Nor does it do unpacked arithmetic on series: it builds
+them only with term_sums, from_terms and the one product of two series
+here, the square in ``squared_pochhammer``, and never inverts one.  The
+q-Pascal ``_gauss_poly`` is its one reference, which no build path calls.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, List, Sequence, Tuple, Type, Union
 
 from .series import (ExactSeries, _check_int, _check_sign, _distinct_bound, _partition_bound,
-                     divide_binomial, from_coeffs, from_terms, mul, term_sums, weighted_sum, zero)
+                     from_terms, mul, term_sums, zero)
 
 #: Sentinel for an unbounded length / magnitude bound.  Realized as
 #: math.inf so that min(m, N) arithmetic works unchanged for finite and
@@ -206,46 +207,6 @@ def _ratio_sums(top: Iterable[float], bottom: Iterable[int], d: int, shifts: Ite
     top, bottom = _cancel((a for a in top if a != INFINITE), bottom)
     return term_sums(*first, [d * (a - 1) for a in top], [d * (c - 1) for c in bottom], d,
                      shifts, weights, bound, order)
-
-
-def hypergeometric_terms(first: ExactSeries, top: Iterable[float], bottom: Iterable[int],
-                         d: int, s: int, order: int) -> Iterator[ExactSeries]:
-    """The terms of a basic hypergeometric series in base Q = q^d without
-    their z-power: term n of the series is q^(s*n) * u_n, where
-
-        u_0 = first,
-        u_n = u_(n-1) * prod_{a in top} (1 - Q^(a+n-1))
-                      / prod_{c in bottom} (1 - Q^(c+n-1))
-
-    for n = 1..order//s, u_n truncated at q^(order - s*n).  Parameters in
-    both top and bottom cancel first; a top parameter may be INFINITE, and
-    d, s and every parameter must be >= 1.
-
-    The unpacked reference for _ratio_sums, kept because the tests
-    compare against it: each numerator factor is a two-term weighted_sum,
-    each denominator factor a divide_binomial.  No build path calls it.
-    """
-    top, bottom = tuple(top), tuple(bottom)  # checked before a Counter merges True into 1
-    for a in top:
-        _check_bound("top", a, 1)
-    for c in bottom:
-        _check_int("bottom", c, 1)
-    _check_int("d", d, 1)
-    _check_int("s", s, 1)
-    _check_int("order", order)
-    top, bottom = _cancel(top, bottom)
-    u = first
-    yield u
-    for n in range(1, order // s + 1):
-        reach = order - s * n
-        u = from_coeffs(u.coeffs[: reach + 1])
-        for a in top:
-            if d * (a + n - 1) <= reach:
-                u = weighted_sum([(0, 1, u), (d * (a + n - 1), -1, u)], reach)
-        for c in bottom:
-            if d * (c + n - 1) <= reach:
-                u = divide_binomial(u, d * (c + n - 1), 1)
-        yield u
 
 
 # ---------------------------------------------------------------------------

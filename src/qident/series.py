@@ -28,9 +28,8 @@ ExactSeries.  The others build with :func:`from_terms` ((exponent,
 coefficient) terms), :func:`weighted_sum` (shifted multiples c*q^e*s as
 (e, c, s) triples), :func:`mul`, and :func:`term_sums` and
 :func:`chain_sums` (the chain sums S_j of the families module), below.
-:func:`divide_binomial` (one binomial division, by the private kernel
-:func:`_divide`) and :func:`invert` are the unpacked references the tests
-check the packed steps by; no build path calls them.
+:func:`invert` is the one unpacked division, the reference the tests
+check the packed steps by; no build path calls it.
 
 The packed format is one integer per series: a series of order N at
 q = 2^W, sum_i c_i * 2^(W*i) mod 2^(W*(N+1)).  Only this module touches
@@ -282,45 +281,6 @@ def invert(a: ExactSeries) -> ExactSeries:
             s += ac[i] * b[n - i]
         if s:
             b[n] = -a0 * s
-    return ExactSeries(tuple(b))
-
-
-def _divide(b: List[int], x: int, c: int) -> None:
-    """The unpacked binomial-division kernel: b / (1 - c*q^x) in place.
-
-    The quotient's coefficients satisfy b[t] = a[t] + c*b[t-x]: each
-    residue class t = r (mod x) is a first-order recurrence, and each
-    block of x entries is the input plus c times the block before it.
-
-    The per-coefficient work runs in C iterators.  For c = 1 with
-    x*x < len(b), the x residue classes are divided one by one, each by
-    itertools.accumulate.  Otherwise each of the len(b)/x blocks is one
-    map over the block before it, exact for any x and c; for c = 1 and
-    x*x >= len(b) that is at most about sqrt(len(b)) interpreter steps.
-    """
-    if c == 1 and x * x < len(b):
-        for r in range(x):
-            b[r::x] = accumulate(b[r::x])
-        return
-    op = _SIGNED_ADD.get(c)
-    block = b[:x]
-    for j in range(x, len(b), x):
-        block = b[j : j + x] = list(
-            map(op, b[j : j + x], block) if op else
-            map(operator.add, b[j : j + x], map(operator.mul, block, repeat(c))))
-
-
-def divide_binomial(a: ExactSeries, x: int, c: int) -> ExactSeries:
-    """The quotient a / (1 - c*q^x) at a's order, for x >= 1 and any int c.
-
-    One call of the binomial-division kernel _divide on a's coefficients:
-    the quotient equals a below q^x.  O(order) coefficient operations for
-    any x and c.  The unpacked reference for binomial_steps: the tests
-    and qtools.hypergeometric_terms call it, no build path does.
-    """
-    _check_int("x", x, 1)
-    b = list(a.coeffs)
-    _divide(b, x, c)
     return ExactSeries(tuple(b))
 
 

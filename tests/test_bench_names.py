@@ -3,10 +3,12 @@ function that bench/tracing.py wraps, and every cache and table that
 bench/worker.py reads after a traced repetition.  The harness modules are
 loaded from their files and run as they are; nothing under bench/ changes."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
+import qident
 from qident import families, qtools
 from qident.qtools import INFINITE
 from qident.series import ExactSeries
@@ -50,3 +52,36 @@ def test_cache_stats_read_the_caches_and_tables_of_a_traced_run(monkeypatch):
         rows, width = entry
         assert type(entry) is tuple and type(width) is int
         assert rows and all(type(row) is ExactSeries for row in rows)
+
+
+def _unread_definitions():
+    """(module, name) of every top-level function or class in the package
+    that no package code reads: no Name load of it outside its own
+    definition.  The exports of qident.__all__ and cli.main are entry
+    points, not orphans."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(qident.__file__).parent.glob("*.py"))}
+    loads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = set(map(id, ast.walk(node)))
+            if not any(load.id == node.name and id(load) not in own for load in loads):
+                unread.append((module, node.name))
+    return [(module, name) for module, name in unread
+            if name not in qident.__all__ and (module, name) != ("cli", "main")]
+
+
+def test_every_unread_definition_is_pinned_by_the_benchmark():
+    # code only the tests reach stays only while the harness names it: a
+    # LAYERS entry of bench/tracing.py or an attribute bench/worker.py reads
+    layers = _load("tracing").LAYERS
+    worker = ast.parse((BENCH / "worker.py").read_text())
+    read = {node.attr for node in ast.walk(worker) if isinstance(node, ast.Attribute)}
+    unread = _unread_definitions()
+    assert unread, "the scan found no unread definition at all"
+    assert [(module, name) for module, name in unread
+            if name not in layers.get(module, ()) and name not in read] == []

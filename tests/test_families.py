@@ -25,7 +25,6 @@ from qident.series import (
     add,
     chain_sums,
     chain_width,
-    divide_binomial,
     invert,
     monomial,
     mul,
@@ -85,7 +84,7 @@ def test_atom_matches_rational_closed_form(family, exponent, sign):
     assert atom(family, sign, 3, order) == closed
     # The cell form: q^e divided twice by (1 - sign q^e).
     q_e = weighted_sum([(exponent, 1, one(order))], order)
-    cell = divide_binomial(divide_binomial(q_e, exponent, sign), exponent, sign)
+    cell = mul(mul(q_e, invert(factor)), invert(factor))
     assert atom(family, sign, 3, order).coeffs == cell.coeffs
     # The chain-sum kernel over this one exponent: S_1 is the atom itself.
     sums = chain_sums([exponent], sign, False, 1, order, chain_width(False, order))

@@ -7,12 +7,14 @@ import copy
 import hashlib
 import inspect
 import pickle
+import sys
+import threading
 import time
 
 import pytest
 
 import qident
-from qident import identities, qtools, series
+from qident import families, identities, oracles, qtools, series
 from qident.families import (
     FAMILIES,
     FamilySpec,
@@ -47,7 +49,6 @@ from qident.identities import (
 from qident.oracles import overpartition_pairs, pod_bipartitions, triangular
 from qident.qtools import (
     INFINITE,
-    hypergeometric_terms,
     kernel_H,
     phi2_1,
     pochhammer,
@@ -240,7 +241,7 @@ def _registry_arg(identity, arg, low, **params):
 # other argument valid); the orders come from _ORDER_CALLS.
 _INT_ARG_CALLS = [
     ("monomial", "e", 0, lambda v: qident.monomial(1, v, 5)),
-    ("divide_binomial", "x", 1, lambda v: series.divide_binomial(one(5), v, 1)),
+    ("substitute_power", "d", 1, lambda v: series.substitute_power(one(5), v)),
     ("pochhammer", "offset", 1, lambda v: qident.pochhammer(1, v, 1, 3, 10)),
     ("pochhammer", "step", 1, lambda v: qident.pochhammer(1, 1, v, 3, 10)),
     ("pochhammer", "length", 0, lambda v: qident.pochhammer(1, 1, 1, v, 10)),
@@ -276,19 +277,7 @@ _INT_ARG_CALLS = [
     _registry_arg("POS_W", "k", 0),
     _registry_arg("ORACLE_V", "k", 0, sign=1, m=2),
     _registry_arg("ORACLE_V", "m", 1, sign=1, k=1),
-] + [(name, "order", 0, call) for name, call in _ORDER_CALLS] + [
-    # a generator checks its arguments when the first term is asked for
-    ("hypergeometric_terms", "top", 1,
-     lambda v: list(hypergeometric_terms(one(4), (v,), (1,), 1, 1, 4))),
-    ("hypergeometric_terms", "bottom", 1,
-     lambda v: list(hypergeometric_terms(one(4), (2,), (v,), 1, 1, 4))),
-    ("hypergeometric_terms", "d", 1,
-     lambda v: list(hypergeometric_terms(one(4), (2,), (1,), v, 1, 4))),
-    ("hypergeometric_terms", "s", 1,
-     lambda v: list(hypergeometric_terms(one(4), (2,), (1,), 1, v, 4))),
-    ("hypergeometric_terms", "order", 0,
-     lambda v: list(hypergeometric_terms(one(4), (2,), (1,), 1, 1, v))),
-]
+] + [(name, "order", 0, call) for name, call in _ORDER_CALLS]
 
 
 @pytest.mark.parametrize("name, arg, low, call", _INT_ARG_CALLS,
@@ -403,20 +392,6 @@ def test_holds_iff_no_discrepancy():
 # Shared building blocks
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("step", [1, 2])
-@pytest.mark.parametrize("order", [0, 1, 7, 20])
-def test_inverse_pochhammer_table_inverts_the_products(step, order):
-    # the terms of ratio q^s/(1 - Q^n), Q = q^step, are q^(s*n)/(Q;Q)_n;
-    # term n comes without its q^(s*n), truncated at q^(order - s*n)
-    for s in (1, 2, 3):
-        terms = list(hypergeometric_terms(one(order), (), (1,), step, s, order))
-        assert len(terms) == order // s + 1
-        for n, term in enumerate(terms):
-            assert term.order == order - s * n
-            product = pochhammer(1, step, step, n, term.order)
-            assert mul(term, product).coeffs == one(term.order).coeffs
-
-
 @pytest.mark.parametrize("odd", [False, True])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("order", [0, 1, 7, 60])
@@ -515,6 +490,58 @@ def test_kernel_product_of_a_huge_bound_or_index_stays_cheap(k, m):
     start = time.perf_counter()
     assert verify(IdentityCase(id="T1_V", params=dict(sign=1, k=k, m=m), order=20)).holds
     assert time.perf_counter() - start < 5.0
+
+
+# Cold cases over the chain DP, the kernel, the eta quotient, the
+# quotient sums and the divisor-sum moments.
+_THREAD_CASES = [
+    IdentityCase("T1_V", dict(sign=-1, k=1, m=2), 40),
+    IdentityCase("T2_W", dict(sign=1, j=1, m=2), 40),
+    IdentityCase("L1", dict(k=1), 40),
+    IdentityCase("SIGMA_ID", {}, 40),
+    IdentityCase("TT4_W", dict(sign=-1, j=2), 40),
+]
+
+
+def _clear_every_cache(monkeypatch):
+    """Empty every memo and table of the package."""
+    for cached in (qtools.pochhammer, qtools.squared_pochhammer, qtools._gauss_poly,
+                   qtools.kernel_H, _eta_quotient, oracles._overpartition_single,
+                   oracles._pod_single):
+        cached.cache_clear()
+    monkeypatch.setattr(families, "_tables", {})
+    monkeypatch.setattr(oracles, "_partitions", [1])
+
+
+def test_concurrent_cold_verifies_match_one_thread(monkeypatch):
+    # series are shared freely between threads: eight threads verifying the
+    # same cold cases at once report what one thread reports; a race shows
+    # only in some interleavings, so the run is repeated from cold caches
+    _clear_every_cache(monkeypatch)
+    want = [(r.holds, r.first_discrepancy) for r in map(verify, _THREAD_CASES)]
+    assert want == [(True, None)] * len(_THREAD_CASES)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            _clear_every_cache(monkeypatch)
+            results = [None] * 8
+            start = threading.Barrier(8, timeout=60)
+
+            def worker(slot):
+                start.wait()
+                results[slot] = [(r.holds, r.first_discrepancy)
+                                 for r in map(verify, _THREAD_CASES)]
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [want] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

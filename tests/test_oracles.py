@@ -4,6 +4,9 @@ extraction behind the inverse weights.  The plain partition generator
 lives here, as the reference the pair counts' recursion is checked
 against."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,6 +102,39 @@ def test_partition_count_classics(monkeypatch):
     for bad in (2.5, 5.0, True):
         with pytest.raises(DomainError, match=f"^n must be an integer, got {bad!r}$"):
             partition_count(bad)
+
+
+def test_partition_count_is_safe_to_share_between_threads(monkeypatch):
+    # the table is extended on a copy and published whole: eight threads
+    # growing it from p(0) alone, each through every eighth n up to 600,
+    # read the values one thread computes; a race shows only in some
+    # interleavings, so the run is repeated from the bare table
+    monkeypatch.setattr(oracles, "_partitions", [1])
+    want = [partition_count(n) for n in range(601)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(oracles, "_partitions", [1])
+            results = [None] * 8
+            start = threading.Barrier(8, timeout=60)
+
+            def worker(slot):
+                start.wait()
+                results[slot] = [partition_count(n) for n in range(slot, 601, 8)]
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [want[slot::8] for slot in range(8)]
+            # the last table published may be a shorter one, never a wrong one
+            table = oracles._partitions
+            assert table == want[: len(table)]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

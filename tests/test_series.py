@@ -23,7 +23,6 @@ from qident.series import (
     chain_sums,
     chain_width,
     coeff,
-    divide_binomial,
     from_coeffs,
     from_terms,
     invert,
@@ -385,8 +384,17 @@ def test_weighted_sum_validates_order_and_exponents():
 # Binomial division
 # ---------------------------------------------------------------------------
 
+def _divided(coeffs, x, c):
+    """Test-local quotient by (1 - c*q^x): one forward pass of
+    b[n] += c*b[n-x], not shared with the package."""
+    b = list(coeffs)
+    for n in range(x, len(b)):
+        b[n] += c * b[n - x]
+    return tuple(b)
+
+
 @st.composite
-def divide_binomial_case(draw):
+def binomial_division_case(draw):
     a = draw(mul_operand_st)
     x = draw(st.integers(1, a.order + 2))
     c = draw(st.one_of(st.sampled_from((1, -1)), big_st))
@@ -394,25 +402,17 @@ def divide_binomial_case(draw):
 
 
 @settings(max_examples=300)
-@given(divide_binomial_case())
-def test_divide_binomial_matches_inverted_binomial_product(case):
+@given(binomial_division_case())
+def test_forward_pass_matches_inverted_binomial_product(case):
+    # the two unpacked division references, the forward pass and invert,
+    # check each other
     a, x, c = case
     expected = mul(a, invert(from_terms([(0, 1), (x, -c)], a.order)))
-    assert divide_binomial(a, x, c).coeffs == expected.coeffs
+    assert _divided(a.coeffs, x, c) == expected.coeffs
 
 
-def _divided(coeffs, x, c):
-    """Test-local quotient by (1 - c*q^x): one forward pass of
-    b[n] += c*b[n-x], not shared with divide_binomial."""
-    b = list(coeffs)
-    for n in range(x, len(b)):
-        b[n] += c * b[n - x]
-    return tuple(b)
-
-
-# Order 200 makes 201 coefficients, so the residue/block switch at
-# x*x < n falls between x = 14 and 15 for divide_binomial on a dense
-# series.
+# Dense order-200 series (201 coefficients) with big coefficients, divided
+# by (1 - c*q^x) for x from 1 to 199 and c up to a 100-bit weight.
 LONG_ORDER = 200
 LONG_EXPONENTS = (1, 2, 13, 14, 15, 100, 199)
 LONG_WEIGHTS = (-2, -1, 0, 1, 2, 10 ** 30 + 7)
@@ -423,45 +423,6 @@ def _long_series(seed, lead=0):
     return from_coeffs([0] * lead + [(seed * 7919 * n + 13) % 1000003 * (-1) ** (n % 3)
                                      * 10 ** (n % 25) + n + 1
                                      for n in range(LONG_ORDER + 1 - lead)])
-
-
-@pytest.mark.parametrize("x", LONG_EXPONENTS)
-@pytest.mark.parametrize("c", LONG_WEIGHTS)
-def test_divide_binomial_matches_forward_pass_at_order_200(x, c):
-    for a in (_long_series(1), _long_series(2, lead=3)):
-        assert divide_binomial(a, x, c).coeffs == _divided(a.coeffs, x, c)
-
-
-@settings(max_examples=200)
-@given(divide_binomial_case())
-def test_divide_binomial_matches_forward_pass(case):
-    a, x, c = case
-    assert divide_binomial(a, x, c).coeffs == _divided(a.coeffs, x, c)
-
-
-@pytest.mark.parametrize("x, residue_classes", [(14, 14), (15, 0)])
-def test_binomial_division_switches_from_residues_to_blocks_at_the_square_root(
-        monkeypatch, x, residue_classes):
-    # a dense order-200 series: n = 201 entries from the valuation on, so
-    # x = 14 divides each of its 14 residue classes with accumulate and
-    # x = 15 (225 >= 201) goes block by block without it
-    calls = []
-    real = qident.series.accumulate
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(qident.series, "accumulate", counting)
-    a = _long_series(3)
-    assert divide_binomial(a, x, 1).coeffs == _divided(a.coeffs, x, 1)
-    assert len(calls) == residue_classes
-
-
-def test_divide_binomial_rejects_exponents_below_one():
-    for x in (0, -1):
-        with pytest.raises(ValueError, match=f"^x must be >= 1, got {x}$"):
-            divide_binomial(one(4), x, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +472,7 @@ def test_binomial_steps_match_the_unpacked_products_and_divisions(case):
     for x, c in top:
         want = weighted_sum([(0, 1, want), (x, -c, want)], a.order)
     for x, c in bottom:
-        want = divide_binomial(want, x, c)
+        want = from_coeffs(_divided(want.coeffs, x, c))
     width = _fitting_width(a, want)
     got = binomial_steps(_encode(a, width, a.order), top, bottom, width, a.order)
     assert unpack(got, width, a.order) == want
@@ -533,9 +494,8 @@ def test_packed_division_matches_forward_pass_at_order_200(x, c):
 
 def _add_cell(acc, s, e, c):
     """Test-local chain-DP cell acc + q^e*s/(1 - c*q^e)^2 at order
-    min(acc.order, s.order + e): two divide_binomial calls and one
-    weighted_sum."""
-    quotient = divide_binomial(divide_binomial(s, e, c), e, c)
+    min(acc.order, s.order + e): two forward passes and one weighted_sum."""
+    quotient = from_coeffs(_divided(_divided(s.coeffs, e, c), e, c))
     return weighted_sum([(0, 1, acc), (e, 1, quotient)], acc.order)
 
 
@@ -549,7 +509,8 @@ def add_cell_case(draw):
 
 
 # The reference row DP below is built from _add_cell, so the cell itself is
-# checked against forward passes that share no code with the package.
+# checked against a shift, forward passes and a sum that share no code with
+# the package (the cell adds by weighted_sum).
 @settings(max_examples=300)
 @given(add_cell_case())
 @example((from_coeffs(range(1, 9)), zero(5), 2, 1))  # s = 0
@@ -875,13 +836,9 @@ def test_only_verify_compares_the_two_sides():
     # the q-Pascal recurrence the tests compare gaussian_binomial against;
     # only its own recursion calls it
     ("_gauss_poly", {("qtools.py", "_gauss_poly")}),
-    # the whole-series inverse the tests compare every binomial division
-    # against; every reciprocal is built by binomial divisions instead
+    # the whole-series inverse the tests compare binomial divisions
+    # against; every reciprocal is built by packed binomial divisions instead
     ("invert", set()),
-    # the unpacked binomial division and the per-term generator built on
-    # it: every binomial product and term-ratio sum is packed instead
-    ("divide_binomial", {("qtools.py", "hypergeometric_terms")}),
-    ("hypergeometric_terms", set()),
 ])
 def test_no_build_path_calls_a_reference(reference, own):
     package = Path(qident.__file__).parent
@@ -932,8 +889,10 @@ def test_only_series_touches_packed_integers():
     assert not hasattr(series, "pack")
     assert list(inspect.signature(qtools._binomial_quotient).parameters) == [
         "top", "bottom", "order"]
-    assert [scope for scope, _ in _calls(package / "identities.py", "mul")
-            if scope == "_eta_quotient"] == []
+    # the eta quotient is the packed square of one binomial quotient
+    assert [name for name in ("_binomial_quotient", "mul")
+            for scope, _ in _calls(package / "identities.py", name)
+            if scope == "_eta_quotient"] == ["_binomial_quotient", "mul"]
 
 
 def test_families_reads_its_tables_only_through_rows():

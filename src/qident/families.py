@@ -28,24 +28,30 @@ its fields on construction, through _make and _replace as well.
 
 Two index transforms are provided: the central-binomial combination
 sum_j w(j) * F_{j,m} that collapses to a Pochhammer-squared times kernel
-product, and its inverse, which reconstructs F_{j,m} from the kernel
-series with the integer weights B_{k,j}.
+product, one dot product of the weights with each coefficient column of
+the table, and its inverse, which reconstructs F_{j,m} from the
+B_{k,j}-weighted kernel sum.  That sum is j + 1 products of the moments
+of the kernel's binomial terms (_b_weighted_kernels), one kernel_H per
+k only above _MOMENT_J.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import namedtuple
-from math import comb
+from math import comb, factorial, gcd
 from typing import Dict, Iterable, List, Tuple, Union
 
-from .qtools import INFINITE, _check_bound, kernel_H, squared_pochhammer
+from .qtools import INFINITE, _check_bound, _ratio_sums, kernel_H, squared_pochhammer
 from .series import (
     ExactSeries,
     _check_int,
     _check_sign,
+    _partition_bound,
     chain_sums,
     chain_width,
+    from_coeffs,
     from_terms,
     mul,
     weighted_sum,
@@ -222,7 +228,8 @@ def binomial_combination(
     - families take them unsigned.  F_{j,m} has valuation >= j, so the sum
     truncates at j <= order.  Collapses to the Pochhammer-squared times
     kernel product (a registry identity); only V and W participate.  The
-    rows F_{k..order,m} come from one read of the chain-sum table.
+    rows F_{k..order,m} come from one read of the chain-sum table, and
+    each coefficient is one dot product of the weights with its column.
     """
     if family not in _WEAK:
         raise InvalidSpec(f"combination is defined for V and W, got {family!r}")
@@ -231,9 +238,99 @@ def binomial_combination(
     if k > order:
         return zero(order)
     rows = _rows(family, sign, m, order, order)
-    terms = ((0, (-sign) ** (j - k) * comb(2 * j, j - k), rows[j])
-             for j in range(k, order + 1))
-    return weighted_sum(terms, order)
+    weights = [(-sign) ** (j - k) * comb(2 * j, j - k) for j in range(k, order + 1)]
+    columns = zip(*(row.coeffs for row in rows[k : order + 1]))
+    return from_coeffs(sum(map(operator.mul, column, weights)) for column in columns)
+
+
+# The largest j whose reconstruct_family right side is summed from
+# moments; above it the B-weighted kernels are summed one by one.  The
+# moment products grow with j and the kernels shrink with it: swept at
+# j = 0..50 and orders 80, 200 and 400 (BENCH_35.json), the moments were
+# faster up to about j = 10 at every order (2-core Xeon, Python 3.11).
+_MOMENT_J = 10
+
+
+def _b_polynomial(j: int) -> Tuple[List[int], int]:
+    """(a, D) with D * P(k) = sum_i a_i * k^(2i), where P(k) = B_{|k|,j}
+    for every integer k != 0 and P(0) = 2 * B_{0,j}.
+
+    P is 2 for j = 0 and 2k^2 * prod_{t=1..j-1} (k^2 - t^2) / (2j)! for
+    j >= 1, an even polynomial that vanishes at k = 0, ..., j-1 and equals
+    B_{k,j} = 2k/(k+j) * C(k+j, 2j) from k = j on.  a and D are divided by
+    their common divisor.
+    """
+    if j == 0:
+        return [2], 1
+    a = [0, 2]  # 2K, K = k^2
+    for t in range(1, j):
+        a = [x - t * t * y for x, y in zip([0] + a, a + [0])]  # times K - t^2
+    g = gcd(factorial(2 * j), *a)
+    return [x // g for x in a], factorial(2 * j) // g
+
+
+def _moments(sign: int, m: Union[int, float], d: int, top: int,
+             order: int) -> List[ExactSeries]:
+    """M_0 .. M_top, M_r = sum_l l^r * y_l, y_l = sign^l * [m-1+l, l]_Q * q^l
+    with Q = q^d: one qtools._ratio_sums of term ratio
+    q (1 - Q^(m-1+l)) / (1 - Q^l), a weight sequence per r.
+
+    Their width bound is N^top * min((N+1) * p(N // d), C(m+N, N)), N the
+    order: y_l has valuation l, so l <= N; [m-1+l, l]_Q <= 1/(Q;Q)_inf
+    coefficientwise (see qtools.kernel_H), so the sum of the |x_l| at q^n
+    is at most (N+1) * p(N // d), and for m <= N at most its value at
+    q = 1, sum_{l <= N} C(m-1+l, l) = C(m+N, N): every coefficient is
+    nonnegative.
+    """
+    bound = (order + 1) * _partition_bound(1, order // d)
+    if m <= order:
+        bound = min(bound, comb(m + order, order))
+    weights = [[sign ** l * l ** r for l in range(order + 1)] for r in range(top + 1)]
+    return _ratio_sums((m,), (1,), d, range(order + 1), weights, order ** top * bound, order)
+
+
+def _b_weighted_kernels(sign: int, j: int, m: Union[int, float], d: int,
+                        order: int) -> ExactSeries:
+    """sum_{k>=j} sign^(k-j) * B_{k,j} * q^k * H_k, H_k the two-binomial
+    kernel in base Q = q^d with z = q^2, at the order.
+
+    With x_l = [m-1+l, l]_Q * q^l, q^k * H_k = sum_l x_l * x_(l+k), and
+    sign^(k-j) = sign^j * sign^l * sign^(l+k), so with y_l = sign^l * x_l
+    the sum is sign^j * sum_{k>=0} B_{k,j} sum_l y_l * y_(l+k).  That is
+    half the full double sum of P(b - a) * y_a * y_b over all (a, b), P
+    the even polynomial of _b_polynomial, whose diagonal weight P(0)/2 is
+    B_{0,j}.  Expanding (b - a)^(2i) binomially gives the moments M_r of
+    _moments, r <= 2j, and with D * P(k) = sum_i a_i k^(2i):
+
+      D * sum = sign^j * sum_{u<=j} (-1)^u * M_u * L_u,
+      L_u = a_u * C(2u, u)/2 * M_u + sum_{u<i<=j} a_i * C(2i, u) * M_(2i-u),
+
+    the pair (u, 2i-u) standing for both orders.  That is j + 1 products,
+    each mul packing at its own width; the sum of them is divided by D
+    exactly, and a coefficient that does not divide raises
+    ArithmeticError.  For j > _MOMENT_J the kernels are summed directly.
+    """
+    if j > _MOMENT_J:
+        terms = ((k, sign ** (k - j) * b_coefficient(k, j), kernel_H(k, m, d, 2, order - k))
+                 for k in range(j, order + 1))
+        return weighted_sum(terms, order)
+    a, denominator = _b_polynomial(j)
+    moments = _moments(sign, m, d, 2 * j, order)
+    products = []
+    for u in range(j + 1):
+        partner = [(0, a[i] * comb(2 * i, u) // (2 if i == u else 1), moments[2 * i - u])
+                   for i in range(u, j + 1) if a[i]]
+        # a lone partner of weight 1 is the moment itself: mul(M, M) packs once
+        factor = partner[0][2] if len(partner) == 1 and partner[0][1] == 1 else weighted_sum(
+            partner, order)
+        products.append((0, sign ** j * (-1) ** u, mul(moments[u], factor)))
+    total = weighted_sum(products, order).coeffs
+    quotients = [divmod(c, denominator) for c in total]
+    bad = next((n for n, (_, r) in enumerate(quotients) if r), None)
+    if bad is not None:
+        raise ArithmeticError(
+            f"the moment sum at q^{bad}, {total[bad]}, is not divisible by {denominator}")
+    return from_coeffs(c for c, _ in quotients)
 
 
 def reconstruct_family(
@@ -247,14 +344,14 @@ def reconstruct_family(
     z = q^2.  Term k has valuation >= k, so the sum truncates at k <= order.
     Contract: equals family_series for the same spec (a registry identity).
     m may be INFINITE: H_k then sums q^(2l) / ((Q;Q)_l (Q;Q)_(k+l)), Q the
-    kernel base, and the prefactor is the infinite product.
+    kernel base, and the prefactor is the infinite product.  The kernel
+    sum is _b_weighted_kernels: for j <= _MOMENT_J, j + 1 products of
+    moments of the kernel's binomial terms, built by no kernel_H.
     """
     if family not in _WEAK:
         raise InvalidSpec(f"reconstruction is defined for V and W, got {family!r}")
     _check_int("j", j, 0, InvalidSpec)
     FamilySpec(family, sign, j, m)  # validates sign and m
     d = 2 if family in _ODD else 1
-    prefactor = squared_pochhammer(sign, 1, d, m, order)
-    terms = ((k, sign ** (k - j) * b_coefficient(k, j), kernel_H(k, m, d, 2, order - k))
-             for k in range(j, order + 1))
-    return mul(prefactor, weighted_sum(terms, order))
+    return mul(squared_pochhammer(sign, 1, d, m, order),
+               _b_weighted_kernels(sign, j, m, d, order))

@@ -11,8 +11,9 @@ The case, report and discrepancy types and the registry entries are named
 tuples; an entry's ``required`` parameter names are its check's keyword-only
 ones, read from the check's code object.
 
-The brute-force sides (``_counts``) compare fewer exponents than the
-requested order N: ORACLE_V/ORACLE_W compare q^0..q^15 (``_ORACLE_CAP``),
+The brute-force sides compare fewer exponents than the requested order
+N: ORACLE_V/ORACLE_W compare q^0..q^15 (``_ORACLE_CAP``), every exponent
+from one ``oracles.chain_counts`` enumeration,
 GF_PP/GF_POD q^0..q^24 (``_GF_CAP``), and POS_V/POS_W compare counts times
 the one-sided theta sum on q^0..q^30 (``_EQUIV_CAP``) and nonnegativity on
 q^0..q^N.  Every other check compares q^0..q^N.  Every check looks up the
@@ -23,14 +24,16 @@ Formally infinite sums on right-hand sides truncate by valuation: a term
 whose minimal exponent exceeds the order is dropped.  Each sum runs its
 index only as far as some term can still reach the order, and
 ``weighted_sum`` drops the terms in that range whose shift lies above it.
-The basic hypergeometric sums (the two-binomial kernel, the moments of
-the divisor sum, the Cauchy and Euler sums) are each one
-``qtools._ratio_sums``, each term from the one before by its term ratio,
-and the product quotients one ``qtools._binomial_quotient`` each.  This
+The basic hypergeometric sums (the two-binomial kernel, the Cauchy and
+Euler sums) are each one ``qtools._ratio_sums``, each term from the one
+before by its term ratio, and the product quotients one
+``qtools._binomial_quotient`` each.  The divisor sum is T2_V's right side
+at (sign +1, j = 1, m = INFINITE), built by ``reconstruct_family`` from
+the moments of its binomial terms.  This
 module hands them factors and a coefficient bound, which each builder
 derives from its own factors and states in its docstring; only
 ``series`` packs, steps and unpacks.  The L1/L2 quotient sums are q^k
-times ``kernel_H`` at m = INFINITE, the kernel of T1 and T2.
+times ``kernel_H`` at m = INFINITE, the kernel of T1.
 
 The one-sided theta sums, and the B-weighted sums of them, are one
 ``from_terms`` each over the O(sqrt(N)) sparse terms of S_k
@@ -59,11 +62,10 @@ from .families import (
     reconstruct_family,
 )
 from .oracles import (
+    chain_counts,
     divisor_sigma,
     overpartition_pairs,
     pod_bipartitions,
-    v_oracle,
-    w_oracle,
 )
 from .qtools import (
     INFINITE,
@@ -289,23 +291,13 @@ def divisor_sum_series(order: int) -> ExactSeries:
     is the sum of the divisors of n:
     (q;q)_inf^2 * sum_{k>=1} k^2 sum_{j>=0} q^(2j+k) / ((q;q)_j (q;q)_(j+k)).
 
-    With d = j + k and x_i = q^i/(q;q)_i the double sum is
-    sum_{j<d} (d-j)^2 x_j x_d.  That summand is symmetric in j and d and
-    vanishes at j = d, so the sum is half the full double sum over all
-    (j, d), which is M0*M2 - M1^2 with the moments M_r = sum_i i^r x_i.
-    x_i has valuation i, so i runs to the order; the three moments are
-    one qtools._ratio_sums of term ratio q/(1 - q^i).
-
-    Their width bound is N^2 * (N+1) * p(N), N the order: 1/(q;q)_i <=
-    1/(q;q)_inf coefficientwise, so M_r <= sum_{i <= N} i^r q^i/(q;q)_inf,
-    whose coefficients up to q^N are at most N^r * (N+1) * p(N).
+    B_{k,1} = k^2, so this is T2_V's right side at sign +1, j = 1 and
+    m = INFINITE, and reconstruct_family builds it: with
+    x_i = q^i/(q;q)_i the double sum is M0*M2 - M1^2 in the moments
+    M_r = sum_i i^r x_i, one qtools._ratio_sums (families._moments).
     """
     _check_int("order", order)
-    bound = order ** 2 * (order + 1) * _partition_bound(1, order)
-    weights = [itertools.repeat(1), itertools.count(), (i * i for i in itertools.count())]
-    m0, m1, m2 = _ratio_sums((), (1,), 1, range(order + 1), weights, bound, order)
-    return mul(squared_pochhammer(1, 1, 1, INFINITE, order),
-               weighted_sum([(0, 1, mul(m0, m2)), (0, -1, mul(m1, m1))], order))
+    return reconstruct_family("V", 1, 1, INFINITE, order)
 
 
 def _check_divisor_sum(order: int) -> _Sides:
@@ -412,12 +404,13 @@ def _positivity_check(family: str) -> Callable[..., _Sides]:
 
 
 def _oracle_check(family: str) -> Callable[..., _Sides]:
-    """The family series against its chain sums on q^0..q^_ORACLE_CAP."""
+    """The family series against its chain sums on q^0..q^_ORACLE_CAP,
+    every exponent from one enumeration."""
     def check(order: int, *, sign: int, k: int,
               m: Union[int, float]) -> _Sides:
         series = family_series(FamilySpec(family=family, sign=sign, k=k, m=m), order)
-        chain_sum = v_oracle if family == "V" else w_oracle
-        return series, _counts(lambda n: chain_sum(sign, k, m, n), min(order, _ORACLE_CAP))
+        counts = chain_counts(sign, k, m, min(order, _ORACLE_CAP), family == "W")
+        return series, from_coeffs(counts)
 
     return check
 
@@ -470,12 +463,14 @@ REGISTRY: Dict[str, RegistryEntry] = {
         check=_reconstruction_check("V"),
         default_grid=_grid(sign=_SIGNS, j=(0, 1, 2), m=(1, 2)),
         independence="LHS: single family series from the chain DP; "
-                     "RHS: B-weighted kernel_H expansion.",
+                     "RHS: the B-weighted kernel sum as j + 1 products of the "
+                     "moments of the kernel's binomial terms, no kernel_H "
+                     "(one kernel_H per k above families._MOMENT_J).",
     ),
     "T2_W": RegistryEntry(
         check=_reconstruction_check("W"),
         default_grid=_grid(sign=_SIGNS, j=(0, 1, 2), m=(1, 2)),
-        independence="As T2_V with odd parts.",
+        independence="As T2_V with odd parts: moments in base q^2.",
     ),
     "T4_V": RegistryEntry(
         check=_collapse_check("V"),
@@ -528,7 +523,8 @@ REGISTRY: Dict[str, RegistryEntry] = {
         default_grid=(dict(),),
         independence="LHS: divisor sums by trial division; "
                      "RHS: weighted Pochhammer-quotient double sum, "
-                     "summed as M0*M2 - M1^2.",
+                     "summed as M0*M2 - M1^2 by reconstruct_family's "
+                     "moment helper at (V, +1, j = 1, m = inf).",
     ),
     "CAUCHY": RegistryEntry(
         check=_check_cauchy,

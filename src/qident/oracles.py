@@ -21,8 +21,9 @@ int (a float or a bool is rejected) in the function's range.
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, List, Union
 
 
 class DomainError(ValueError):
@@ -52,8 +53,10 @@ def _check_target(n: object, cap: int, counted: str) -> None:
 # Plain partitions
 # ---------------------------------------------------------------------------
 
-#: p(0), p(1), ... as far as any call of partition_count has needed them.
+#: p(0), p(1), ... as far as any call of partition_count has needed them;
+#: the lock makes publishing a longer table one step with its check.
 _partitions = [1]
+_partitions_lock = threading.Lock()
 
 
 def partition_count(n: int) -> int:
@@ -62,8 +65,9 @@ def partition_count(n: int) -> int:
     p(t) = sum_{g>=1} (-1)^(g+1) * [p(t - g(3g-1)/2) + p(t - g(3g+1)/2)].
     p(0..n) are built bottom up, without recursion, and kept: a call
     costs O(n^1.5) additions the first time it reaches past the kept
-    table.  The table is extended on a copy and published whole, so a
-    concurrent call sees the old table or the new one.
+    table.  The table is extended on a copy and published whole, and only
+    if it is longer than the one published meanwhile, so a concurrent
+    call sees the old table or a longer one, and the table never shrinks.
     """
     global _partitions
     _check_int("n", n, -math.inf)
@@ -78,7 +82,9 @@ def partition_count(n: int) -> int:
                 g += 1
                 first += 3 * g - 2
             p.append(total)
-        _partitions = p
+        with _partitions_lock:
+            if len(p) > len(_partitions):
+                _partitions = p
     return p[n] if n >= 0 else 0
 
 
@@ -95,6 +101,17 @@ def partition_count(n: int) -> int:
 CHAIN_ORACLE_CAP = 24
 
 
+def _check_chain(sign: object, k: object, m: object, n: object) -> None:
+    """Raise DomainError unless the chain sums take (sign, k, m) and the
+    target n."""
+    if type(sign) is not int or sign not in (1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
+    _check_int("k", k)
+    if m != math.inf:
+        _check_int("m", m, 1)
+    _check_target(n, CHAIN_ORACLE_CAP, "chain sums")
+
+
 def _chain_sum(
     sign: int, k: int, m: Union[int, float], n: int, odd_parts: bool
 ) -> int:
@@ -105,12 +122,7 @@ def _chain_sum(
     sign^(t_1+...+t_k+k) * t_1*...*t_k when the parts weighted by their
     multiplicities sum to n.
     """
-    if type(sign) is not int or sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    _check_int("k", k)
-    if m != math.inf:
-        _check_int("m", m, 1)
-    _check_target(n, CHAIN_ORACLE_CAP, "chain sums")
+    _check_chain(sign, k, m, n)
     if k == 0:
         return 1 if n == 0 else 0
 
@@ -154,6 +166,42 @@ def w_oracle(sign: int, k: int, m: Union[int, float], n: int) -> int:
     """The odd-parts chain sum: as v_oracle but position i contributes the
     part 2*lambda_i - 1."""
     return _chain_sum(sign, k, m, n, odd_parts=True)
+
+
+def chain_counts(sign: int, k: int, m: Union[int, float], upto: int,
+                 odd_parts: bool) -> List[int]:
+    """The chain sums of v_oracle (w_oracle for odd_parts) at every
+    n = 0..upto, upto <= CHAIN_ORACLE_CAP, from one enumeration.
+
+    Every chain whose weighted parts total at most upto is built once, a
+    position at a time as in _chain_sum, and its signed weight is added to
+    the total at its n; a prefix stops as soon as the later positions,
+    each at least its part once, would pass upto.
+    """
+    _check_chain(sign, k, m, upto)
+    totals = [0] * (upto + 1)
+    if k == 0:
+        totals[0] = 1
+        return totals
+
+    def recurse(pos: int, lo: int, used: int, prod: int, t_sum: int) -> None:
+        later = k - pos - 1  # positions after this one
+        lam = lo
+        while lam <= m:
+            part = 2 * lam - 1 if odd_parts else lam
+            t = 1
+            while used + part * (t + later) <= upto:
+                if later:
+                    recurse(pos + 1, lam, used + part * t, prod * t, t_sum + t)
+                else:
+                    totals[used + part * t] += sign ** (t_sum + t + k) * prod * t
+                t += 1
+            if t == 1:  # not even once: no larger part fits either
+                break
+            lam += 1
+
+    recurse(0, 1, 0, 1, 0)
+    return totals
 
 
 # ---------------------------------------------------------------------------

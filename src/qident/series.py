@@ -532,10 +532,22 @@ def _chain_sweep(exponents: List[int], c: int, strict: bool, width: int,
     copy in the block below, so it is one chain of maps in C, and the pass
     keeps H and G of that one copy.  Only G is reduced mod mask + 1: H and
     B stay within a few bits of one slot above it.
+
+    An atom with 2e > order shows only its q^e term below the order, so
+    both products gain only the factor 1 + t*q^e there: its pass is one
+    shifted add, B[m] += t*B[m-e] (reduced) for m >= e, which reads only
+    the B[m-e], m-e < e, that the pass leaves alone.  With mask = -1 no
+    reduction is made at all.
     """
     op = _SIGNED_ADD[c]
+    cut = (lambda values: values) if mask == -1 else (
+        lambda values: map(operator.and_, values, repeat(mask)))
     acc = [1] + [0] * order
     for e in exponents:
+        if 2 * e > order:
+            acc[e:] = map(operator.add, acc[e:],
+                          cut(map(operator.lshift, acc[: order + 1 - e], repeat(width))))
+            continue
         for start in range(e, 2 * e, _CHUNK):
             n = min(_CHUNK, 2 * e - start)
             h = g = [0] * n
@@ -544,7 +556,7 @@ def _chain_sweep(exponents: List[int], c: int, strict: bool, width: int,
                 if strict:
                     p = map(operator.sub, p, g)
                 h = list(map(op, map(operator.lshift, p, repeat(width)), h))
-                g = list(map(operator.and_, map(op, h, g), repeat(mask)))
+                g = list(cut(map(op, h, g)))
                 acc[lo : lo + n] = map(operator.add, acc[lo : lo + n], g)
     return acc
 
@@ -612,7 +624,8 @@ def chain_sums(exponents: Iterable[int], sign: int, strict: bool, top: int,
     low = _visible(exponents, order)
     steps = low[:top] if strict else low[:1] * top
     reach = list(accumulate(steps, initial=0))
-    mask = (1 << width * (top + 1)) - 1
+    # a j-chain has valuation >= j, so from top = order on no slot passes top
+    mask = -1 if top >= order else (1 << width * (top + 1)) - 1
     read = _reader(width, top + 1)
     rows = []
     packed = _chain_sweep(low, sign, strict, width, mask, order)

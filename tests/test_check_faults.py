@@ -10,6 +10,7 @@ order 40.
 import pytest
 
 import qident.identities as identities
+import qident.oracles as oracles
 from qident.identities import Discrepancy, IdentityCase, verify
 from qident.qtools import INFINITE
 from qident.series import add, monomial
@@ -74,22 +75,31 @@ def test_sigma_reports_the_faulty_divisor_sum(monkeypatch):
 # Chain DP against direct enumeration
 # ---------------------------------------------------------------------------
 
+def _fault_chain_counts(monkeypatch, at):
+    """Make the one-pass chain enumeration off by one at q^at."""
+    real = identities.chain_counts
+
+    def faulty(sign, k, m, upto, odd_parts):
+        return [c + (n == at) for n, c in enumerate(real(sign, k, m, upto, odd_parts))]
+
+    monkeypatch.setattr(identities, "chain_counts", faulty)
+
+
 @pytest.mark.parametrize("family, name, params, at, expected", [
     ("V", "v_oracle", dict(sign=1, k=2, m=INFINITE), 5, Discrepancy(5, 29, 30)),
     ("W", "w_oracle", dict(sign=-1, k=2, m=3), 9, Discrepancy(9, -140, -139)),
 ])
 def test_oracle_check_reports_the_faulty_enumeration(monkeypatch, family, name,
                                                      params, at, expected):
-    real = getattr(identities, name)
-    monkeypatch.setattr(identities, name,
-                        lambda sign, k, m, n: real(sign, k, m, n) + (n == at))
+    # the check reads every exponent from one chain_counts call; the
+    # per-n oracle of the family gives the unperturbed count there
+    _fault_chain_counts(monkeypatch, at)
     assert _first(f"ORACLE_{family}", **params) == expected
+    assert expected.lhs == getattr(oracles, name)(params["sign"], params["k"], params["m"], at)
 
 
 def test_oracle_fault_beyond_the_cap_goes_unseen(monkeypatch):
-    real = identities.v_oracle
-    monkeypatch.setattr(identities, "v_oracle",
-                        lambda sign, k, m, n: real(sign, k, m, n) + (n == 16))
+    _fault_chain_counts(monkeypatch, 16)
     assert _first("ORACLE_V", sign=1, k=2, m=2) is None
 
 

@@ -20,7 +20,7 @@ from qident.families import (
     reconstruct_family,
 )
 from qident.oracles import b_extraction, triangular, v_oracle, w_oracle
-from qident.qtools import INFINITE
+from qident.qtools import INFINITE, kernel_H, squared_pochhammer
 from qident.series import (
     add,
     chain_sums,
@@ -409,6 +409,60 @@ def test_reconstruction_round_trip(family, sign):
 def test_reconstruction_rejects_strict_families():
     with pytest.raises(InvalidSpec):
         reconstruct_family("A", 1, 0, 3, 8)
+
+
+def _kernel_reconstruction(family, sign, j, m, order):
+    """The reference for reconstruct_family: its defining sum, one
+    kernel_H per k, (sign q; q^d)_m^2 * sum_{k>=j} sign^(k-j) B_{k,j} q^k H_k."""
+    d = 2 if family == "W" else 1
+    terms = [(k, sign ** (k - j) * b_coefficient(k, j), kernel_H(k, m, d, 2, order - k))
+             for k in range(j, order + 1)]
+    return mul(squared_pochhammer(sign, 1, d, m, order), weighted_sum(terms, order))
+
+
+@pytest.mark.parametrize("order", (40, 80))
+@pytest.mark.parametrize("family", ("V", "W"))
+@BOTH_SIGNS
+def test_moment_reconstruction_matches_the_kernel_sum(family, sign, order):
+    for m in (1, 2, 3, INFINITE):
+        for j in range(7):
+            assert (reconstruct_family(family, sign, j, m, order)
+                    == _kernel_reconstruction(family, sign, j, m, order)), (m, j)
+
+
+def test_b_polynomial_matches_b_coefficient():
+    # D * B_{k,j} is the even polynomial at every k >= 1, and its value at
+    # k = 0 is twice D * B_{0,j}: the diagonal of the double sum
+    for j in range(12):
+        a, denominator = families._b_polynomial(j)
+        assert len(a) == j + 1 and denominator >= 1
+        for k in range(40):
+            value = sum(c * k ** (2 * i) for i, c in enumerate(a))
+            assert value == (2 if k == 0 else 1) * denominator * b_coefficient(k, j), (j, k)
+
+
+def test_reconstruction_switches_to_kernels_above_the_moment_threshold(monkeypatch):
+    # j <= _MOMENT_J sums moments and builds no kernel; above it every
+    # k = j..order takes one kernel_H; both sides match the chain DP and
+    # the kernel reference
+    order = 2 * families._MOMENT_J + 6
+    built = []
+    monkeypatch.setattr(families, "kernel_H",
+                        lambda k, *args: built.append(k) or kernel_H(k, *args))
+    for j in (families._MOMENT_J, families._MOMENT_J + 1):
+        for sign in (1, -1):
+            built.clear()
+            rebuilt = reconstruct_family("W", sign, j, 3, order)
+            assert built == ([] if j <= families._MOMENT_J else list(range(j, order + 1)))
+            assert rebuilt == family_series(FamilySpec("W", sign, j, 3), order)
+            assert rebuilt == _kernel_reconstruction("W", sign, j, 3, order)
+
+
+def test_moment_sum_that_does_not_divide_raises(monkeypatch):
+    a, denominator = families._b_polynomial(2)
+    monkeypatch.setattr(families, "_b_polynomial", lambda j: (a, 7 * denominator))
+    with pytest.raises(ArithmeticError, match="is not divisible by 84$"):
+        reconstruct_family("V", 1, 2, 2, 12)
 
 
 # ---------------------------------------------------------------------------

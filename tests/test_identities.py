@@ -52,6 +52,7 @@ from qident.qtools import (
     kernel_H,
     phi2_1,
     pochhammer,
+    squared_pochhammer,
 )
 from qident.series import add, invert, monomial, mul, one, weighted_sum
 
@@ -160,10 +161,12 @@ def test_divisor_sum_holds_at_high_order():
 @pytest.mark.parametrize("order", (0, 1, 5, 60))
 def test_divisor_sum_equals_the_unbounded_t2_right_side(order):
     # B_{k,1} = k^2, so T2_V's right side at (sign +1, j = 1, m = inf) is
-    # SIGMA_ID's double sum: kernel sums on one side, moment products on
-    # the other
-    kernels = reconstruct_family("V", 1, 1, INFINITE, order)
-    assert kernels.coeffs == divisor_sum_series(order).coeffs
+    # SIGMA_ID's double sum: its defining kernel sum, one kernel_H per k,
+    # on one side, the moment products of divisor_sum_series on the other
+    kernels = weighted_sum([(k, k * k, kernel_H(k, INFINITE, 1, 2, order - k))
+                            for k in range(1, order + 1)], order)
+    reference = mul(squared_pochhammer(1, 1, 1, INFINITE, order), kernels)
+    assert reference.coeffs == divisor_sum_series(order).coeffs
 
 
 def test_unknown_identity():

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qident import oracles
-from qident.identities import _ORACLE_CAP
+from qident.identities import _ORACLE_CAP, REGISTRY
 from qident.oracles import (
     CHAIN_ORACLE_CAP,
     PAIR_COUNT_CAP,
@@ -20,6 +20,7 @@ from qident.oracles import (
     _overpartition_single,
     _pod_single,
     b_extraction,
+    chain_counts,
     divisor_sigma,
     overpartition_pairs,
     partition_count,
@@ -105,10 +106,11 @@ def test_partition_count_classics(monkeypatch):
 
 
 def test_partition_count_is_safe_to_share_between_threads(monkeypatch):
-    # the table is extended on a copy and published whole: eight threads
-    # growing it from p(0) alone, each through every eighth n up to 600,
-    # read the values one thread computes; a race shows only in some
-    # interleavings, so the run is repeated from the bare table
+    # the table is extended on a copy and published whole, and only when
+    # it is longer: eight threads growing it from p(0) alone, each through
+    # every eighth n up to 600, read the values one thread computes, and
+    # the table each sees after each call never shrinks; a race shows only
+    # in some interleavings, so the run is repeated from the bare table
     monkeypatch.setattr(oracles, "_partitions", [1])
     want = [partition_count(n) for n in range(601)]
     interval = sys.getswitchinterval()
@@ -117,11 +119,16 @@ def test_partition_count_is_safe_to_share_between_threads(monkeypatch):
         for _ in range(5):
             monkeypatch.setattr(oracles, "_partitions", [1])
             results = [None] * 8
+            lengths = [[] for _ in range(8)]
             start = threading.Barrier(8, timeout=60)
 
             def worker(slot):
                 start.wait()
-                results[slot] = [partition_count(n) for n in range(slot, 601, 8)]
+                values = []
+                for n in range(slot, 601, 8):
+                    values.append(partition_count(n))
+                    lengths[slot].append(len(oracles._partitions))
+                results[slot] = values
 
             threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
             for t in threads:
@@ -130,9 +137,9 @@ def test_partition_count_is_safe_to_share_between_threads(monkeypatch):
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert results == [want[slot::8] for slot in range(8)]
-            # the last table published may be a shorter one, never a wrong one
-            table = oracles._partitions
-            assert table == want[: len(table)]
+            assert all(seen == sorted(seen) for seen in lengths)
+            # the longest table built, to p(600), is the one left published
+            assert oracles._partitions == want
     finally:
         sys.setswitchinterval(interval)
 
@@ -192,6 +199,9 @@ def test_chain_oracle_validates_arguments():
     ]:
         with pytest.raises(DomainError):
             oracle(*args)
+        # the one-pass enumeration takes the same arguments, upto for n
+        with pytest.raises(DomainError):
+            chain_counts(*args, oracle is w_oracle)
 
 
 def test_chain_oracles_reject_targets_above_the_cap():
@@ -202,6 +212,23 @@ def test_chain_oracles_reject_targets_above_the_cap():
         assert oracle(1, 2, INFINITE, CHAIN_ORACLE_CAP) > 0
         with pytest.raises(DomainError, match="above 24"):
             oracle(1, 2, INFINITE, CHAIN_ORACLE_CAP + 1)
+    for odd_parts in (False, True):
+        assert chain_counts(1, 2, INFINITE, CHAIN_ORACLE_CAP, odd_parts)[-1] > 0
+        with pytest.raises(DomainError, match="above 24"):
+            chain_counts(1, 2, INFINITE, CHAIN_ORACLE_CAP + 1, odd_parts)
+
+
+@pytest.mark.parametrize("identity", ("ORACLE_V", "ORACLE_W"))
+def test_chain_counts_match_the_per_n_oracles_on_the_oracle_grid(identity):
+    # the one enumeration the ORACLE checks read gives, at every exponent
+    # they compare, the per-n chain sum; shorter ranges are its prefixes
+    odd_parts = identity == "ORACLE_W"
+    oracle = w_oracle if odd_parts else v_oracle
+    for params in REGISTRY[identity].default_grid:
+        sign, k, m = params["sign"], params["k"], params["m"]
+        want = [oracle(sign, k, m, n) for n in range(_ORACLE_CAP + 1)]
+        for upto in (0, 1, 7, _ORACLE_CAP):
+            assert chain_counts(sign, k, m, upto, odd_parts) == want[: upto + 1], (params, upto)
 
 
 # ---------------------------------------------------------------------------

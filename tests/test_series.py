@@ -592,8 +592,11 @@ def test_chain_sums_match_row_dp(kind, sign, m, order):
     last = _last_row(exponents, strict, order) if exponents else 0
     reference = _row_dp(exponents, sign, strict, last + 2, order)
     assert reference[last + 1] == reference[last + 2] == zero(order)
-    for top in sorted({0, last // 2, last, last + 2}):
-        assert chain_sums(exponents, sign, strict, top, order, width) == reference[: top + 1]
+    # top = order takes the unreduced sweep (mask -1), every smaller top
+    # the reduced one; an atom with 2e > order is one shifted add in both
+    for top in sorted({0, last // 2, last, last + 2, order}):
+        want = reference[: top + 1] + [zero(order)] * (top - last - 2)
+        assert chain_sums(exponents, sign, strict, top, order, width) == want
 
 
 @pytest.mark.parametrize("sign", (1, -1))

@@ -12,11 +12,12 @@ tuples; an entry's ``required`` parameter names are its check's keyword-only
 ones, read from the check's code object.
 
 The brute-force sides compare fewer exponents than the requested order
-N: ORACLE_V/ORACLE_W compare q^0..q^15 (``_ORACLE_CAP``), every exponent
-from one ``oracles.chain_counts`` enumeration,
-GF_PP/GF_POD q^0..q^24 (``_GF_CAP``), and POS_V/POS_W compare counts times
-the one-sided theta sum on q^0..q^30 (``_EQUIV_CAP``) and nonnegativity on
-q^0..q^N.  Every other check compares q^0..q^N.  Every check looks up the
+N, and each reads one count list of ``oracles``, every exponent from one
+enumeration: ORACLE_V/ORACLE_W compare ``chain_counts`` on q^0..q^15
+(``_ORACLE_CAP``), GF_PP/GF_POD ``pair_counts`` on q^0..q^24
+(``_GF_CAP``), and POS_V/POS_W ``pair_counts`` times the one-sided theta
+sum on q^0..q^30 (``_EQUIV_CAP``) and nonnegativity on q^0..q^N.  Every
+other check compares q^0..q^N.  Every check looks up the
 functions it calls in this module's namespace when it runs, not when the
 registry is built, so one patched name here reaches every check using it.
 
@@ -61,12 +62,7 @@ from .families import (
     family_series,
     reconstruct_family,
 )
-from .oracles import (
-    chain_counts,
-    divisor_sigma,
-    overpartition_pairs,
-    pod_bipartitions,
-)
+from .oracles import chain_counts, divisor_sigma, pair_counts
 from .qtools import (
     INFINITE,
     _binomial_quotient,
@@ -356,18 +352,12 @@ def _check_euler_direct(order: int, *, e: int) -> _Sides:
 # Checks: combinatorial oracles and coefficient predicates
 # ---------------------------------------------------------------------------
 
-def _counts(count: Callable[[int], int], upto: int) -> ExactSeries:
-    """The series sum_n count(n) q^n on q^0..q^upto: a brute-force side."""
-    return from_coeffs([count(n) for n in range(upto + 1)])
-
-
 def _gf_check(odd: bool) -> Callable[..., _Sides]:
     """The overpartition pair series or, for odd, the pod bipartition
     series against its brute-force counts on q^0..q^_GF_CAP."""
     def check(order: int) -> _Sides:
         series = pod_bipartition_series if odd else overpartition_pair_series
-        count = pod_bipartitions if odd else overpartition_pairs
-        return series(order), _counts(count, min(order, _GF_CAP))
+        return series(order), from_coeffs(pair_counts(min(order, _GF_CAP), odd))
 
     return check
 
@@ -395,8 +385,7 @@ def _positivity_check(family: str) -> Callable[..., _Sides]:
     def check(order: int, *, k: int) -> _Sides:
         one_sided = _one_sided(k, odd, order)
         prod = mul(_eta_quotient(-1, odd, order), one_sided)
-        count = pod_bipartitions if odd else overpartition_pairs
-        predicate = mul(_counts(count, min(order, _EQUIV_CAP)), one_sided)
+        predicate = mul(from_coeffs(pair_counts(min(order, _EQUIV_CAP), odd)), one_sided)
         return prod, from_coeffs(0 if c < 0 else predicate.coeffs[n] if n <= _EQUIV_CAP else c
                                  for n, c in enumerate(prod.coeffs))
 

@@ -6,16 +6,20 @@ magnitudes with multiplicities, partitions built part size by part size,
 divisors), so the results are an independent check on the
 generating-function machinery.
 
-The chain oracles enumerate terms (lambda_1 <= ... <= lambda_k with
+The chain sums and the pair counts are each one enumeration that returns
+the counts of every n <= upto, and the per-n functions v_oracle,
+w_oracle, overpartition_pairs and pod_bipartitions read one entry of
+that list.  The chain sums enumerate terms (lambda_1 <= ... <= lambda_k with
 multiplicities t_1..t_k >= 1) directly from the defining sums; terms with
 any t_i = 0 would carry weight 0, so restricting to t_i >= 1 is an
-optimization, not a semantic choice.  The pair counts enumerate each
-partition they count once, choosing the multiplicity of each part size
-from the largest size down, so a partition that the count excludes is
-never built.
-It imports nothing from the engine, so it checks its own arguments, with
-its own ``_check_int``, and raises DomainError: an argument must be an
-int (a float or a bool is rejected) in the function's range.
+optimization, not a semantic choice.  The pair counts walk every
+partition of every size up to upto once, choosing the multiplicity of
+each part size from the largest size down, so a partition that the count
+excludes is never built; pair_counts keeps the lists it returns.
+It imports nothing from the engine (a test parses its imports), so it
+checks its own arguments, with its own ``_check_int``, and raises
+DomainError: an argument must be an int (a float or a bool is rejected)
+in the function's range.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 import threading
 from functools import lru_cache
-from typing import Callable, List, Union
+from typing import List, Tuple, Union
 
 
 class DomainError(ValueError):
@@ -89,13 +93,15 @@ def partition_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Weighted chain oracles
+# Weighted chain sums
 # ---------------------------------------------------------------------------
 
-#: Largest target n the chain sums accept.  Their cost peaks at k near
-#: n/2 and grows about 3.5x every 2 steps: at n = 24 the slowest k takes
-#: about 3.0 s (v_oracle, k = 12) and 2.3 s (w_oracle, k = 13), at n = 26
-#: about 10.5 s and 8.8 s (Python 3.11, Xeon).  Larger n raise DomainError
+#: Largest target n the chain sums accept.  The one pass of chain_counts
+#: to n costs most at k near n/2 and grows about 4.5x every 2 steps: at
+#: n = 24 the slowest k takes about 2.6 s (linear parts, k = 12) and 1.9 s
+#: (odd parts, k = 13), at n = 26 about 11.7 s and 9.8 s (k = 13 both;
+#: Python 3.11, 2-core Xeon).  At n = 22, k = 12 it takes 0.66 s against
+#: 0.75 s for the chains of n = 22 alone.  Larger n raise DomainError
 #: instead of running for minutes.  The ORACLE_V/ORACLE_W checks enumerate
 #: only up to q^15, below the cap.
 CHAIN_ORACLE_CAP = 24
@@ -112,71 +118,18 @@ def _check_chain(sign: object, k: object, m: object, n: object) -> None:
     _check_target(n, CHAIN_ORACLE_CAP, "chain sums")
 
 
-def _chain_sum(
-    sign: int, k: int, m: Union[int, float], n: int, odd_parts: bool
-) -> int:
-    """Signed weighted count over chains lambda_1 <= ... <= lambda_k <= m (m may be inf).
+def chain_counts(sign: int, k: int, m: Union[int, float], upto: int,
+                 odd_parts: bool) -> List[int]:
+    """Signed weighted counts over chains lambda_1 <= ... <= lambda_k <= m
+    (m may be inf) at every n = 0..upto, upto <= CHAIN_ORACLE_CAP, from one
+    enumeration.
 
     Each position i carries a part lambda_i (odd_parts: the actual part is
     2*lambda_i - 1) with multiplicity t_i >= 1; the chain contributes
-    sign^(t_1+...+t_k+k) * t_1*...*t_k when the parts weighted by their
-    multiplicities sum to n.
-    """
-    _check_chain(sign, k, m, n)
-    if k == 0:
-        return 1 if n == 0 else 0
-
-    total = 0
-
-    def recurse(pos: int, lo: int, rem: int, prod: int, t_sum: int) -> None:
-        nonlocal total
-        positions_left = k - pos  # including this one
-        lam = lo
-        while True:
-            part = 2 * lam - 1 if odd_parts else lam
-            # this magnitude once, plus at least `part` for each later slot
-            # (later magnitudes are >= lam, so their parts are >= part)
-            if part * positions_left > rem:
-                break
-            if lam > m:
-                break
-            t = 1
-            while part * t + part * (positions_left - 1) <= rem:
-                used = rem - part * t
-                if pos == k - 1:
-                    if used == 0:
-                        total += sign ** (t_sum + t + k) * prod * t
-                else:
-                    recurse(pos + 1, lam, used, prod * t, t_sum + t)
-                t += 1
-            lam += 1
-
-    recurse(0, 1, n, 1, 0)
-    return total
-
-
-def v_oracle(sign: int, k: int, m: Union[int, float], n: int) -> int:
-    """The linear-parts chain sum: weighted count over weak chains of
-    k magnitudes <= m with part*multiplicity totals equal to n, for
-    0 <= n <= CHAIN_ORACLE_CAP."""
-    return _chain_sum(sign, k, m, n, odd_parts=False)
-
-
-def w_oracle(sign: int, k: int, m: Union[int, float], n: int) -> int:
-    """The odd-parts chain sum: as v_oracle but position i contributes the
-    part 2*lambda_i - 1."""
-    return _chain_sum(sign, k, m, n, odd_parts=True)
-
-
-def chain_counts(sign: int, k: int, m: Union[int, float], upto: int,
-                 odd_parts: bool) -> List[int]:
-    """The chain sums of v_oracle (w_oracle for odd_parts) at every
-    n = 0..upto, upto <= CHAIN_ORACLE_CAP, from one enumeration.
-
-    Every chain whose weighted parts total at most upto is built once, a
-    position at a time as in _chain_sum, and its signed weight is added to
-    the total at its n; a prefix stops as soon as the later positions,
-    each at least its part once, would pass upto.
+    sign^(t_1+...+t_k+k) * t_1*...*t_k at the n its parts weighted by
+    their multiplicities sum to.  Every chain with n <= upto is built once,
+    a position at a time, and a prefix stops as soon as the later
+    positions, each at least its part once, would pass upto.
     """
     _check_chain(sign, k, m, upto)
     totals = [0] * (upto + 1)
@@ -204,85 +157,103 @@ def chain_counts(sign: int, k: int, m: Union[int, float], upto: int,
     return totals
 
 
+def v_oracle(sign: int, k: int, m: Union[int, float], n: int) -> int:
+    """The linear-parts chain sum at n, 0 <= n <= CHAIN_ORACLE_CAP: the
+    last entry of chain_counts up to n."""
+    return chain_counts(sign, k, m, n, False)[n]
+
+
+def w_oracle(sign: int, k: int, m: Union[int, float], n: int) -> int:
+    """The odd-parts chain sum at n: as v_oracle but position i contributes
+    the part 2*lambda_i - 1."""
+    return chain_counts(sign, k, m, n, True)[n]
+
+
 # ---------------------------------------------------------------------------
 # Overpartition pairs and distinct-odd-part bipartitions
 # ---------------------------------------------------------------------------
 
-#: Largest n the pair counts accept.  Both enumerate every partition they
-#: count of every size up to n, and their cost grows about 2.4x every 5
-#: steps near the cap: at n = 40 / 50 overpartition_pairs takes about
-#: 0.05 / 0.3 s and pod_bipartitions 0.03 / 0.16 s (Python 3.11, Xeon),
-#: and the same enumeration to n = 70 takes about 8 s and 3 s.  Larger n
-#: raise DomainError instead of running for seconds.
+#: Largest n the pair counts accept.  One walk builds every partition of
+#: every size up to n, so its cost grows with p(n), about 3.5x every 10
+#: steps: pair_counts to n = 50 takes about 0.08 s for overpartitions and
+#: 0.03 s with odd_parts, to n = 70 about 1.1 s and 0.4 s (Python 3.11,
+#: 2-core Xeon).  Larger n raise DomainError instead of running for
+#: seconds.
 PAIR_COUNT_CAP = 50
 
 
-def _ordered_pairs(single: Callable[[int], int], n: int) -> int:
-    """sum_j single(j) * single(n - j): the ordered pairs of objects counted
-    by single with sizes summing to n, for 0 <= n <= PAIR_COUNT_CAP."""
-    _check_target(n, PAIR_COUNT_CAP, "pair counts")
-    return sum(single(j) * single(n - j) for j in range(n + 1))
+def _single_counts(upto: int, odd_parts: bool) -> List[int]:
+    """The overpartitions of every n = 0..upto or, for odd_parts, the
+    partitions with no repeated odd part (even parts free), from one walk.
 
-
-def _weighted_partitions(n: int, odd_once: bool, weight: int) -> int:
-    """Sum of weight^(number of distinct part sizes) over the partitions of
-    n, only those with no repeated odd part when odd_once.
-
-    A recursion over part sizes, largest first: place(rem, below, w) picks
-    the multiplicity of each size 2 <= size < below that fits in rem and
-    recurses on what is left with the sizes below it, w carrying the weight
-    of the sizes already used.  Each counted partition is one leaf, one
-    addition to the total; the parts 1 that end a partition are counted
-    where they would be placed, without a further call.
+    An overpartition is a plain partition weighted by 2^(number of
+    distinct part sizes), the overlined subset of sizes being free.
+    place(used, below, w) stands at a partition of used into sizes >= 2,
+    each below the last one placed, of weight w: it adds w at used, adds
+    the runs of parts 1 that may end it, and places each multiplicity of
+    each smaller size that fits in upto.  A run of parts 1 repeats 1
+    freely, so it adds its weight to every n > used, as one entry of a
+    difference list; for odd_parts only the run of one part 1 is allowed,
+    one addition.  A partition of parts 2 ends the walk but for its parts
+    1, so it is counted where it is placed, without a further call.
     """
-    if n == 0:
-        return 1
-    total = 0
-    many_ones = not odd_once  # whether a part 1 may repeat
+    weight = 1 if odd_parts else 2
+    totals = [0] * (upto + 2)
+    ones = [0] * (upto + 2)  # difference list of the free runs of parts 1
+    runs = totals if odd_parts else ones
 
-    def place(rem: int, below: int, w: int) -> None:
-        nonlocal total
-        w *= weight
-        if many_ones or rem == 1:  # all of rem in parts 1
-            total += w
-        for size in range(min(rem, below - 1), 1, -1):
-            most = 1 if odd_once and size % 2 else rem // size
-            for left in range(rem - size, rem - most * size - 1, -size):
-                if left == 0:
-                    total += w
-                elif size > 2:
-                    place(left, size, w)
-                elif many_ones or left == 1:  # the rest in parts 1
-                    total += w * weight
+    def place(used: int, below: int, w: int) -> None:
+        totals[used] += w
+        w *= weight  # one more distinct part size
+        runs[used + 1] += w
+        room = upto - used
+        for size in range(min(room, below - 1), 1, -1):
+            most = 1 if odd_parts and size % 2 else room // size
+            for total in range(used + size, used + most * size + 1, size):
+                if size > 2:
+                    place(total, size, w)
+                else:
+                    totals[total] += w
+                    runs[total + 1] += w * weight
 
-    place(n, n + 1, 1)
-    return total
+    place(0, upto + 1, 1)
+    run = 0
+    for n in range(upto + 1):
+        run += ones[n]
+        totals[n] += run
+    return totals[: upto + 1]
 
 
-@lru_cache(maxsize=None)
-def _overpartition_single(n: int) -> int:
-    """Number of overpartitions of n: each plain partition counts with
-    weight 2^(number of distinct part sizes) - the overlined subset of
-    part sizes is free."""
-    return _weighted_partitions(n, odd_once=False, weight=2)
+@lru_cache(maxsize=None, typed=True)
+def pair_counts(upto: int, odd_parts: bool) -> Tuple[int, ...]:
+    """The ordered pairs of overpartitions or, for odd_parts, of partitions
+    with distinct odd parts, with sizes summing to each n = 0..upto,
+    0 <= upto <= PAIR_COUNT_CAP: the self-convolution of _single_counts.
+
+    The POS cases of each kind read the same list, each case on its own,
+    so it is kept.  The cache is typed, as the qtools caches are: True or 3.0 never hits
+    the entry of 1 or 3 and always reaches the argument checks.  The
+    checks admit only an int 0 <= upto <= PAIR_COUNT_CAP and a bool
+    odd_parts, so the cache holds at most 2 * (PAIR_COUNT_CAP + 1) entries.
+    """
+    _check_target(upto, PAIR_COUNT_CAP, "pair counts")
+    if type(odd_parts) is not bool:
+        raise DomainError(f"odd_parts must be a bool, got {odd_parts!r}")
+    single = _single_counts(upto, odd_parts)
+    return tuple(sum(single[j] * single[n - j] for j in range(n + 1))
+                 for n in range(upto + 1))
 
 
 def overpartition_pairs(n: int) -> int:
     """Number of ordered pairs of overpartitions with sizes summing to n,
     for 0 <= n <= PAIR_COUNT_CAP."""
-    return _ordered_pairs(_overpartition_single, n)
-
-
-@lru_cache(maxsize=None)
-def _pod_single(n: int) -> int:
-    """Number of partitions of n with no repeated odd part (even parts free)."""
-    return _weighted_partitions(n, odd_once=True, weight=1)
+    return pair_counts(n, False)[n]
 
 
 def pod_bipartitions(n: int) -> int:
     """Number of ordered bipartitions of n, each component with distinct
     odd parts and unrestricted even parts, for 0 <= n <= PAIR_COUNT_CAP."""
-    return _ordered_pairs(_pod_single, n)
+    return pair_counts(n, True)[n]
 
 
 # ---------------------------------------------------------------------------

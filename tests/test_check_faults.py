@@ -1,10 +1,10 @@
 """Failure paths of the oracle-, predicate- and flip-backed checks.
 
 Each test injects one fault into an input the check reads through the
-``qident.identities`` module (an oracle count, a predicate count, a divisor
-sum, the chain DP, or the one-sided theta sum under the positivity product
-and in L1) and pins the exact Discrepancy between the check's two sides at
-order 40.
+``qident.identities`` module (an oracle count list, a predicate count
+list, a divisor sum, the chain DP, or the one-sided theta sum under the
+positivity product and in L1) and pins the exact Discrepancy between the
+check's two sides at order 40.
 """
 
 import pytest
@@ -32,6 +32,17 @@ def _bump(monkeypatch, name, at, by=1):
     monkeypatch.setattr(identities, name, lambda n: real(n) + (by if n == at else 0))
 
 
+def _fault_counts(monkeypatch, name, at):
+    """Make every list the count enumeration ``name`` returns off by one
+    at q^at; each check reads one such list for all its exponents."""
+    real = getattr(identities, name)
+
+    def faulty(*args):
+        return [c + (n == at) for n, c in enumerate(real(*args))]
+
+    monkeypatch.setattr(identities, name, faulty)
+
+
 def _fault_one_sided(monkeypatch, at, by):
     """Add ``by*q^at`` to every one-sided theta sum; the positivity product
     (unit-constant quotient times that sum) first changes at q^at by ``by``."""
@@ -48,17 +59,17 @@ def _fault_one_sided(monkeypatch, at, by):
 # ---------------------------------------------------------------------------
 
 def test_gf_pp_reports_the_faulty_count(monkeypatch):
-    _bump(monkeypatch, "overpartition_pairs", 7)
+    _fault_counts(monkeypatch, "pair_counts", 7)
     assert _first("GF_PP") == Discrepancy(exponent=7, lhs=704, rhs=705)
 
 
 def test_gf_pod_reports_the_faulty_count(monkeypatch):
-    _bump(monkeypatch, "pod_bipartitions", 9)
+    _fault_counts(monkeypatch, "pair_counts", 9)
     assert _first("GF_POD") == Discrepancy(exponent=9, lhs=104, rhs=105)
 
 
 def test_gf_fault_beyond_the_cap_goes_unseen(monkeypatch):
-    _bump(monkeypatch, "overpartition_pairs", 25)
+    _fault_counts(monkeypatch, "pair_counts", 25)
     assert _first("GF_PP") is None
 
 
@@ -75,16 +86,6 @@ def test_sigma_reports_the_faulty_divisor_sum(monkeypatch):
 # Chain DP against direct enumeration
 # ---------------------------------------------------------------------------
 
-def _fault_chain_counts(monkeypatch, at):
-    """Make the one-pass chain enumeration off by one at q^at."""
-    real = identities.chain_counts
-
-    def faulty(sign, k, m, upto, odd_parts):
-        return [c + (n == at) for n, c in enumerate(real(sign, k, m, upto, odd_parts))]
-
-    monkeypatch.setattr(identities, "chain_counts", faulty)
-
-
 @pytest.mark.parametrize("family, name, params, at, expected", [
     ("V", "v_oracle", dict(sign=1, k=2, m=INFINITE), 5, Discrepancy(5, 29, 30)),
     ("W", "w_oracle", dict(sign=-1, k=2, m=3), 9, Discrepancy(9, -140, -139)),
@@ -93,13 +94,13 @@ def test_oracle_check_reports_the_faulty_enumeration(monkeypatch, family, name,
                                                      params, at, expected):
     # the check reads every exponent from one chain_counts call; the
     # per-n oracle of the family gives the unperturbed count there
-    _fault_chain_counts(monkeypatch, at)
+    _fault_counts(monkeypatch, "chain_counts", at)
     assert _first(f"ORACLE_{family}", **params) == expected
     assert expected.lhs == getattr(oracles, name)(params["sign"], params["k"], params["m"], at)
 
 
 def test_oracle_fault_beyond_the_cap_goes_unseen(monkeypatch):
-    _fault_chain_counts(monkeypatch, 16)
+    _fault_counts(monkeypatch, "chain_counts", 16)
     assert _first("ORACLE_V", sign=1, k=2, m=2) is None
 
 
@@ -124,12 +125,12 @@ def test_parity_flip_reports_the_minus_series_first(monkeypatch):
 
 def test_pos_v_reports_the_faulty_predicate(monkeypatch):
     # pp(7) enters the predicate at n = 8 through the T_{k-1} term
-    _bump(monkeypatch, "overpartition_pairs", 7)
+    _fault_counts(monkeypatch, "pair_counts", 7)
     assert _first("POS_V", k=1) == Discrepancy(exponent=8, lhs=228, rhs=229)
 
 
 def test_pos_w_reports_the_faulty_predicate(monkeypatch):
-    _bump(monkeypatch, "pod_bipartitions", 9)
+    _fault_counts(monkeypatch, "pair_counts", 9)
     assert _first("POS_W", k=1) == Discrepancy(exponent=10, lhs=86, rhs=87)
 
 
@@ -149,7 +150,7 @@ def test_pos_tie_goes_to_nonnegativity(monkeypatch, identity, lhs):
 
 
 def test_pos_reports_the_earlier_of_its_two_discrepancies(monkeypatch):
-    _bump(monkeypatch, "overpartition_pairs", 7)
+    _fault_counts(monkeypatch, "pair_counts", 7)
     _fault_one_sided(monkeypatch, 35, -10 ** 12)
     assert _first("POS_V", k=1) == Discrepancy(exponent=8, lhs=228, rhs=229)
 

@@ -496,21 +496,22 @@ def test_kernel_product_of_a_huge_bound_or_index_stays_cheap(k, m):
 
 
 # Cold cases over the chain DP, the kernel, the eta quotient, the
-# quotient sums and the divisor-sum moments.
+# quotient sums, the divisor-sum moments and the pair-count memo.
 _THREAD_CASES = [
     IdentityCase("T1_V", dict(sign=-1, k=1, m=2), 40),
     IdentityCase("T2_W", dict(sign=1, j=1, m=2), 40),
     IdentityCase("L1", dict(k=1), 40),
     IdentityCase("SIGMA_ID", {}, 40),
     IdentityCase("TT4_W", dict(sign=-1, j=2), 40),
+    IdentityCase("POS_V", dict(k=1), 40),
+    IdentityCase("GF_POD", {}, 40),
 ]
 
 
 def _clear_every_cache(monkeypatch):
     """Empty every memo and table of the package."""
     for cached in (qtools.pochhammer, qtools.squared_pochhammer, qtools._gauss_poly,
-                   qtools.kernel_H, _eta_quotient, oracles._overpartition_single,
-                   oracles._pod_single):
+                   qtools.kernel_H, _eta_quotient, oracles.pair_counts):
         cached.cache_clear()
     monkeypatch.setattr(families, "_tables", {})
     monkeypatch.setattr(oracles, "_partitions", [1])

@@ -1,11 +1,13 @@
 """Brute-force ground truth: partition enumeration, weighted chain sums,
 overpartition/bipartition counts, divisor sums, and the coefficient
 extraction behind the inverse weights.  The plain partition generator
-lives here, as the reference the pair counts' recursion is checked
-against."""
+and a per-n chain sum live here, as the references the one-pass count
+lists of ``oracles`` are checked against."""
 
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -17,12 +19,12 @@ from qident.oracles import (
     CHAIN_ORACLE_CAP,
     PAIR_COUNT_CAP,
     DomainError,
-    _overpartition_single,
-    _pod_single,
+    _single_counts,
     b_extraction,
     chain_counts,
     divisor_sigma,
     overpartition_pairs,
+    pair_counts,
     partition_count,
     pod_bipartitions,
     triangular,
@@ -148,6 +150,39 @@ def test_partition_count_is_safe_to_share_between_threads(monkeypatch):
 # Weighted chain sums
 # ---------------------------------------------------------------------------
 
+def chain_sum(sign, k, m, n, odd_parts):
+    """The chain sum at n alone: chains lambda_1 <= ... <= lambda_k <= m
+    with multiplicities t_i >= 1, position i carrying the part lambda_i
+    (odd_parts: 2*lambda_i - 1), each adding sign^(t_1+...+t_k+k) *
+    t_1*...*t_k when its weighted parts sum to n exactly.  The per-n
+    reference the one-pass chain_counts is checked against."""
+    if k == 0:
+        return 1 if n == 0 else 0
+    total = 0
+
+    def recurse(pos, lo, rem, prod, t_sum):
+        nonlocal total
+        positions_left = k - pos  # including this one
+        lam = lo
+        while lam <= m:
+            part = 2 * lam - 1 if odd_parts else lam
+            # this magnitude once, plus at least its part for each later slot
+            if part * positions_left > rem:
+                break
+            t = 1
+            while part * (t + positions_left - 1) <= rem:
+                left = rem - part * t
+                if pos < k - 1:
+                    recurse(pos + 1, lam, left, prod * t, t_sum + t)
+                elif left == 0:
+                    total += sign ** (t_sum + t + k) * prod * t
+                t += 1
+            lam += 1
+
+    recurse(0, 1, n, 1, 0)
+    return total
+
+
 def test_reference_chain_values():
     assert v_oracle(1, 3, INFINITE, 5) == 27
     assert v_oracle(-1, 3, INFINITE, 5) == 19
@@ -221,14 +256,16 @@ def test_chain_oracles_reject_targets_above_the_cap():
 @pytest.mark.parametrize("identity", ("ORACLE_V", "ORACLE_W"))
 def test_chain_counts_match_the_per_n_oracles_on_the_oracle_grid(identity):
     # the one enumeration the ORACLE checks read gives, at every exponent
-    # they compare, the per-n chain sum; shorter ranges are its prefixes
+    # they compare, the per-n reference chain sum; shorter ranges are its
+    # prefixes, and the per-n oracle is the last entry of each
     odd_parts = identity == "ORACLE_W"
     oracle = w_oracle if odd_parts else v_oracle
     for params in REGISTRY[identity].default_grid:
         sign, k, m = params["sign"], params["k"], params["m"]
-        want = [oracle(sign, k, m, n) for n in range(_ORACLE_CAP + 1)]
+        want = [chain_sum(sign, k, m, n, odd_parts) for n in range(_ORACLE_CAP + 1)]
         for upto in (0, 1, 7, _ORACLE_CAP):
             assert chain_counts(sign, k, m, upto, odd_parts) == want[: upto + 1], (params, upto)
+            assert oracle(sign, k, m, upto) == want[upto], (params, upto)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +284,43 @@ def test_single_counts_match_the_filtered_partitions():
     # the reference enumerates every plain partition and filters it: an
     # overpartition overlines any subset of the distinct part sizes, and
     # a pod partition repeats no odd part
+    overpartitions, pods = [0] * 41, [0] * 41
     for n in range(41):
-        overpartitions = pods = 0
         for p in partitions(n):
-            overpartitions += 1 << len(set(p))
+            overpartitions[n] += 1 << len(set(p))
             odd = [x for x in p if x % 2 == 1]
-            pods += len(odd) == len(set(odd))
-        assert _overpartition_single(n) == overpartitions, n
-        assert _pod_single(n) == pods, n
+            pods[n] += len(odd) == len(set(odd))
+    assert _single_counts(40, False) == overpartitions
+    assert _single_counts(40, True) == pods
+    # a shorter walk gives the prefix
+    for upto in (0, 1, 2, 13):
+        assert _single_counts(upto, False) == overpartitions[: upto + 1]
+        assert _single_counts(upto, True) == pods[: upto + 1]
+
+
+def test_pair_counts_are_the_self_convolution_of_the_single_counts():
+    for odd_parts in (False, True):
+        single = _single_counts(PAIR_COUNT_CAP, odd_parts)
+        want = tuple(sum(single[j] * single[n - j] for j in range(n + 1))
+                     for n in range(PAIR_COUNT_CAP + 1))
+        assert pair_counts(PAIR_COUNT_CAP, odd_parts) == want
+        assert pair_counts(20, odd_parts) == want[:21]
+        per_n = overpartition_pairs if not odd_parts else pod_bipartitions
+        assert [per_n(n) for n in (0, 7, PAIR_COUNT_CAP)] == [want[0], want[7], want[-1]]
+
+
+def test_pair_counts_check_their_arguments_before_the_cache():
+    # True == 1 and 3.0 == 3 hash alike, so an untyped memo would answer
+    # them from the entries of 1 and 3 without reaching the checks
+    for odd_parts in (False, True):
+        pair_counts(1, odd_parts)
+        pair_counts(3, odd_parts)
+        for bad in (True, 3.0):
+            with pytest.raises(DomainError, match=f"^target must be an integer, got {bad!r}$"):
+                pair_counts(bad, odd_parts)
+    for bad in (1, 0, None):
+        with pytest.raises(DomainError, match=f"^odd_parts must be a bool, got {bad!r}$"):
+            pair_counts(3, bad)
 
 
 def test_pair_counts_reject_negative():
@@ -272,6 +338,9 @@ def test_pair_counts_reject_targets_above_the_cap():
         overpartition_pairs(PAIR_COUNT_CAP + 1)
     with pytest.raises(DomainError):
         pod_bipartitions(PAIR_COUNT_CAP + 1)
+    for odd_parts in (False, True):
+        with pytest.raises(DomainError, match="above 50"):
+            pair_counts(PAIR_COUNT_CAP + 1, odd_parts)
 
 
 @given(st.integers(0, 14))
@@ -335,3 +404,20 @@ def test_b_extraction_rejects_negative_indices():
         b_extraction(1.0, 0)
     with pytest.raises(DomainError):
         b_extraction(0, True)
+
+
+# ---------------------------------------------------------------------------
+# Independence
+# ---------------------------------------------------------------------------
+
+def test_oracles_import_nothing_from_the_engine():
+    # every oracle-backed check compares the engine against this module,
+    # so it may not compute anything with the engine's code
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = [(node.level, node.module) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    imported += [(0, alias.name) for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names]
+    assert imported, "the scan found no import at all"
+    assert [(level, module) for level, module in imported
+            if level or module.split(".")[0] == "qident"] == []

@@ -31,8 +31,9 @@ sum_j w(j) * F_{j,m} that collapses to a Pochhammer-squared times kernel
 product, one dot product of the weights with each coefficient column of
 the table, and its inverse, which reconstructs F_{j,m} from the
 B_{k,j}-weighted kernel sum.  That sum is j + 1 products of the moments
-of the kernel's binomial terms (_b_weighted_kernels), one kernel_H per
-k only above _MOMENT_J.
+of the kernel's binomial terms (_b_weighted_kernels), one
+qtools.binomial_sums, which proves their slot width, and one kernel_H
+per k only above _MOMENT_J.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from collections import namedtuple
 from math import comb, factorial, gcd
 from typing import Dict, Iterable, List, Tuple, Union
 
-from .qtools import INFINITE, _check_bound, _ratio_sums, kernel_H, squared_pochhammer
+from .qtools import INFINITE, _check_bound, binomial_sums, kernel_H, squared_pochhammer
 from .series import (
     ExactSeries,
     _check_int,
     _check_sign,
-    _partition_bound,
     chain_sums,
     chain_width,
     from_coeffs,
@@ -269,26 +269,6 @@ def _b_polynomial(j: int) -> Tuple[List[int], int]:
     return [x // g for x in a], factorial(2 * j) // g
 
 
-def _moments(sign: int, m: Union[int, float], d: int, top: int,
-             order: int) -> List[ExactSeries]:
-    """M_0 .. M_top, M_r = sum_l l^r * y_l, y_l = sign^l * [m-1+l, l]_Q * q^l
-    with Q = q^d: one qtools._ratio_sums of term ratio
-    q (1 - Q^(m-1+l)) / (1 - Q^l), a weight sequence per r.
-
-    Their width bound is N^top * min((N+1) * p(N // d), C(m+N, N)), N the
-    order: y_l has valuation l, so l <= N; [m-1+l, l]_Q <= 1/(Q;Q)_inf
-    coefficientwise (see qtools.kernel_H), so the sum of the |x_l| at q^n
-    is at most (N+1) * p(N // d), and for m <= N at most its value at
-    q = 1, sum_{l <= N} C(m-1+l, l) = C(m+N, N): every coefficient is
-    nonnegative.
-    """
-    bound = (order + 1) * _partition_bound(1, order // d)
-    if m <= order:
-        bound = min(bound, comb(m + order, order))
-    weights = [[sign ** l * l ** r for l in range(order + 1)] for r in range(top + 1)]
-    return _ratio_sums((m,), (1,), d, range(order + 1), weights, order ** top * bound, order)
-
-
 def _b_weighted_kernels(sign: int, j: int, m: Union[int, float], d: int,
                         order: int) -> ExactSeries:
     """sum_{k>=j} sign^(k-j) * B_{k,j} * q^k * H_k, H_k the two-binomial
@@ -299,8 +279,9 @@ def _b_weighted_kernels(sign: int, j: int, m: Union[int, float], d: int,
     the sum is sign^j * sum_{k>=0} B_{k,j} sum_l y_l * y_(l+k).  That is
     half the full double sum of P(b - a) * y_a * y_b over all (a, b), P
     the even polynomial of _b_polynomial, whose diagonal weight P(0)/2 is
-    B_{0,j}.  Expanding (b - a)^(2i) binomially gives the moments M_r of
-    _moments, r <= 2j, and with D * P(k) = sum_i a_i k^(2i):
+    B_{0,j}.  Expanding (b - a)^(2i) binomially gives the moments
+    M_r = sum_l l^r * y_l, r <= 2j, one qtools.binomial_sums at offsets
+    (0,) over the shifts l, and with D * P(k) = sum_i a_i k^(2i):
 
       D * sum = sign^j * sum_{u<=j} (-1)^u * M_u * L_u,
       L_u = a_u * C(2u, u)/2 * M_u + sum_{u<i<=j} a_i * C(2i, u) * M_(2i-u),
@@ -315,7 +296,7 @@ def _b_weighted_kernels(sign: int, j: int, m: Union[int, float], d: int,
                  for k in range(j, order + 1))
         return weighted_sum(terms, order)
     a, denominator = _b_polynomial(j)
-    moments = _moments(sign, m, d, 2 * j, order)
+    moments = binomial_sums(sign, m, (0,), d, range(order + 1), 2 * j, order)
     products = []
     for u in range(j + 1):
         partner = [(0, a[i] * comb(2 * i, u) // (2 if i == u else 1), moments[2 * i - u])

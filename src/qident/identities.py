@@ -26,15 +26,15 @@ whose minimal exponent exceeds the order is dropped.  Each sum runs its
 index only as far as some term can still reach the order, and
 ``weighted_sum`` drops the terms in that range whose shift lies above it.
 The basic hypergeometric sums (the two-binomial kernel, the Cauchy and
-Euler sums) are each one ``qtools._ratio_sums``, each term from the one
+Euler sums) are each one ``qtools.binomial_sums``, each term from the one
 before by its term ratio, and the product quotients one
 ``qtools._binomial_quotient`` each.  The divisor sum is T2_V's right side
 at (sign +1, j = 1, m = INFINITE), built by ``reconstruct_family`` from
-the moments of its binomial terms.  This
-module hands them factors and a coefficient bound, which each builder
-derives from its own factors and states in its docstring; only
-``series`` packs, steps and unpacks.  The L1/L2 quotient sums are q^k
-times ``kernel_H`` at m = INFINITE, the kernel of T1.
+the moments of its binomial terms.  This module hands those builders
+parameters and factors, never a coefficient bound: each builder proves
+its own slot width, and only ``series`` packs, steps and unpacks.  The
+L1/L2 quotient sums are q^k times ``kernel_H`` at m = INFINITE, the
+kernel of T1.
 
 The one-sided theta sums, and the B-weighted sums of them, are one
 ``from_terms`` each over the O(sqrt(N)) sparse terms of S_k
@@ -47,7 +47,6 @@ builds each (sign, parts, order) quotient once.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import time
 from collections import namedtuple
@@ -67,8 +66,8 @@ from .qtools import (
     INFINITE,
     _binomial_quotient,
     _factors,
-    _ratio_sums,
     alt_triangular_terms,
+    binomial_sums,
     kernel_H,
     pochhammer,
     squared_pochhammer,
@@ -78,7 +77,6 @@ from .qtools import (
 from .series import (
     ExactSeries,
     _check_int,
-    _partition_bound,
     from_coeffs,
     from_terms,
     mul,
@@ -290,7 +288,7 @@ def divisor_sum_series(order: int) -> ExactSeries:
     B_{k,1} = k^2, so this is T2_V's right side at sign +1, j = 1 and
     m = INFINITE, and reconstruct_family builds it: with
     x_i = q^i/(q;q)_i the double sum is M0*M2 - M1^2 in the moments
-    M_r = sum_i i^r x_i, one qtools._ratio_sums (families._moments).
+    M_r = sum_i i^r x_i, one qtools.binomial_sums.
     """
     _check_int("order", order)
     return reconstruct_family("V", 1, 1, INFINITE, order)
@@ -303,24 +301,12 @@ def _check_divisor_sum(order: int) -> _Sides:
 
 def _q_binomial_sides(n: Union[int, float], s: int, order: int) -> _Sides:
     """sum_k [n-1+k, k] q^(s*k) and 1/(q^s; q)_n, the sides of the
-    q-binomial theorem: the left one qtools._ratio_sums of term ratio
-    q^s (1 - q^(n-1+k)) / (1 - q^k), so term k is 1/(q; q)_k at
-    n = INFINITE, the right one _binomial_quotient of one over the
-    binomials of (q^s; q)_n.
-
-    The left side's width bound is (N+1) * p(N), N the order, and for
-    n <= N also at most C(n + N//s, N//s): 1/(q;q)_k bounds [n-1+k, k]
-    coefficientwise (see kernel_H), and the sum has N//s + 1 terms that
-    reach q^N; the value at q = 1 of those terms is
-    sum_{k <= N//s} C(n-1+k, k) = C(n + N//s, N//s), and every
-    coefficient is nonnegative.
+    q-binomial theorem: the left one binomial_sums at offsets (0,) over
+    the shifts s*k, so term k is 1/(q; q)_k at n = INFINITE, the right one
+    _binomial_quotient of one over the binomials of (q^s; q)_n.
     """
     _check_int("order", order)
-    bound = (order + 1) * _partition_bound(1, order)
-    if n <= order:
-        bound = min(bound, math.comb(n + order // s, order // s))
-    lhs = _ratio_sums((n,), (1,), 1, range(0, order + 1, s), [itertools.repeat(1)], bound,
-                      order)[0]
+    lhs = binomial_sums(1, n, (0,), 1, range(0, order + 1, s), 0, order)[0]
     return lhs, _binomial_quotient((), _factors(1, s, 1, n, order), order)
 
 
@@ -332,14 +318,12 @@ def _check_cauchy(order: int, *, n: int, s: int) -> _Sides:
 
 def _check_euler_alternating(order: int, *, e: int) -> _Sides:
     """(q^e; q)_inf and sum_j (-1)^j q^(j(j-1)/2 + e*j) / (q; q)_j, the
-    right one qtools._ratio_sums of term ratio 1/(1 - q^j), width bound
-    (N+1) * p(N), N the order: each |weight| is 1, 1/(q;q)_j <=
-    1/(q;q)_inf coefficientwise, and at most N+1 terms reach q^N."""
+    right one binomial_sums at sign -1, m = INFINITE and offsets (0,) over
+    j <= N, N the order: term j has valuation at least j."""
     _check_int("e", e, 1)
     _check_int("order", order)
-    shifts = (j * (j - 1) // 2 + e * j for j in itertools.count())
-    rhs = _ratio_sums((), (1,), 1, shifts, [itertools.cycle((1, -1))],
-                      (order + 1) * _partition_bound(1, order), order)[0]
+    shifts = [j * (j - 1) // 2 + e * j for j in range(order + 1)]
+    rhs = binomial_sums(-1, INFINITE, (0,), 1, shifts, 0, order)[0]
     return pochhammer(1, e, 1, INFINITE, order), rhs
 
 

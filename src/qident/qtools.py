@@ -1,10 +1,11 @@
 """q-calculus building blocks on top of :mod:`qident.series`.
 
 Pochhammer products, Gaussian binomials, basic hypergeometric sums from
-their term ratio (``_ratio_sums``) and what is built on them (the
-two-binomial kernel, 2phi1), lacunary theta sums, and the one-sided
-alternating triangular sum S_k, whose sparse terms
-(``alt_triangular_terms``) every one-sided theta sum is built from.
+their term ratio (``_ratio_sums``) and what is built on them (the sums
+of products of Gaussian binomials ``binomial_sums``, the two-binomial
+kernel, 2phi1), lacunary theta sums, and the one-sided alternating
+triangular sum S_k, whose sparse terms (``alt_triangular_terms``) every
+one-sided theta sum is built from.
 
 Truncation rule for formally infinite objects: a factor or term whose
 minimal exponent exceeds the working order N is congruent to 1 (resp. 0)
@@ -16,19 +17,24 @@ is its one-term case and ``_ratio_sums`` its term-ratio form.  This module
 hands series factor lists and a coefficient bound, which each builder
 derives from its own factors with series._partition_bound or
 series._distinct_bound and states in its docstring, and never touches a
-packed integer.  Nor does it do unpacked arithmetic on series: it builds
-them only with term_sums, from_terms and the one product of two series
-here, the square in ``squared_pochhammer``, and never inverts one.  The
-q-Pascal ``_gauss_poly`` is its one reference, which no build path calls.
+packed integer.  ``binomial_sums`` proves the one bound of every sum of
+Gaussian-binomial products (the kernel, the T2 moments and the Cauchy
+and Euler sums), so families and identities choose no slot width.  Nor
+does it do unpacked arithmetic on series: it builds them only with
+term_sums, from_terms and the one product of two series here, the
+square in ``squared_pochhammer``, and never inverts one.  The q-Pascal
+``_gauss_poly`` is its one reference, which no build path calls.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from math import isqrt
-from itertools import repeat
+from itertools import chain, cycle, islice, repeat
 from typing import Iterable, Iterator, List, Sequence, Tuple, Type, Union
 
 from .series import (ExactSeries, _check_int, _check_sign, _distinct_bound, _partition_bound,
@@ -210,32 +216,69 @@ def _ratio_sums(top: Iterable[float], bottom: Iterable[int], d: int, shifts: Ite
 
 
 # ---------------------------------------------------------------------------
-# The two-binomial kernel sum
+# Sums of products of Gaussian binomials, and the two-binomial kernel
 # ---------------------------------------------------------------------------
+
+def binomial_sums(sign: int, m: Union[int, float], offsets: Tuple[int, ...], d: int,
+                  shifts: Sequence[int], top: int, order: int) -> List[ExactSeries]:
+    """M_0 .. M_top, M_r = sum_l sign^l * l^r * prod_{k in offsets}
+    [m-1+k+l, k+l]_Q * q^(e_l), Q = q^d, m >= 1 or INFINITE, over the
+    shifts e_0 <= e_1 <= ... of the sequence shifts that reach the order.
+
+    Term l is term l-1 times prod_k (1 - Q^(m-1+k+l)) / (1 - Q^(k+l)), so
+    the sums are one _ratio_sums with top parameters m+k, bottom
+    parameters k+1 and first term prod_k [m-1+k, k]_Q (_gauss_factors),
+    one weight sequence per r.  At m = INFINITE term l is
+    prod_k 1/(Q; Q)_(k+l).  These are the sums of the q-binomial theorem
+    (G. Gasper and M. Rahman, Basic Hypergeometric Series, 2nd ed., 2004,
+    sec. 1.3).
+
+    The width bound, with N the order, L the last index whose shift
+    reaches N and r = len(offsets), is L^top times the smaller of
+    - (L+1) * p_r(N // d): [m-1+k+l, k+l]_Q <= 1/(Q;Q)_(k+l) <= 1/(Q;Q)_inf
+      coefficientwise (a partition in a (k+l) x (m-1) box has at most k+l
+      parts), so term l is at most q^(e_l)/(Q;Q)_inf^r, whose coefficients
+      up to q^N are at most p_r(N // d), and only terms l <= L reach q^N;
+    - for m <= N, the value at q = 1 of the terms that reach the order,
+      sum_{l <= L} prod_k C(m-1+k+l, k+l): every coefficient is
+      nonnegative.  For offsets (0,) that is C(m+L, L).
+    Each |sign^l * l^r| is at most L^top (1 at L = 0).
+    """
+    _check_sign(sign)
+    _check_bound("m", m, 1)
+    _check_int("d", d, 1)
+    _check_int("top", top)
+    _check_int("order", order)
+    shifts = shifts[:bisect_right(shifts, order)]
+    last = max(len(shifts) - 1, 0)
+    bound = (last + 1) * _partition_bound(len(offsets), order // d)
+    if m <= order:
+        if offsets == (0,):
+            total = math.comb(m + last, last)
+        else:
+            # term l is term l-1 times prod_k (m-1+k+l) / (k+l), an integer
+            term = total = math.prod([math.comb(m - 1 + k, k) for k in offsets])
+            for up, down in zip(zip(*[range(m + k, m + k + last) for k in offsets]),
+                                zip(*[range(k + 1, k + 1 + last) for k in offsets])):
+                term = term * math.prod(up) // math.prod(down)
+                total += term
+        bound = min(bound, total)
+    tops, bottoms = zip(*[_gauss_factors(m - 1 + k, k, d, order) for k in offsets])
+    weights = [list(islice(cycle((1, sign)), len(shifts)))]  # row r: sign^l * l^r
+    for _ in range(top):
+        weights.append(list(map(operator.mul, weights[-1], range(len(shifts)))))
+    return _ratio_sums([m + k for k in offsets], [k + 1 for k in offsets], d, shifts, weights,
+                       max(last, 1) ** top * bound, order, (chain(*tops), chain(*bottoms)))
+
 
 @lru_cache(maxsize=None, typed=True)
 def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactSeries:
     """sum_j [m-1+j, j] * [m-1+k+j, k+j] * q^(s*j), binomials in base Q = q^d.
 
-    Term j is term j-1 times q^s (1 - Q^(m-1+j)) (1 - Q^(m-1+k+j)) /
-    ((1 - Q^j) (1 - Q^(k+j))), so the sum is the basic hypergeometric
-    series [m-1+k, k]_Q * 2phi1(Q^m, Q^(m+k); Q^(k+1); Q, q^s), one
-    _ratio_sums from that term ratio, its first term [m-1+k, k]_Q the
-    factors of _gauss_factors.  Every step reads only the factors that
-    reach the order, so a huge k or m costs no more than the order
-    allows.  m may be INFINITE: every factor (1 - Q^(m+...)) is then 1,
-    so the binomials become 1/(Q; Q)_j and 1/(Q; Q)_(k+j).  At m = 0
-    every binomial [-1+j, j] vanishes: the result is zero for every k.
-
-    Its width bound is the smaller of two, N the order:
-    - for every m, (N+1) * p_2(N // d): [m-1+j, j]_Q <= 1/(Q;Q)_j
-      coefficientwise (a partition in a j x (m-1) box has at most j
-      parts), and 1/(Q;Q)_j <= 1/(Q;Q)_inf, so the kernel is at most
-      sum_j q^(s*j)/(Q;Q)_inf^2, whose coefficients up to q^N sum at most
-      N+1 terms of at most p_2(N // d);
-    - for m <= N, the kernel's value at q = 1 over the terms that reach
-      the order, sum_{j <= N/s} C(m-1+j, j) * C(m-1+k+j, k+j): every
-      coefficient is nonnegative.
+    That is [m-1+k, k]_Q * 2phi1(Q^m, Q^(m+k); Q^(k+1); Q, q^s), built as
+    binomial_sums at offsets (0, k) over the shifts s*j, which proves its
+    width bound and reads only the factors that reach the order.  m may be
+    INFINITE; at m = 0 every [-1+j, j] vanishes and the result is zero.
     """
     _check_int("k", k)
     _check_bound("m", m)
@@ -244,16 +287,7 @@ def kernel_H(k: int, m: Union[int, float], d: int, s: int, order: int) -> ExactS
     _check_int("order", order)
     if m == 0:
         return zero(order)
-    bound = (order + 1) * _partition_bound(2, order // d)
-    if m <= order:
-        a, b, total = 1, math.comb(m - 1 + k, m - 1), 0
-        for j in range(order // s + 1):
-            if j:
-                a, b = a * (m - 1 + j) // j, b * (m - 1 + k + j) // (k + j)
-            total += a * b
-        bound = min(bound, total)
-    return _ratio_sums((m, m + k), (1, k + 1), d, range(0, order + 1, s), [repeat(1)], bound,
-                       order, _gauss_factors(m - 1 + k, k, d, order))[0]
+    return binomial_sums(1, m, (0, k), d, range(0, order + 1, s), 0, order)[0]
 
 
 def phi2_1(

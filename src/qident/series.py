@@ -190,7 +190,7 @@ def from_terms(terms: Iterable[Tuple[int, int]], order: int) -> ExactSeries:
     _check_int("order", order)
     coeffs = [0] * (order + 1)
     for e, c in terms:
-        if e < 0:
+        if type(e) is not int or e < 0:
             _check_int("exponent", e)
         if e <= order:
             coeffs[e] += c
@@ -219,7 +219,7 @@ def weighted_sum(terms: Iterable[Tuple[int, int, ExactSeries]], order: int) -> E
     out = [0] * (order + 1)
     top = order
     for e, c, s in terms:
-        if e < 0:
+        if type(e) is not int or e < 0:
             _check_int("exponent", e)
         sc = s.coeffs
         hi = e + len(sc)

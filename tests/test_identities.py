@@ -6,6 +6,7 @@ term by term, with the resolved reading of the bipartition one."""
 import copy
 import hashlib
 import inspect
+import itertools
 import pickle
 import sys
 import threading
@@ -280,7 +281,10 @@ _INT_ARG_CALLS = [
     _registry_arg("POS_W", "k", 0),
     _registry_arg("ORACLE_V", "k", 0, sign=1, m=2),
     _registry_arg("ORACLE_V", "m", 1, sign=1, k=1),
-] + [(name, "order", 0, call) for name, call in _ORDER_CALLS]
+] + [(name, "order", 0, call) for name, call in _ORDER_CALLS] + [
+    ("from_terms", "exponent", 0, lambda v: qident.from_terms([(v, 1)], 3)),
+    ("weighted_sum", "exponent", 0, lambda v: qident.weighted_sum([(v, 1, one(3))], 3)),
+]
 
 
 @pytest.mark.parametrize("name, arg, low, call", _INT_ARG_CALLS,
@@ -664,6 +668,51 @@ def test_default_suite_holds_everywhere():
 
 def test_suite_at_order_zero_reduces_to_constant_terms():
     assert all(r.holds for r in verify_suite(order=0))
+
+
+# ---------------------------------------------------------------------------
+# Wide-grid sweep
+# ---------------------------------------------------------------------------
+
+# Every value a registry parameter takes in the sweep, far beyond the default
+# grids: m = 4..7, k >= 3 in T1/T4, j above families._MOMENT_J, e >= 4, and
+# every caller of qtools.binomial_sums at s = 3, n = 8 and e = 5.  The box
+# lives here, not in the registry, so the suite's cases stay as they are.
+_WIDE_BOX = dict(sign=(1, -1), k=range(7), j=range(14), m=(1, 2, 3, 4, 5, 7, INFINITE),
+                 n=(1, 2, 3, 5, 8), s=(1, 2, 3), e=range(1, 6))
+_WIDE_ORDER = 40
+
+
+def _wide_failures(identity):
+    """The params of every case of the entry, over the box axes its
+    required names pick, that does not hold at _WIDE_ORDER."""
+    names = REGISTRY[identity].required
+    cases = (dict(zip(names, values))
+             for values in itertools.product(*(_WIDE_BOX[name] for name in names)))
+    return [params for params in cases
+            if not verify(IdentityCase(identity, params, _WIDE_ORDER)).holds]
+
+
+@pytest.mark.parametrize("identity", list(REGISTRY))
+def test_every_entry_holds_over_the_wide_box(identity):
+    # an entry with a parameter the box lacks fails here with a KeyError
+    assert _wide_failures(identity) == []
+
+
+def test_the_wide_sweep_reports_a_broken_binomial_sum(monkeypatch):
+    # identities looks binomial_sums up in its own namespace, so the fault
+    # reaches the CAUCHY and EULER sums; kernel_H and the T2 moments call
+    # it from qtools and families and stay whole
+    real = identities.binomial_sums
+
+    def faulty(*args):
+        *_, order = args
+        return [add(out, monomial(1, order, order)) for out in real(*args)]
+
+    monkeypatch.setattr(identities, "binomial_sums", faulty)
+    failed = {identity: len(_wide_failures(identity)) for identity in REGISTRY}
+    assert {identity: n for identity, n in failed.items() if n} == {
+        "CAUCHY": 15, "EULER1": 5, "EULER2": 5}
 
 
 # ---------------------------------------------------------------------------

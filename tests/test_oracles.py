@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qident import oracles
+from qident import families, identities, oracles
 from qident.identities import _ORACLE_CAP, REGISTRY
 from qident.oracles import (
     CHAIN_ORACLE_CAP,
@@ -421,3 +421,17 @@ def test_oracles_import_nothing_from_the_engine():
     assert imported, "the scan found no import at all"
     assert [(level, module) for level, module in imported
             if level or module.split(".")[0] == "qident"] == []
+
+
+@pytest.mark.parametrize("module", [families, identities], ids=["families", "identities"])
+def test_only_series_and_qtools_choose_slot_widths(module):
+    # the width bounds and the packed term loop stay behind qtools: these
+    # modules neither import them nor reach them as attributes
+    internals = {"_ratio_sums", "_partition_bound", "_distinct_bound", "packed_width",
+                 "term_sums"}
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "binomial_sums" in imported, "the scan missed the sums' one builder"
+    reached = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert (imported | reached) & internals == set()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qident import series
+from qident.families import _b_weighted_kernels
 from qident.identities import (IdentityCase, _check_euler_alternating, _eta_quotient,
                                _one_sided, _q_binomial_sides, divisor_sum_series, verify)
 from qident.oracles import partition_count
@@ -22,6 +23,7 @@ from qident.qtools import (
     _gauss_poly,
     _partition_bound,
     alt_triangular_sum,
+    binomial_sums,
     gaussian_binomial,
     kernel_H,
     phi2_1,
@@ -672,6 +674,26 @@ def test_packed_kernels_fit_their_width(widths, order):
 
 
 @pytest.mark.parametrize("order", WIDTH_ORDERS)
+def test_packed_binomial_sums_fit_their_width(widths, order):
+    # one offset takes the closed form C(m+L, L) at offset 0 and the
+    # running product otherwise, as two (kernel_H's) and three offsets do
+    for offsets in ((0,), (1,), (0, 2), (0, 1, 3)):
+        for m in WIDTH_BOUNDS:
+            for sign, d, s in ((1, 1, 1), (-1, 2, 3)):
+                first = one(order)
+                for k in offsets:
+                    first = mul(first, _inverse_product(d, k, order) if m == INFINITE
+                                else _pascal(m - 1 + k, k, d, order))
+                shifts = range(0, order + 1, s)
+                sums = binomial_sums(sign, m, offsets, d, shifts, 2, order)
+                for r, got in enumerate(sums):
+                    want = _term_sum(first, [m + k for k in offsets], [k + 1 for k in offsets],
+                                     d, shifts, (sign ** l * l ** r for l in count()), order)
+                    assert got == want, (offsets, m, sign, d, s, r)
+    _assert_fits(widths)
+
+
+@pytest.mark.parametrize("order", WIDTH_ORDERS)
 def test_packed_classical_sums_fit_their_width(widths, order):
     for s in (1, 2):
         for n in (1, 2, 3, 4, INFINITE):
@@ -712,11 +734,19 @@ def test_packed_widths_follow_the_width_rules(widths):
     # bits for 13; the q-binomial sum at n = 4 is bounded by C(n + N, N)
     # and its right side 1/(q; q)_4 by p(N); (q; q)_inf and (-q; q)_inf,
     # no denominator and distinct factors, are bounded by q(N) and carry
-    # 1- and 29-bit coefficients in 40-bit slots at N = 200
+    # 1- and 29-bit coefficients in 40-bit slots at N = 200.  All sums of
+    # Gaussian-binomial products take binomial_sums' one rule: EULER1's sum
+    # at N = 80 ends at L = 12, so (L+1) * p(N) gives 40-bit slots for its
+    # +-1 coefficients (48 with N+1 terms), and its left side (q; q)_inf is
+    # bounded by q(N); the T2 moments M_0..M_2 at (-1, m = 2) are bounded by
+    # N^2 * C(m+N, N), 32-bit slots, and mul packs their two products
     kernel_H(1, INFINITE, 1, 2, 149)
     kernel_H(0, 2, 1, 2, 400)
     _q_binomial_sides(4, 1, 200)
     pochhammer(1, 1, 1, INFINITE, 200)
     pochhammer(-1, 1, 1, INFINITE, 200)
+    _check_euler_alternating(80, e=1)
+    _b_weighted_kernels(-1, 1, 2, 1, 80)
     assert [(width, max(map(abs, out.coeffs)).bit_length()) for width, out in widths] == [
-        (80, 48), (24, 13), (32, 16), (56, 16), (40, 1), (40, 29)]
+        (80, 48), (24, 13), (32, 16), (56, 16), (40, 1), (40, 29),
+        (40, 1), (32, 1), (32, 1), (32, 6), (32, 12), (24, 16), (24, 15)]
